@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: check vet build test race deprecated-check serve-smoke chaos corrupt-smoke fuzz-smoke trace-smoke bench bench-kernels bench-json bench-smoke bench-compare bench-compare-smoke experiments
+.PHONY: check vet build test race serve-smoke chaos corrupt-smoke fuzz-smoke trace-smoke bench bench-kernels bench-json bench-smoke bench-compare bench-compare-smoke experiments
 
-check: vet build deprecated-check test race serve-smoke chaos corrupt-smoke fuzz-smoke trace-smoke bench-smoke bench-compare-smoke
+check: vet build test race serve-smoke chaos corrupt-smoke fuzz-smoke trace-smoke bench-smoke bench-compare-smoke
 
 vet:
 	$(GO) vet ./...
@@ -20,15 +20,6 @@ test:
 # across both platforms.
 race:
 	$(GO) test -race ./internal/rdd ./internal/mapred ./internal/parallel ./internal/rsvd ./internal/serve
-
-# Vet-style grep gate: cmd/, examples/, and internal/ must use the Config
-# forms, not the deprecated positional wrappers (which survive only for the
-# root package's compatibility tests). The regex requires the call paren so
-# FitMissingConfig/FitStreamFileConfig don't match.
-deprecated-check:
-	@! grep -rn --include='*.go' -E 'spca\.(FitMissing|FitStreamFile)\(' cmd examples internal \
-		|| { echo "deprecated-check: migrate the calls above to the Config forms"; exit 1; }
-	@echo "deprecated-check: no deprecated wrapper calls outside the root package"
 
 # Serving-layer smoke: registry round-trip, both wire protocols, the
 # zero-allocation gate on the binary hot path, and the graceful drain.
@@ -75,13 +66,14 @@ bench-kernels:
 	$(GO) test . -run '^$$' -bench BenchmarkParallelSpeedup
 
 # Machine-readable benchmark baseline: in-place kernels, steady-state mapper
-# allocations, the pooled-vs-legacy end-to-end fit A/B pairs, and the sketch
-# engines' fit paths, written to $(BENCH_JSON) for committing and diffing
-# against earlier BENCH_*.json files.
+# allocations, the end-to-end fits (still named *Pooled so they pair with
+# earlier baselines), the sketch engines' fit paths, and the serving layer,
+# written to $(BENCH_JSON) for committing and diffing against earlier
+# BENCH_*.json files.
 BENCH_JSON ?= BENCH_10.json
 bench-json:
 	{ $(GO) test ./internal/matrix -run '^$$' -bench BenchmarkKernelsInPlace -benchmem -benchtime 20x; \
-	  $(GO) test ./internal/ppca -run '^$$' -bench 'BenchmarkSteady|Pooled|Legacy|BenchmarkFitStream' -benchmem -benchtime 10x; \
+	  $(GO) test ./internal/ppca -run '^$$' -bench 'BenchmarkSteady|Pooled|BenchmarkFitStream' -benchmem -benchtime 10x; \
 	  $(GO) test ./internal/rsvd -run '^$$' -bench 'BenchmarkFitRSVD' -benchmem -benchtime 10x; \
 	  $(GO) test ./internal/ssvd -run '^$$' -bench 'BenchmarkFitSSVD' -benchmem -benchtime 10x; \
 	  $(GO) test ./internal/serve -run '^$$' -bench 'BenchmarkServe' -benchmem -benchtime 50x; } \

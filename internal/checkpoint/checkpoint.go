@@ -34,10 +34,10 @@ import (
 	"spca/internal/matrix"
 )
 
-// Version is the current snapshot format version. Readers reject versions
-// they do not understand rather than guessing. Version 2 added the FNV-64a
-// checksum trailer and the data-integrity metrics fields; version 1 files
-// (no trailer) remain readable.
+// Version is the snapshot format version. Readers reject every other version
+// rather than guessing. Version 2 added the FNV-64a checksum trailer and the
+// data-integrity metrics fields; version 1 files (no trailer) are rejected,
+// so every accepted snapshot has passed its checksum.
 const Version = 2
 
 // DefaultKeep is the number of snapshot generations Prune retains when the
@@ -262,10 +262,9 @@ const (
 )
 
 // Read parses a snapshot written by Write, returning errors that wrap
-// ErrBadSnapshot for any malformed input. Version-2 files carry a whole-file
-// FNV-64a checksum trailer that is verified before any field is parsed, so a
-// flipped bit or torn write anywhere in the file is detected up front;
-// version-1 files (no trailer) remain readable. s.Bytes is NOT set (the
+// ErrBadSnapshot for any malformed input. The whole-file FNV-64a checksum
+// trailer is verified before any field is parsed, so a flipped bit or torn
+// write anywhere in the file is detected up front. s.Bytes is NOT set (the
 // reader may not be a file); Save/Latest set it from the file size.
 func Read(r io.Reader) (*Snapshot, error) {
 	data, err := io.ReadAll(r)
@@ -281,14 +280,12 @@ func Read(r io.Reader) (*Snapshot, error) {
 	if _, err := fmt.Sscanf(hdr, "spcackpt %d", &ver); err != nil {
 		return nil, fmt.Errorf("%w: bad header %q", ErrBadSnapshot, hdr)
 	}
-	if ver < 1 || ver > Version {
+	if ver != Version {
 		return nil, fmt.Errorf("%w: unsupported version %d (have %d)", ErrBadSnapshot, ver, Version)
 	}
-	body := data
-	if ver >= 2 {
-		if body, err = VerifyTrailer(data); err != nil {
-			return nil, err
-		}
+	body, err := VerifyTrailer(data)
+	if err != nil {
+		return nil, err
 	}
 
 	sc := bufio.NewScanner(bytes.NewReader(body))
@@ -355,11 +352,7 @@ func Read(r io.Reader) (*Snapshot, error) {
 		return nil, err
 	}
 	mf := strings.Fields(ml)
-	wantMetrics := 18 // v2 appended CorruptPayloads and ReverifySeconds
-	if ver == 1 {
-		wantMetrics = 16
-	}
-	if len(mf) != wantMetrics || mf[0] != "metrics" {
+	if len(mf) != 18 || mf[0] != "metrics" {
 		return nil, fmt.Errorf("%w: bad metrics line %q", ErrBadSnapshot, ml)
 	}
 	m := &s.Metrics

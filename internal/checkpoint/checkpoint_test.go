@@ -3,6 +3,7 @@ package checkpoint
 import (
 	"bytes"
 	"errors"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -156,8 +157,7 @@ func TestSaveLatest(t *testing.T) {
 
 // toV1 rewrites a serialized v2 snapshot into the v1 layout: version-1
 // header, no checksum trailer, and the 15-value metrics line (the two
-// data-integrity values did not exist yet). Used to exercise back-compat and
-// the structural parse errors the v2 checksum would otherwise mask.
+// data-integrity values did not exist yet). Read must reject the result.
 func toV1(t testing.TB, text string) string {
 	t.Helper()
 	if len(text) < trailerLen || !strings.HasPrefix(text[len(text)-trailerLen:], "checksum ") {
@@ -174,25 +174,32 @@ func toV1(t testing.TB, text string) string {
 	return strings.Replace(strings.Join(lines, "\n"), "spcackpt 2", "spcackpt 1", 1)
 }
 
-// TestReadV1 locks in back-compat: a version-1 file (no trailer, shorter
-// metrics line) still parses, with the new metrics fields zero.
-func TestReadV1(t *testing.T) {
-	s := sampleSnapshot(7)
+// reseal replaces the checksum trailer of a serialized snapshot body with a
+// fresh one, so structural damage reaches the field parser instead of being
+// caught by the checksum.
+func reseal(t testing.TB, body string) string {
+	t.Helper()
 	var buf bytes.Buffer
-	if err := Write(&buf, s); err != nil {
+	tw := NewTrailerWriter(&buf)
+	if _, err := io.WriteString(tw, body); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Read(strings.NewReader(toV1(t, buf.String())))
-	if err != nil {
-		t.Fatalf("Read(v1): %v", err)
+	if err := tw.WriteTrailer(); err != nil {
+		t.Fatal(err)
 	}
-	if got.Metrics.CorruptPayloads != 0 || got.Metrics.ReverifySeconds != 0 {
-		t.Fatalf("v1 snapshot has data-integrity metrics: %d / %g", got.Metrics.CorruptPayloads, got.Metrics.ReverifySeconds)
+	return buf.String()
+}
+
+// TestReadV1 pins the rejection of version-1 files, the only format without
+// a checksum: a well-formed v1 snapshot fails with ErrBadSnapshot.
+func TestReadV1(t *testing.T) {
+	var buf bytes.Buffer
+	if err := Write(&buf, sampleSnapshot(7)); err != nil {
+		t.Fatal(err)
 	}
-	s.Metrics.CorruptPayloads, s.Metrics.ReverifySeconds = 0, 0
-	got.Bytes = s.Bytes
-	if !reflect.DeepEqual(got, s) {
-		t.Fatalf("v1 round trip mismatch:\n got %+v\nwant %+v", got, s)
+	_, err := Read(strings.NewReader(toV1(t, buf.String())))
+	if !errors.Is(err, ErrBadSnapshot) || !strings.Contains(err.Error(), "unsupported version 1") {
+		t.Fatalf("Read(v1) = %v, want ErrBadSnapshot for unsupported version 1", err)
 	}
 }
 
@@ -202,7 +209,7 @@ func TestReadRejectsCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	text := buf.String()
-	v1 := toV1(t, text)
+	body := text[:len(text)-trailerLen]
 	flipped := []byte(text)
 	flipped[len(flipped)/3] ^= 0x01
 	cases := map[string]string{
@@ -212,12 +219,13 @@ func TestReadRejectsCorruption(t *testing.T) {
 		"truncated":       text[:len(text)/2],
 		"flipped bit":     string(flipped),
 		"missing trailer": text[:len(text)-trailerLen],
-		// Structural damage to a v1 body (no checksum) exercises the parse
+		"v1":              toV1(t, text),
+		// Structural damage under a valid checksum exercises the parse
 		// errors directly rather than the trailer check.
-		"v1 truncated": v1[:len(v1)/2],
-		"v1 bad float": strings.Replace(v1, "ss ", "ss x", 1),
+		"resealed truncated": reseal(t, body[:len(body)/2]),
+		"resealed bad float": reseal(t, strings.Replace(body, "ss ", "ss x", 1)),
 		// C.Data[0] serializes as "0.001 "; swap it for NaN.
-		"v1 nonfinite C": strings.Replace(v1, "0.001 ", "NaN ", 1),
+		"resealed nonfinite C": reseal(t, strings.Replace(body, "0.001 ", "NaN ", 1)),
 	}
 	for name, in := range cases {
 		if _, err := Read(strings.NewReader(in)); err == nil {

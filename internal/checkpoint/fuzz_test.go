@@ -2,6 +2,7 @@ package checkpoint
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 )
@@ -21,7 +22,7 @@ func FuzzReadSnapshot(f *testing.F) {
 	flipped := append([]byte(nil), valid...)
 	flipped[len(flipped)/3] ^= 0x01
 	f.Add(flipped)                         // flipped bit (checksum must catch)
-	f.Add([]byte(toV1(f, string(valid))))  // valid v1 (no trailer)
+	f.Add([]byte(toV1(f, string(valid))))  // v1 (no trailer): rejected
 	f.Add(valid[:len(valid)-trailerLen])   // trailer sheared off
 	f.Add([]byte("spcackpt 2\n"))          // header only
 	f.Add([]byte("spcackpt 99\niter 1\n")) // future version
@@ -49,14 +50,16 @@ func FuzzReadSnapshot(f *testing.F) {
 	})
 }
 
-// fuzzSeedV1 guards the toV1 helper against drifting out of sync with the
-// writer: its output must actually parse as version 1.
+// TestFuzzSeedV1Parses guards the v1 seed of the corpus: it must reach the
+// header parse and be rejected there as an unsupported version, with
+// ErrBadSnapshot, rather than fail earlier or be accepted.
 func TestFuzzSeedV1Parses(t *testing.T) {
 	var buf bytes.Buffer
 	if err := Write(&buf, sampleSnapshot(7)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Read(strings.NewReader(toV1(t, buf.String()))); err != nil {
-		t.Fatalf("v1 seed corpus does not parse: %v", err)
+	_, err := Read(strings.NewReader(toV1(t, buf.String())))
+	if !errors.Is(err, ErrBadSnapshot) || !strings.Contains(err.Error(), "unsupported version 1") {
+		t.Fatalf("v1 seed = %v, want ErrBadSnapshot for unsupported version 1", err)
 	}
 }

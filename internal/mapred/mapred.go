@@ -103,10 +103,6 @@ type Engine struct {
 	// Faults injects deterministic failures (task attempts, node losses,
 	// stragglers) into every job. Nil runs fault-free.
 	Faults *cluster.FaultPlan
-	// FailureRate is the legacy chaos knob: when set (and Faults is nil) it
-	// builds an implicit FaultPlan injecting task-attempt failures with this
-	// probability, seeded by SetFailureSeed.
-	FailureRate float64
 	// MaxAttempts bounds retries per task (default 4, like Hadoop). A
 	// FaultPlan's own MaxAttempts takes precedence when set.
 	MaxAttempts int
@@ -114,10 +110,9 @@ type Engine struct {
 	// map-based shuffle — the A/B switch of the differential tests.
 	DisableDense bool
 
-	mu       sync.Mutex
-	failSeed uint64
-	jobSeq   int64
-	slabs    map[slabKey][]*denseSlab
+	mu     sync.Mutex
+	jobSeq int64
+	slabs  map[slabKey][]*denseSlab
 }
 
 // NewEngine returns an engine with Hadoop-like defaults on cl.
@@ -127,18 +122,7 @@ func NewEngine(cl *cluster.Cluster) *Engine {
 		Splits:      2 * cl.TotalCores(),
 		Reducers:    cl.TotalCores(),
 		MaxAttempts: 4,
-		failSeed:    0x4D52, // "MR"
 	}
-}
-
-// SetFailureSeed reseeds the legacy FailureRate fault injection. Failure
-// decisions are derived per (job, phase, task, attempt) from this seed — not
-// drawn from a shared RNG stream — so the same seed fails the identical
-// attempt set on every run, independent of goroutine scheduling.
-func (e *Engine) SetFailureSeed(seed uint64) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.failSeed = seed
 }
 
 // NumSplits reports how many map tasks Run will use for n input records: the
@@ -184,16 +168,10 @@ func (e *Engine) plan() (*cluster.FaultPlan, int64) {
 	defer e.mu.Unlock()
 	seq := e.jobSeq
 	e.jobSeq++
-	if e.Faults != nil {
-		if !e.Faults.Enabled() {
-			return nil, seq
-		}
-		return e.Faults, seq
+	if !e.Faults.Enabled() {
+		return nil, seq
 	}
-	if e.FailureRate > 0 {
-		return &cluster.FaultPlan{Seed: e.failSeed, TaskFailureRate: e.FailureRate}, seq
-	}
-	return nil, seq
+	return e.Faults, seq
 }
 
 type emitter[K comparable, V any] struct {

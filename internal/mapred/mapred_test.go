@@ -221,13 +221,12 @@ func TestStatefulMapperEmitsOncePerTask(t *testing.T) {
 	}
 }
 
-// TestFailureInjectionRetriesAndStillCorrect covers the legacy FailureRate
-// knob: failed attempts are retried, the result is exact, Tasks stays the
-// useful task count, and the retries land in the recovery accounting.
+// TestFailureInjectionRetriesAndStillCorrect covers task-attempt failures:
+// failed attempts are retried, the result is exact, Tasks stays the useful
+// task count, and the retries land in the recovery accounting.
 func TestFailureInjectionRetriesAndStillCorrect(t *testing.T) {
 	e := testEngine()
-	e.FailureRate = 0.5
-	e.SetFailureSeed(1234)
+	e.Faults = &cluster.FaultPlan{Seed: 1234, TaskFailureRate: 0.5}
 	e.Splits = 8
 	e.MaxAttempts = 12 // 0.5^12 per task: terminal failure effectively off
 	input := make([]int64, 64)
@@ -266,7 +265,7 @@ func TestFailureInjectionRetriesAndStillCorrect(t *testing.T) {
 // the last attempt's output.
 func TestTerminalFailureReturnsError(t *testing.T) {
 	e := testEngine()
-	e.FailureRate = 1.0
+	e.Faults = &cluster.FaultPlan{Seed: 0x4D52, TaskFailureRate: 1}
 	e.MaxAttempts = 3
 	e.Splits = 2
 	_, err := Run(e, statefulJob(), []int64{5, 7})
@@ -384,8 +383,7 @@ func mapExecCounts(t *testing.T, seed uint64) []int64 {
 	const splits = 8
 	counts := make([]int64, splits)
 	e := testEngine()
-	e.FailureRate = 0.4
-	e.SetFailureSeed(seed)
+	e.Faults = &cluster.FaultPlan{Seed: seed, TaskFailureRate: 0.4}
 	e.Splits = splits
 	e.MaxAttempts = 16
 	job := statefulJob()
@@ -404,9 +402,10 @@ func mapExecCounts(t *testing.T, seed uint64) []int64 {
 	return counts
 }
 
-// TestFailureSeedReproducible pins the SetFailureSeed fix: the same seed
-// must fail the identical per-task attempt set on every run, regardless of
-// goroutine scheduling.
+// TestFailureSeedReproducible pins that failure decisions are derived per
+// (job, phase, task, attempt) from the fault plan's seed, not drawn from a
+// shared RNG stream: the same seed must fail the identical per-task attempt
+// set on every run, regardless of goroutine scheduling.
 func TestFailureSeedReproducible(t *testing.T) {
 	a := mapExecCounts(t, 77)
 	b := mapExecCounts(t, 77)
@@ -581,8 +580,7 @@ func TestWordCountProperty(t *testing.T) {
 		e := testEngine()
 		e.Splits = int(splits%16) + 1
 		if chaos {
-			e.FailureRate = 0.3
-			e.SetFailureSeed(uint64(seed) * 3)
+			e.Faults = &cluster.FaultPlan{Seed: uint64(seed) * 3, TaskFailureRate: 0.3}
 			// Bound terminal failures out of existence (0.3^12 per task) so
 			// the property stays about correctness under retries.
 			e.MaxAttempts = 12

@@ -421,6 +421,13 @@ func VecSub(a, b []float64) []float64 {
 }
 
 // OuterAdd accumulates out += a*bᵀ where out is len(a) x len(b).
+//
+// It is the local EM pass's hottest loop, and it stays out of line so the
+// loop's code placement does not move with every edit to its callers: when
+// inlined, unrelated changes to the caller shifted the loop across a 64-byte
+// boundary and slowed it by up to ~60% on a 2-core Xeon.
+//
+//go:noinline
 func OuterAdd(out *Dense, a, b []float64) {
 	if out.R != len(a) || out.C != len(b) {
 		panic("matrix: OuterAdd dims mismatch")
@@ -429,7 +436,7 @@ func OuterAdd(out *Dense, a, b []float64) {
 		if av == 0 {
 			continue
 		}
-		row := out.Row(i)
+		row := out.Row(i)[:len(b)] // no per-element bounds check
 		for j, bv := range b {
 			row[j] += av * bv
 		}

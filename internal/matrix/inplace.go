@@ -26,16 +26,11 @@ import (
 type mulBody struct {
 	m, b, out *Dense
 	kBlock    int
-	cfg       TileConfig // enabled => cache-blocked 4x4 register kernel
 }
 
 var mulBodies = parallel.NewPool(func() *mulBody { return new(mulBody) })
 
 func (t *mulBody) Run(lo, hi int) {
-	if t.cfg.enabled() {
-		t.runTiled(lo, hi)
-		return
-	}
 	m, b, out, kBlock := t.m, t.b, t.out, t.kBlock
 	for k0 := 0; k0 < m.C; k0 += kBlock {
 		k1 := k0 + kBlock
@@ -48,7 +43,7 @@ func (t *mulBody) Run(lo, hi int) {
 			for k := k0; k < k1; k++ {
 				a := arow[k]
 				if a == 0 {
-					continue
+					continue // semantic, not only speed: 0·Inf would be NaN
 				}
 				brow := b.Row(k)
 				for j, bv := range brow {
@@ -76,16 +71,8 @@ func (m *Dense) MulInto(b, out *Dense) *Dense {
 	if kBlock < 8 {
 		kBlock = 8
 	}
-	// Tiling only pays off when a full j-sweep of b and out no longer sits in
-	// cache; small-d EM products stay on the legacy loops. The config is
-	// resolved here, before ForRunner, so the one-shot probe never runs
-	// inside a parallel chunk.
-	var cfg TileConfig
-	if b.C >= 16 && m.C >= 64 {
-		cfg = mulTiling()
-	}
 	body := mulBodies.Get()
-	body.m, body.b, body.out, body.kBlock, body.cfg = m, b, out, kBlock, cfg
+	body.m, body.b, body.out, body.kBlock = m, b, out, kBlock
 	parallel.ForRunner(m.R, flopGrain(2*m.C*b.C), body)
 	*body = mulBody{}
 	mulBodies.Put(body)
@@ -105,14 +92,8 @@ func (m *Dense) MulTInto(b, out *Dense) *Dense {
 	// touches out rows lo..hi-1, and each out[k][j] still accumulates over i
 	// in ascending order, so the sum is bit-identical to the sequential
 	// row-streaming loop.
-	// Same eligibility logic as MulInto: the accumulation axis (m.R here)
-	// must be long enough to block, and b wide enough for register tiles.
-	var cfg TileConfig
-	if m.R >= 64 && b.C >= 16 {
-		cfg = mulTiling()
-	}
 	body := mulTBodies.Get()
-	body.m, body.b, body.out, body.cfg = m, b, out, cfg
+	body.m, body.b, body.out = m, b, out
 	parallel.ForRunner(m.C, flopGrain(2*m.R*b.C), body)
 	*body = mulTBody{}
 	mulTBodies.Put(body)
@@ -122,16 +103,11 @@ func (m *Dense) MulTInto(b, out *Dense) *Dense {
 // mulTBody is MulTInto's chunk loop with its captures as fields.
 type mulTBody struct {
 	m, b, out *Dense
-	cfg       TileConfig // enabled => cache-blocked 4x4 register kernel
 }
 
 var mulTBodies = parallel.NewPool(func() *mulTBody { return new(mulTBody) })
 
 func (t *mulTBody) Run(lo, hi int) {
-	if t.cfg.enabled() {
-		t.runTiled(lo, hi)
-		return
-	}
 	m, b, out := t.m, t.b, t.out
 	for i := 0; i < m.R; i++ {
 		arow := m.Row(i)
@@ -139,7 +115,7 @@ func (t *mulTBody) Run(lo, hi int) {
 		for k := lo; k < hi; k++ {
 			a := arow[k]
 			if a == 0 {
-				continue
+				continue // semantic, not only speed: 0·Inf would be NaN
 			}
 			orow := out.Row(k)
 			for j, bv := range brow {

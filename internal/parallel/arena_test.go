@@ -2,6 +2,7 @@ package parallel
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -40,9 +41,10 @@ func TestArenaReusesSlices(t *testing.T) {
 }
 
 func TestPoolNeverDropsAndIsConcurrencySafe(t *testing.T) {
-	made := 0
+	// Get calls mk outside the pool's lock, so mk may run concurrently.
+	var made atomic.Int64
 	p := NewPool(func() *[]float64 {
-		made++
+		made.Add(1)
 		s := make([]float64, 8)
 		return &s
 	})
@@ -60,13 +62,13 @@ func TestPoolNeverDropsAndIsConcurrencySafe(t *testing.T) {
 	wg.Wait()
 	// Drain and refill: at most 8 concurrent holders ever existed, and the
 	// pool must hand those same values back without making new ones.
-	before := made
+	before := made.Load()
 	var held []*[]float64
-	for i := 0; i < before; i++ {
+	for i := int64(0); i < before; i++ {
 		held = append(held, p.Get())
 	}
-	if made != before {
-		t.Fatalf("draining the pool made %d new values", made-before)
+	if now := made.Load(); now != before {
+		t.Fatalf("draining the pool made %d new values", now-before)
 	}
 	for _, v := range held {
 		p.Put(v)

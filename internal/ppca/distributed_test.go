@@ -293,8 +293,7 @@ func TestFitMapReduceWithFailureInjection(t *testing.T) {
 	opt.MaxIter = 3
 	opt.Tol = 0
 	eng := testEngineMR()
-	eng.FailureRate = 0.2
-	eng.SetFailureSeed(7)
+	eng.Faults = &cluster.FaultPlan{Seed: 7, TaskFailureRate: 0.2}
 	// At 0.2 per attempt a task terminally fails with p = 0.2^12 ≈ 4e-9, so
 	// the fit exercises retries without ever hitting ErrTaskFailed.
 	eng.MaxAttempts = 12

@@ -7,6 +7,7 @@ import (
 	"math"
 	"testing"
 
+	"spca/internal/cluster"
 	"spca/internal/dataset"
 	"spca/internal/matrix"
 )
@@ -107,9 +108,8 @@ func goldenFits() map[string]func() (*Result, error) {
 		"mr-faults": func() (*Result, error) {
 			y := lowRankSparse(150, 40, 3, 11)
 			eng := testEngineMR()
-			eng.FailureRate = 0.2
+			eng.Faults = &cluster.FaultPlan{Seed: 7, TaskFailureRate: 0.2}
 			eng.MaxAttempts = 12
-			eng.SetFailureSeed(7)
 			return FitMapReduce(eng, dataset.Rows(y), 40, mk(3, 4))
 		},
 		"spark-default": func() (*Result, error) {

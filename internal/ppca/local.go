@@ -56,13 +56,8 @@ func FitLocal(y *matrix.Sparse, opt Options) (*Result, error) {
 	}
 	res.Mean = mean
 
-	// Pass scratch allocated once and recycled every iteration (nil = legacy
-	// allocating path kept for A/B benchmarking).
-	var scr *localScratch
-	if reuseScratch {
-		scr = newLocalScratch(y.C, em.d)
-	}
-	e := &localEngine{y: y, scr: scr, sample: sampleIdx(y.R, opt.sampleRows(), opt.Seed)}
+	// Pass scratch allocated once and recycled every iteration.
+	e := &localEngine{y: y, scr: newLocalScratch(y.C, em.d), sample: sampleIdx(y.R, opt.sampleRows(), opt.Seed)}
 	if err := runEM(em, opt, e, res); err != nil {
 		return nil, err
 	}
@@ -124,21 +119,13 @@ func (s *localScratch) ensureWorkers(d int) {
 
 // localPass is the consolidated YtX+XtX pass (one scan over the rows).
 func localPass(y *matrix.Sparse, em *emDriver, scr *localScratch) jobSums {
-	d := em.d
-	var sums jobSums
-	var xis *matrix.Dense
-	if scr != nil {
-		sums = scr.sums
-		sums.ytx.Zero()
-		sums.xtx.Zero()
-		for i := range sums.sumX {
-			sums.sumX[i] = 0
-		}
-		xis = scr.xis // fully overwritten block by block
-	} else {
-		sums = newJobSums(y.C, d)
-		xis = matrix.NewDense(latentBlock, d)
+	sums := scr.sums
+	sums.ytx.Zero()
+	sums.xtx.Zero()
+	for i := range sums.sumX {
+		sums.sumX[i] = 0
 	}
+	xis := scr.xis // fully overwritten block by block
 	for base := 0; base < y.R; base += latentBlock {
 		end := base + latentBlock
 		if end > y.R {
@@ -169,13 +156,8 @@ func localSS3(y *matrix.Sparse, em *emDriver, c *matrix.Dense, scr *localScratch
 	var ss3 float64
 	// Per-row terms Xi_c·(Cᵀ·Yiᵀ) fill in parallel per block; the final sum
 	// runs over rows in their original order, bit-identical to a plain loop.
-	var terms []float64
-	if scr != nil {
-		scr.ensureWorkers(d)
-		terms = scr.terms
-	} else {
-		terms = make([]float64, latentBlock)
-	}
+	scr.ensureWorkers(d)
+	terms := scr.terms
 	ss3Row := func(t int, row matrix.SparseVector, xi, ct []float64) {
 		computeLatentRow(row, em, xi)
 		for k := range ct {
@@ -191,23 +173,13 @@ func localSS3(y *matrix.Sparse, em *emDriver, c *matrix.Dense, scr *localScratch
 		if end > y.R {
 			end = y.R
 		}
-		if scr != nil {
-			parallel.ForWorker(end-base, 16, func(w, lo, hi int) {
-				sub := scr.work[w]
-				xi, ct := sub[:d], sub[d:2*d]
-				for t := lo; t < hi; t++ {
-					ss3Row(t, y.Row(base+t), xi, ct)
-				}
-			})
-		} else {
-			parallel.For(end-base, 16, func(lo, hi int) {
-				xi := make([]float64, d)
-				ct := make([]float64, d)
-				for t := lo; t < hi; t++ {
-					ss3Row(t, y.Row(base+t), xi, ct)
-				}
-			})
-		}
+		parallel.ForWorker(end-base, 16, func(w, lo, hi int) {
+			sub := scr.work[w]
+			xi, ct := sub[:d], sub[d:2*d]
+			for t := lo; t < hi; t++ {
+				ss3Row(t, y.Row(base+t), xi, ct)
+			}
+		})
 		for t := 0; t < end-base; t++ {
 			ss3 += terms[t]
 		}

@@ -147,35 +147,6 @@ func TestSmartGuessConvergesFaster(t *testing.T) {
 	}
 }
 
-func TestTransformReconstructRoundTrip(t *testing.T) {
-	y := lowRankSparse(100, 40, 3, 8)
-	opt := DefaultOptions(3)
-	opt.MaxIter = 40
-	opt.Tol = 1e-8
-	res, err := FitLocal(y, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x, err := res.Transform(y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if x.R != 100 || x.C != 3 {
-		t.Fatalf("latent dims %dx%d", x.R, x.C)
-	}
-	recon := res.Reconstruct(x)
-	dense := y.Dense()
-	// Relative reconstruction error should be small for rank-3 data.
-	relErr := recon.Sub(dense).Norm1() / dense.Norm1()
-	if relErr > 0.2 {
-		t.Fatalf("round-trip relative error %v", relErr)
-	}
-	// Dim mismatch is reported.
-	if _, err := res.Transform(matrix.NewSparse(5, 7)); err == nil {
-		t.Fatal("expected dims error")
-	}
-}
-
 func TestIdealErrorBeatsEMError(t *testing.T) {
 	y := lowRankSparse(150, 40, 3, 9)
 	opt := DefaultOptions(3)

@@ -75,16 +75,11 @@ func FitMapReduce(eng *mapred.Engine, rows []matrix.SparseVector, dims int, opt 
 	res.Mean = em.mean
 
 	// Per-task mapper scratch plus the driver-side job sums, allocated once
-	// and recycled every iteration (nil scratch = legacy allocating path).
-	var scr *mrScratch
-	var pooledSums jobSums
-	if reuseScratch {
-		scr = newMRScratch(eng.NumSplits(len(rows)), em.d, dims)
-		pooledSums = newJobSums(dims, em.d)
-	}
+	// and recycled every iteration.
 	e := &mrEngine{
 		eng: eng, rows: rows, dims: dims, opt: opt,
-		scr: scr, pooled: pooledSums,
+		scr:    newMRScratch(eng.NumSplits(len(rows)), em.d, dims),
+		sums:   newJobSums(dims, em.d),
 		y:      sparseFromRows(rows, dims),
 		sample: sampleIdx(len(rows), opt.sampleRows(), opt.Seed),
 	}
@@ -101,7 +96,7 @@ type mrEngine struct {
 	dims   int
 	opt    Options
 	scr    *mrScratch
-	pooled jobSums
+	sums   jobSums
 	y      *matrix.Sparse
 	sample []int
 }
@@ -116,7 +111,7 @@ func (e *mrEngine) prepared(em *emDriver) {
 
 func (e *mrEngine) pass(em *emDriver) (jobSums, error) {
 	if e.opt.MinimizeIntermediate {
-		return ytxJob(e.eng, e.rows, e.dims, em, e.opt, e.scr, e.pooled)
+		return ytxJob(e.eng, e.rows, em, e.opt, e.scr, e.sums)
 	}
 	return unoptimizedPasses(e.eng, e.rows, e.dims, em, e.opt)
 }
@@ -162,10 +157,8 @@ func meanJob(eng *mapred.Engine, rows []matrix.SparseVector, dims int) ([]float6
 		InputBytes: mapred.BytesOfSparseVec,
 		KeyBytes:   mapred.BytesOfInt,
 		ValueBytes: mapred.BytesOfFloat64,
-	}
-	if reuseScratch {
 		// Keys are the column range plus the keyMean row-count slot below it.
-		job.Dense = &mapred.DenseSpec{MinKey: keyMean, Keys: dims - keyMean, Width: 1}
+		Dense: &mapred.DenseSpec{MinKey: keyMean, Keys: dims - keyMean, Width: 1},
 	}
 	out, err := mapred.Run(eng, job, rows)
 	if err != nil {
@@ -247,9 +240,7 @@ func fnormJob(eng *mapred.Engine, rows []matrix.SparseVector, mean []float64, ef
 		InputBytes: mapred.BytesOfSparseVec,
 		KeyBytes:   mapred.BytesOfInt,
 		ValueBytes: mapred.BytesOfFloat64,
-	}
-	if reuseScratch {
-		job.Dense = &mapred.DenseSpec{MinKey: keyFro, Keys: 1, Width: 1}
+		Dense:      &mapred.DenseSpec{MinKey: keyFro, Keys: 1, Width: 1},
 	}
 	out, err := mapred.Run(eng, job, rows)
 	if err != nil {
@@ -306,7 +297,7 @@ func (m *fnormMapper) Cleanup(out mapred.Emitter[int, float64]) { out.Emit(keyFr
 // row by row and produces YtX, XtX, and ΣX in a single pass. Mappers hold
 // the partial matrices in memory (the stateful combiner of §4.1) and flush
 // them once per task, keyed so all XtX partials meet at one reducer.
-func ytxJob(eng *mapred.Engine, rows []matrix.SparseVector, dims int, em *emDriver, opt Options, scr *mrScratch, sums jobSums) (jobSums, error) {
+func ytxJob(eng *mapred.Engine, rows []matrix.SparseVector, em *emDriver, opt Options, scr *mrScratch, sums jobSums) (jobSums, error) {
 	d := em.d
 	job := mapred.Job[matrix.SparseVector, int, []float64, []float64]{
 		Name: "YtXJob",
@@ -329,18 +320,15 @@ func ytxJob(eng *mapred.Engine, rows []matrix.SparseVector, dims int, em *emDriv
 		// "each mapper generate[s] an entire dense matrix after processing
 		// each sparse row").
 		job.Combine = nil
-	} else if scr != nil {
-		// The pooled path also opts into the flat-slab shuffle: the naive
+	} else {
+		// The combining job opts into the flat-slab shuffle; the naive
 		// (combiner-less) ablation stays generic because it emits duplicate
-		// keys per task, and the legacy A/B path stays generic by design.
-		job.Dense = scr.denseYtX(dims, d)
+		// keys per task.
+		job.Dense = scr.ytxSpec
 	}
 	out, err := mapred.Run(eng, job, rows)
 	if err != nil {
 		return jobSums{}, err
-	}
-	if sums.ytx == nil { // legacy A/B path: no driver-held sums provided
-		sums = newJobSums(dims, d)
 	}
 	return assembleSumsInto(out, sums)
 }
@@ -349,14 +337,15 @@ func ytxJob(eng *mapred.Engine, rows []matrix.SparseVector, dims int, em *emDriv
 // indexed by task id and reused across all EM iterations. Distinct tasks
 // write distinct slots of a pre-sized slice, so concurrent map tasks never
 // race; retried attempts of one task run sequentially in one goroutine and
-// start from a reset. A nil *mrScratch (the reuseScratch=false A/B path)
-// hands every attempt a fresh allocation, reproducing the legacy behaviour.
+// start from a reset.
 type mrScratch struct {
 	ytx []*ytxTaskScratch
 	ss3 []*ss3TaskScratch
 	// DenseSpecs of the per-iteration jobs, built once per fit: a stable
 	// spec pointer lets the engine's slab pool take its cheap same-spec
-	// reset path on every EM iteration.
+	// reset path on every EM iteration. The consolidated YtXJob's key range
+	// is [keySumX, dims) of d-wide rows, with the single d²-wide XtX partial
+	// as a wide key; the ss3Job emits one scalar.
 	ytxSpec *mapred.DenseSpec
 	ss3Spec *mapred.DenseSpec
 }
@@ -365,6 +354,13 @@ func newMRScratch(tasks, d, dims int) *mrScratch {
 	sc := &mrScratch{
 		ytx: make([]*ytxTaskScratch, tasks),
 		ss3: make([]*ss3TaskScratch, tasks),
+		ytxSpec: &mapred.DenseSpec{
+			MinKey:   keySumX,
+			Keys:     dims - keySumX,
+			Width:    d,
+			WideKeys: map[int]int{keyXtX: d * d},
+		},
+		ss3Spec: &mapred.DenseSpec{MinKey: keySS3, Keys: 1, Width: 1},
 	}
 	// Batch-carve every task's fixed-size buffers from shared arenas: the
 	// whole fit's scratch costs a handful of allocations instead of several
@@ -402,34 +398,8 @@ func newMRScratch(tasks, d, dims int) *mrScratch {
 	return sc
 }
 
-// denseYtX returns the fit-wide DenseSpec of the consolidated YtXJob: the
-// composite key range [keySumX, dims) of d-wide rows, with the single
-// d²-wide XtX partial as a wide key.
-func (sc *mrScratch) denseYtX(dims, d int) *mapred.DenseSpec {
-	if sc.ytxSpec == nil {
-		sc.ytxSpec = &mapred.DenseSpec{
-			MinKey:   keySumX,
-			Keys:     dims - keySumX,
-			Width:    d,
-			WideKeys: map[int]int{keyXtX: d * d},
-		}
-	}
-	return sc.ytxSpec
-}
-
-// denseSS3 returns the single-key scalar spec of the ss3Job.
-func (sc *mrScratch) denseSS3() *mapred.DenseSpec {
-	if sc.ss3Spec == nil {
-		sc.ss3Spec = &mapred.DenseSpec{MinKey: keySS3, Keys: 1, Width: 1}
-	}
-	return sc.ss3Spec
-}
-
 // ytxTask returns task's YtXJob scratch, reset and ready for a new attempt.
 func (sc *mrScratch) ytxTask(task, d int) *ytxTaskScratch {
-	if sc == nil {
-		return newYtxTaskScratch(d)
-	}
 	s := sc.ytx[task]
 	if s == nil {
 		s = newYtxTaskScratch(d)
@@ -441,9 +411,6 @@ func (sc *mrScratch) ytxTask(task, d int) *ytxTaskScratch {
 
 // ss3Task returns task's ss3Job scratch (no reset needed; see ss3TaskScratch).
 func (sc *mrScratch) ss3Task(task, d int) *ss3TaskScratch {
-	if sc == nil {
-		return newSS3TaskScratch(d)
-	}
 	s := sc.ss3[task]
 	if s == nil {
 		s = newSS3TaskScratch(d)
@@ -734,9 +701,7 @@ func ss3Job(eng *mapred.Engine, rows []matrix.SparseVector, em *emDriver, cNew *
 		InputBytes: mapred.BytesOfSparseVec,
 		KeyBytes:   mapred.BytesOfInt,
 		ValueBytes: mapred.BytesOfFloat64,
-	}
-	if scr != nil {
-		job.Dense = scr.denseSS3()
+		Dense:      scr.ss3Spec,
 	}
 	out, err := mapred.Run(eng, job, rows)
 	if err != nil {

@@ -186,48 +186,6 @@ type Result struct {
 	Phases []cluster.PhaseSummary
 }
 
-// Transform projects rows of y (sparse, uncentered) onto the fitted
-// components: X = (Y - mean) * C * M⁻¹, the posterior-mean latent positions.
-func (r *Result) Transform(y *matrix.Sparse) (*matrix.Dense, error) {
-	if y.C != r.Components.R {
-		return nil, fmt.Errorf("ppca: Transform dims %d vs model %d", y.C, r.Components.R)
-	}
-	cm, _, err := latentMap(r.Components, r.SS)
-	if err != nil {
-		return nil, err
-	}
-	return y.CenteredMulDense(r.Mean, cm), nil
-}
-
-// Reconstruct maps latent positions back to data space: X*Cᵀ + mean.
-func (r *Result) Reconstruct(x *matrix.Dense) *matrix.Dense {
-	out := x.MulBT(r.Components)
-	for i := 0; i < out.R; i++ {
-		row := out.Row(i)
-		for j := range row {
-			row[j] += r.Mean[j]
-		}
-	}
-	return out
-}
-
-// latentMap returns CM = C*M⁻¹ and M⁻¹ for M = CᵀC + ss·I.
-func latentMap(c *matrix.Dense, ss float64) (cm, minv *matrix.Dense, err error) {
-	m := c.MulT(c).AddScaledIdentity(ss)
-	minv, err = matrix.Inverse(m)
-	if err != nil {
-		return nil, nil, fmt.Errorf("ppca: M = CᵀC+ss·I singular: %w", err)
-	}
-	return c.Mul(minv), minv, nil
-}
-
-// reuseScratch gates the pooled-scratch steady-state paths. All fits produce
-// bit-identical results either way (the in-place kernels share their loop
-// bodies with the allocating wrappers); the flag exists so benchmarks can
-// measure the legacy allocating behaviour against the pooled one in the same
-// process. It is not safe to flip while a fit is running.
-var reuseScratch = true
-
 // emDriver holds the driver-side state shared by all three fit paths.
 type emDriver struct {
 	opt  Options
@@ -250,7 +208,7 @@ type emDriver struct {
 
 	// Reusable driver-side scratch, allocated once in newEMDriver. Every
 	// per-iteration product is written in place, so the steady state of the
-	// EM loop performs no driver-side allocation (when reuseScratch is on).
+	// EM loop performs no driver-side allocation.
 	cNext   *matrix.Dense // M-step solve output; swapped with c each iteration
 	mWork   *matrix.Dense // d x d: M = CᵀC + ss·I, later XtX + ss·M⁻¹
 	invWork *matrix.Dense // d x 2d Gauss-Jordan scratch for InverseInto
@@ -316,27 +274,7 @@ func newEMDriver(opt Options, n, dims int, mean []float64, ss1 float64) *emDrive
 // inverse still fails, the same bounded escalating ridge as the M-step solve
 // is applied to M's diagonal (equivalent to temporarily inflating ss).
 func (em *emDriver) prepare() error {
-	if !reuseScratch {
-		cm, minv, err := latentMap(em.c, em.ss)
-		for attempt := 0; err != nil; attempt++ {
-			if !errors.Is(err, matrix.ErrSingular) || attempt >= maxRidgeRetries {
-				return fmt.Errorf("%w (%w)", err, ErrNumericalBreakdown)
-			}
-			lam := (1 + em.ss) * 1e-10 * pow10(attempt)
-			em.iterRidgeRetries++
-			cm, minv, err = latentMap(em.c, em.ss+lam)
-		}
-		em.cm, em.minv = cm, minv
-		em.xm = make([]float64, em.d)
-		for j, mj := range em.mean {
-			if mj != 0 {
-				matrix.AXPY(mj, cm.Row(j), em.xm)
-			}
-		}
-		return nil
-	}
-	// In-place latentMap: M = CᵀC + ss·I, M⁻¹, CM = C·M⁻¹, all into driver
-	// scratch. Same kernels as the allocating path, so same bits.
+	// M = CᵀC + ss·I, M⁻¹, CM = C·M⁻¹, all into driver scratch.
 	em.c.MulTInto(em.c, em.mWork)
 	for i := 0; i < em.d; i++ {
 		em.mWork.Data[i*em.d+i] += em.ss
@@ -374,33 +312,9 @@ type jobSums struct {
 // update performs the driver-side M-step given the job sums, returning the
 // new C. ss is updated after the ss3 pass via finishVariance.
 func (em *emDriver) update(s jobSums) (*matrix.Dense, error) {
-	if !reuseScratch {
-		// Legacy allocating path, kept for A/B benchmarking.
-		// YtX = Σ Yiᵀ Xi_c - Ymᵀ (Σ Xi_c)   (mean propagation, §3.1)
-		// Rows of ytx are disjoint, so the correction runs on the parallel pool.
-		ytx := s.ytx.Clone()
-		parallel.For(len(em.mean), 2048/(em.d+1)+1, func(lo, hi int) {
-			for j := lo; j < hi; j++ {
-				if mj := em.mean[j]; mj != 0 {
-					matrix.AXPY(-mj, s.sumX, ytx.Row(j))
-				}
-			}
-		})
-		// XtX = Σ Xi_cᵀ Xi_c + ss·M⁻¹
-		xtx := s.xtx.Add(em.minv.Scale(em.ss))
-		cNew := matrix.NewDense(ytx.R, ytx.C)
-		if err := em.solveGuarded(xtx, ytx, cNew, &matrix.SPDWorkspace{}); err != nil {
-			return nil, err
-		}
-		em.c = cNew
-
-		// ss2 = trace(XtX · Cᵀ·C)
-		em.pendingSS2 = xtx.Mul(cNew.MulT(cNew)).Trace()
-		em.pendingSumX = s.sumX
-		return cNew, nil
-	}
-	// Pooled path. The caller owns s and rebuilds it from scratch every pass,
-	// so the mean correction can run directly on s.ytx instead of a clone.
+	// YtX = Σ Yiᵀ Xi_c - Ymᵀ (Σ Xi_c)   (mean propagation, §3.1). The caller
+	// rebuilds s every pass, so the correction runs in place on s.ytx, on the
+	// parallel pool (its rows are disjoint).
 	ytx := s.ytx
 	parallel.For(len(em.mean), 2048/(em.d+1)+1, func(lo, hi int) {
 		for j := lo; j < hi; j++ {
@@ -431,12 +345,7 @@ func (em *emDriver) update(s jobSums) (*matrix.Dense, error) {
 // ss = (ss1 + ss2 - 2·ss3)/(N·D). ss3Raw is Σ Xi_c·(Cᵀ·Yiᵀ); the mean
 // correction -(Σ Xi_c)·(Cᵀ·Ym) is applied here.
 func (em *emDriver) finishVariance(ss3Raw float64) {
-	var ctym []float64 // Cᵀ·Ym (d)
-	if reuseScratch {
-		ctym = em.c.MulVecTInto(em.mean, em.ctym)
-	} else {
-		ctym = em.c.MulVecT(em.mean)
-	}
+	ctym := em.c.MulVecTInto(em.mean, em.ctym) // Cᵀ·Ym (d)
 	ss3 := ss3Raw - matrix.Dot(em.pendingSumX, ctym)
 	ss := (em.ss1 + em.pendingSS2 - 2*ss3) / (float64(em.n) * float64(em.dims))
 	if ss < 1e-12 || math.IsNaN(ss) {
@@ -460,40 +369,20 @@ func sampleIdx(n, want int, seed uint64) []int {
 	return idx
 }
 
-// reconstructionError computes the paper's accuracy metric on the given
-// rows: e = ||Yr - reconstruction||₁ / ||Yr||₁, reconstructing each sampled
-// row as Xi_c·Cᵀ + Ym without materializing any large matrix.
-func reconstructionError(y *matrix.Sparse, mean []float64, c *matrix.Dense, cm *matrix.Dense, xm []float64, rows []int) float64 {
-	d := cm.C
-	return reconstructionErrorInto(y, mean, c, cm, xm, rows,
-		make([]float64, d), make([]float64, y.C), make([]float64, y.C))
-}
-
-// reconError is the driver-scratch entry point used by the fit loops.
+// reconError computes the paper's accuracy metric on the given rows of y:
+// e = ||Yr - reconstruction||₁ / ||Yr||₁, reconstructing each sampled row as
+// Xi_c·Cᵀ + Ym on driver scratch, without materializing any large matrix.
 func (em *emDriver) reconError(y *matrix.Sparse, rows []int) float64 {
-	if !reuseScratch {
-		return reconstructionError(y, em.mean, em.c, em.cm, em.xm, rows)
-	}
-	return reconstructionErrorInto(y, em.mean, em.c, em.cm, em.xm, rows, em.errXi, em.errNum, em.errDen)
-}
-
-// reconstructionErrorInto is reconstructionError running on caller-provided
-// scratch: xi (len d), tNum and tDen (len y.C), all fully overwritten.
-func reconstructionErrorInto(y *matrix.Sparse, mean []float64, c *matrix.Dense, cm *matrix.Dense, xm []float64, rows []int, xi, tNum, tDen []float64) float64 {
+	xi, tNum, tDen := em.errXi, em.errNum, em.errDen
 	var num, den float64
 	for _, i := range rows {
 		row := y.Row(i)
 		// Xi_c = Yi·CM - Xm
-		for k := range xi {
-			xi[k] = -xm[k]
-		}
-		for k, j := range row.Indices {
-			matrix.AXPY(row.Values[k], cm.Row(j), xi)
-		}
+		computeLatentRow(row, em, xi)
 		// Reconstruction ŷ = Xi_c·Cᵀ + Ym, compared column by column; the
 		// per-column terms fill in parallel and accumulate in ascending j,
 		// matching the sequential evaluation bit for bit.
-		matrix.ReconTerms(row, mean, c, xi, tNum, tDen)
+		matrix.ReconTerms(row, em.mean, em.c, xi, tNum, tDen)
 		for j := 0; j < y.C; j++ {
 			num += tNum[j]
 			den += tDen[j]

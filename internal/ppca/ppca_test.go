@@ -20,12 +20,9 @@ func TestUpdateSolvesNormalEquations(t *testing.T) {
 		if err := em.prepare(); err != nil {
 			return false
 		}
-		sums := localPass(y, em, nil)
-		cNew, err := em.update(sums)
-		if err != nil {
-			return false
-		}
-		// Reconstruct the corrected YtX and XtX the update solved against.
+		sums := localPass(y, em, newLocalScratch(dims, d))
+		// Build the corrected YtX and XtX the update solves against before
+		// update applies the mean correction to sums.ytx in place.
 		ytx := sums.ytx.Clone()
 		for j, mj := range mean {
 			if mj != 0 {
@@ -33,6 +30,10 @@ func TestUpdateSolvesNormalEquations(t *testing.T) {
 			}
 		}
 		xtx := sums.xtx.Add(em.minv.Scale(em.ss))
+		cNew, err := em.update(sums)
+		if err != nil {
+			return false
+		}
 		return cNew.Mul(xtx).MaxAbsDiff(ytx) < 1e-6
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
@@ -68,17 +69,13 @@ func TestReconstructionErrorNonNegative(t *testing.T) {
 		n, dims, d := 10+int(seed)%15, 4+int(seed)%8, 2
 		y := randomSparseMat(rng, n, dims, 0.5)
 		mean := y.ColMeans()
-		c := matrix.NormRnd(rng, dims, d)
-		cm, _, err := latentMap(c, 0.5)
-		if err != nil {
+		em := newEMDriver(DefaultOptions(d), n, dims, mean, 1)
+		em.c = matrix.NormRnd(rng, dims, d)
+		em.ss = 0.5
+		if err := em.prepare(); err != nil {
 			return false
 		}
-		xm := make([]float64, d)
-		for j, mj := range mean {
-			matrix.AXPY(mj, cm.Row(j), xm)
-		}
-		rows := sampleIdx(n, 8, uint64(seed))
-		e := reconstructionError(y, mean, c, cm, xm, rows)
+		e := em.reconError(y, sampleIdx(n, 8, uint64(seed)))
 		return e >= 0 && !math.IsNaN(e)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
@@ -98,7 +95,7 @@ func TestLocalPassMatchesBruteForce(t *testing.T) {
 		if err := em.prepare(); err != nil {
 			return false
 		}
-		sums := localPass(y, em, nil)
+		sums := localPass(y, em, newLocalScratch(dims, d))
 
 		// Brute force with dense matrices: X = Yc·CM, YtXc = Ycᵀ·X.
 		yc := y.Dense().SubRowVec(mean)
@@ -132,7 +129,7 @@ func TestSS3OrderInvariance(t *testing.T) {
 			return false
 		}
 		c := matrix.NormRnd(rng, dims, d)
-		assoc := localSS3(y, em, c, nil)
+		assoc := localSS3(y, em, c, newLocalScratch(dims, d))
 
 		// Dense order: Σ (Xi·Cᵀ)·Yiᵀ.
 		var direct float64

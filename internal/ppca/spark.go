@@ -70,13 +70,10 @@ func FitSpark(ctx *rdd.Context, rows []matrix.SparseVector, dims int, opt Option
 	res.Mean = em.mean
 
 	// Per-partition task scratch plus the driver-side sums, allocated once
-	// and recycled every iteration (nil = legacy allocating path).
-	var scr *sparkScratch
-	if reuseScratch {
-		scr = newSparkScratch(y.NumPartitions(), dims, em.d)
-	}
+	// and recycled every iteration.
 	e := &sparkEngine{
-		ctx: ctx, y: y, dims: dims, opt: opt, scr: scr,
+		ctx: ctx, y: y, dims: dims, opt: opt,
+		scr:    newSparkScratch(y.NumPartitions(), dims, em.d),
 		ymat:   sparseFromRows(rows, dims),
 		sample: sampleIdx(len(rows), opt.sampleRows(), opt.Seed),
 	}
@@ -106,7 +103,7 @@ func (e *sparkEngine) prepared(em *emDriver) {
 
 func (e *sparkEngine) pass(em *emDriver) (jobSums, error) {
 	if e.opt.MinimizeIntermediate {
-		return sparkYtXJob(e.ctx, e.y, e.dims, em, e.opt, e.scr)
+		return sparkYtXJob(e.ctx, e.y, em, e.opt, e.scr)
 	}
 	return sparkUnoptimized(e.ctx, e.y, e.dims, em, e.opt)
 }
@@ -261,8 +258,7 @@ func (s *sparkSums) merge(o *sparkSums) {
 // sparkScratch owns the per-fit reusable state of the Spark jobs: one scratch
 // per partition (partition count is fixed for the life of the RDD), the
 // accumulator zero the per-iteration YtX accumulator folds into, and the
-// driver-side jobSums. A nil *sparkScratch (reuseScratch=false) makes every
-// accessor allocate fresh, reproducing the legacy behaviour.
+// driver-side jobSums.
 //
 // Ownership protocol: the accumulator merge steals YtX row vectors from the
 // first task partial holding each key, so after Value() the accumulator zero
@@ -287,10 +283,7 @@ func newSparkScratch(partitions, dims, d int) *sparkScratch {
 
 // resetAccZero clears the accumulator zero for a new pass. The map values are
 // NOT recycled here — they are owned by the task scratches that donated them.
-func (sc *sparkScratch) resetAccZero(d int) *sparkSums {
-	if sc == nil {
-		return newSparkSums(d)
-	}
+func (sc *sparkScratch) resetAccZero() *sparkSums {
 	clear(sc.accZero.ytx)
 	for i := range sc.accZero.xtx {
 		sc.accZero.xtx[i] = 0
@@ -326,8 +319,8 @@ func newSparkPartScratch(d int) *sparkPartScratch {
 }
 
 // ytxPart returns partition task's scratch with its sums reset for a new pass.
-func (sc *sparkScratch) ytxPart(task, d int) *sparkPartScratch {
-	ps := sc.partScratch(task, d)
+func (sc *sparkScratch) ytxPart(task int) *sparkPartScratch {
+	ps := sc.partScratch(task)
 	for j, p := range ps.sums.ytx {
 		ps.free = append(ps.free, p)
 		delete(ps.sums.ytx, j)
@@ -343,17 +336,14 @@ func (sc *sparkScratch) ytxPart(task, d int) *sparkPartScratch {
 
 // ss3Part returns partition task's scratch without touching sums (the ss3
 // pass only uses the vector buffers, which are overwritten per row).
-func (sc *sparkScratch) ss3Part(task, d int) *sparkPartScratch {
-	return sc.partScratch(task, d)
+func (sc *sparkScratch) ss3Part(task int) *sparkPartScratch {
+	return sc.partScratch(task)
 }
 
-func (sc *sparkScratch) partScratch(task, d int) *sparkPartScratch {
-	if sc == nil {
-		return newSparkPartScratch(d)
-	}
+func (sc *sparkScratch) partScratch(task int) *sparkPartScratch {
 	ps := sc.parts[task]
 	if ps == nil {
-		ps = newSparkPartScratch(d)
+		ps = newSparkPartScratch(sc.d)
 		sc.parts[task] = ps
 	}
 	return ps
@@ -382,14 +372,14 @@ func (ps *sparkPartScratch) densify(row matrix.SparseVector, mean []float64) mat
 
 // sparkYtXJob is Algorithm 5: one map pass computing X on demand, folding
 // XtX/YtX/ΣX partials into accumulators inside the map (no reduce stage).
-func sparkYtXJob(ctx *rdd.Context, y *rdd.RDD[matrix.SparseVector], dims int, em *emDriver, opt Options, scr *sparkScratch) (jobSums, error) {
+func sparkYtXJob(ctx *rdd.Context, y *rdd.RDD[matrix.SparseVector], em *emDriver, opt Options, scr *sparkScratch) (jobSums, error) {
 	d := em.d
-	acc := rdd.NewAccumulator(ctx, "YtXSum", scr.resetAccZero(d),
+	acc := rdd.NewAccumulator(ctx, "YtXSum", scr.resetAccZero(),
 		func(into, from *sparkSums) *sparkSums { into.merge(from); return into },
 		func(s *sparkSums) int64 { return s.bytes(d) },
 	)
 	err := y.ForeachPartition("YtXJob", func(task int, part []matrix.SparseVector, ops *rdd.TaskOps) {
-		ps := scr.ytxPart(task, d)
+		ps := scr.ytxPart(task)
 		local, xi := ps.sums, ps.xi
 		for _, row := range part {
 			if !opt.MeanPropagation {
@@ -420,20 +410,11 @@ func sparkYtXJob(ctx *rdd.Context, y *rdd.RDD[matrix.SparseVector], dims int, em
 		return jobSums{}, err
 	}
 	total := acc.Value()
-	var sums jobSums
-	if scr != nil {
-		sums = scr.sums
-		sums.ytx.Zero()
-		// Copy, not alias: total.sumX is the pooled accumulator zero, which
-		// the next pass clears while the driver still holds these sums.
-		copy(sums.sumX, total.sumX)
-	} else {
-		sums = jobSums{
-			ytx:  matrix.NewDense(dims, d),
-			xtx:  matrix.NewDense(d, d),
-			sumX: total.sumX,
-		}
-	}
+	sums := scr.sums
+	sums.ytx.Zero()
+	// Copy, not alias: total.sumX is the pooled accumulator zero, which the
+	// next pass clears while the driver still holds these sums.
+	copy(sums.sumX, total.sumX)
 	for j, v := range total.ytx {
 		copy(sums.ytx.Row(j), v)
 	}
@@ -448,7 +429,7 @@ func sparkSS3Job(ctx *rdd.Context, y *rdd.RDD[matrix.SparseVector], em *emDriver
 		func(float64) int64 { return 8 },
 	)
 	err := y.ForeachPartition("ss3Job", func(task int, part []matrix.SparseVector, ops *rdd.TaskOps) {
-		ps := scr.ss3Part(task, d)
+		ps := scr.ss3Part(task)
 		xi, ct := ps.xi, ps.ct
 		var local float64
 		for _, row := range part {

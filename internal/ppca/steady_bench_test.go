@@ -1,10 +1,8 @@
 package ppca
 
 // Steady-state allocation benchmarks for the pooled-scratch EM paths, plus
-// A/B pairs that fit the same model with scratch reuse on (the default) and
-// off (the legacy allocating code, kept for exactly this comparison). The
-// mapper benchmarks must report ~0 allocs/op; the A/B pairs track the
-// wall-clock payoff in BENCH_3.json.
+// whole-fit benchmarks on each engine. The mapper benchmarks must report ~0
+// allocs/op.
 
 import (
 	"testing"
@@ -65,17 +63,10 @@ func BenchmarkSteadySS3MapperMap(b *testing.B) {
 	}
 }
 
-// withScratch runs fn with the reuseScratch knob forced to on, restoring the
-// previous value afterwards. Benchmarks run sequentially, so flipping the
-// package variable is safe here (it must never be flipped mid-fit).
-func withScratch(on bool, fn func()) {
-	prev := reuseScratch
-	reuseScratch = on
-	defer func() { reuseScratch = prev }()
-	fn()
-}
+// The whole-fit benchmarks keep their historical Pooled names so
+// benchjson -compare still pairs them with the committed baselines.
 
-func benchFitLocalAB(b *testing.B, pooled bool) {
+func BenchmarkFitLocalPooled(b *testing.B) {
 	y, _ := benchData(b, 2000, 500)
 	opt := DefaultOptions(10)
 	opt.MaxIter = 3
@@ -83,18 +74,13 @@ func benchFitLocalAB(b *testing.B, pooled bool) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		withScratch(pooled, func() {
-			if _, err := FitLocal(y, opt); err != nil {
-				b.Fatal(err)
-			}
-		})
+		if _, err := FitLocal(y, opt); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
-func BenchmarkFitLocalPooled(b *testing.B) { benchFitLocalAB(b, true) }
-func BenchmarkFitLocalLegacy(b *testing.B) { benchFitLocalAB(b, false) }
-
-func benchFitMapReduceAB(b *testing.B, pooled bool) {
+func BenchmarkFitMapReducePooled(b *testing.B) {
 	_, rows := benchData(b, 2000, 500)
 	opt := DefaultOptions(10)
 	opt.MaxIter = 3
@@ -102,19 +88,14 @@ func benchFitMapReduceAB(b *testing.B, pooled bool) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		withScratch(pooled, func() {
-			eng := mapred.NewEngine(cluster.MustNew(cluster.DefaultConfig()))
-			if _, err := FitMapReduce(eng, rows, 500, opt); err != nil {
-				b.Fatal(err)
-			}
-		})
+		eng := mapred.NewEngine(cluster.MustNew(cluster.DefaultConfig()))
+		if _, err := FitMapReduce(eng, rows, 500, opt); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
-func BenchmarkFitMapReducePooled(b *testing.B) { benchFitMapReduceAB(b, true) }
-func BenchmarkFitMapReduceLegacy(b *testing.B) { benchFitMapReduceAB(b, false) }
-
-func benchFitSparkAB(b *testing.B, pooled bool) {
+func BenchmarkFitSparkPooled(b *testing.B) {
 	_, rows := benchData(b, 2000, 500)
 	opt := DefaultOptions(10)
 	opt.MaxIter = 3
@@ -122,14 +103,9 @@ func benchFitSparkAB(b *testing.B, pooled bool) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		withScratch(pooled, func() {
-			ctx := rdd.NewContext(cluster.MustNew(cluster.DefaultConfig().WithTaskOverhead(0.05)))
-			if _, err := FitSpark(ctx, rows, 500, opt); err != nil {
-				b.Fatal(err)
-			}
-		})
+		ctx := rdd.NewContext(cluster.MustNew(cluster.DefaultConfig().WithTaskOverhead(0.05)))
+		if _, err := FitSpark(ctx, rows, 500, opt); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
-
-func BenchmarkFitSparkPooled(b *testing.B) { benchFitSparkAB(b, true) }
-func BenchmarkFitSparkLegacy(b *testing.B) { benchFitSparkAB(b, false) }

@@ -105,13 +105,9 @@ func FitStream(src matrix.RowSource, opt Options) (*Result, error) {
 
 	d := em.d
 	// The pass sums are hoisted out of the iteration loop and zeroed in place
-	// each iteration (legacy per-iteration allocation kept for A/B runs).
-	var pooled jobSums
-	if reuseScratch {
-		pooled = newJobSums(dims, d)
-	}
+	// each iteration.
 	e := &streamEngine{
-		src: src, dims: dims, pooled: pooled,
+		src: src, sums: newJobSums(dims, d),
 		sample: sample, sampleRows: sampleRows,
 		xi: make([]float64, d), ct: make([]float64, d),
 	}
@@ -126,8 +122,7 @@ func FitStream(src matrix.RowSource, opt Options) (*Result, error) {
 // runs on the row sample captured during pass 0.
 type streamEngine struct {
 	src        matrix.RowSource
-	dims       int
-	pooled     jobSums
+	sums       jobSums
 	sample     *matrix.Sparse
 	sampleRows []int
 	xi, ct     []float64
@@ -139,16 +134,11 @@ func (e *streamEngine) prepared(*emDriver)        {}
 
 func (e *streamEngine) pass(em *emDriver) (jobSums, error) {
 	// Consolidated YtX/XtX/ΣX in one sequential scan.
-	var sums jobSums
-	if reuseScratch {
-		sums = e.pooled
-		sums.ytx.Zero()
-		sums.xtx.Zero()
-		for k := range sums.sumX {
-			sums.sumX[k] = 0
-		}
-	} else {
-		sums = newJobSums(e.dims, em.d)
+	sums := e.sums
+	sums.ytx.Zero()
+	sums.xtx.Zero()
+	for k := range sums.sumX {
+		sums.sumX[k] = 0
 	}
 	xi := e.xi
 	if err := e.src.Scan(func(i int, row matrix.SparseVector) error {

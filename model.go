@@ -71,9 +71,8 @@ type projection struct {
 func (m *Model) Dims() (dims, d int) { return m.Components.R, m.Components.C }
 
 // projection returns the cached projection operator, computing it on first
-// use. The computation replicates ppca's latentMap operations exactly, so
-// projecting through the cache is bit-identical to the historical
-// Result.Transform path.
+// use: C for orthonormal or noise-free models, else the PPCA posterior map
+// C·M⁻¹ with M = CᵀC + ss·I.
 func (m *Model) projection() (*projection, error) {
 	if pr := m.proj.Load(); pr != nil {
 		return pr, nil
@@ -221,8 +220,8 @@ func (m *Model) ExplainedVariance(y *Sparse) ([]float64, error) {
 //	...
 //	checksum <16 hex digits>
 //
-// Version-1 files (no seed, no singular section, no trailer) remain
-// readable.
+// Version-1 files (no seed, no singular section, no trailer) are rejected,
+// so every accepted model file has passed its checksum.
 const (
 	modelMagic   = "spcamodel"
 	modelVersion = 2
@@ -273,16 +272,6 @@ func (m *Model) SaveFile(path string) error {
 	return f.Close()
 }
 
-// SaveModel writes the fitted model to w.
-//
-// Deprecated: use Model.Save (promoted through Result).
-func (m *Model) SaveModel(w io.Writer) error { return m.Save(w) }
-
-// SaveModelFile writes the fitted model to path.
-//
-// Deprecated: use Model.SaveFile (promoted through Result).
-func (m *Model) SaveModelFile(path string) error { return m.SaveFile(path) }
-
 // LoadModel reads a model previously written with Save. The returned Model
 // supports Transform, Reconstruct and ExplainedVariance; fit history and
 // metrics belong to the fitting run's Result, not the model.
@@ -299,14 +288,12 @@ func LoadModel(r io.Reader) (*Model, error) {
 	if _, err := fmt.Sscanf(string(data[:nl]), modelMagic+" %d", &ver); err != nil {
 		return nil, fmt.Errorf("spca: not a model file (header %q)", string(data[:nl]))
 	}
-	if ver < 1 || ver > modelVersion {
+	if ver != modelVersion {
 		return nil, fmt.Errorf("spca: unsupported model version %d (have %d)", ver, modelVersion)
 	}
-	body := data
-	if ver >= 2 {
-		if body, err = checkpoint.VerifyTrailer(data); err != nil {
-			return nil, fmt.Errorf("spca: corrupt model file: %w", err)
-		}
+	body, err := checkpoint.VerifyTrailer(data)
+	if err != nil {
+		return nil, fmt.Errorf("spca: corrupt model file: %w", err)
 	}
 	br := bufio.NewReader(bytes.NewReader(body))
 	line := func() (string, error) {

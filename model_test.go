@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"spca/internal/checkpoint"
 	"spca/internal/matrix"
 )
 
@@ -17,7 +18,7 @@ func TestModelRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := res.SaveModel(&buf); err != nil {
+	if err := res.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
 	got, err := LoadModel(&buf)
@@ -59,7 +60,7 @@ func TestModelFileRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "model.spca")
-	if err := res.SaveModelFile(path); err != nil {
+	if err := res.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
 	got, err := LoadModelFile(path)
@@ -74,19 +75,40 @@ func TestModelFileRoundTrip(t *testing.T) {
 	}
 }
 
+// sealModel appends a valid checksum trailer to a model body, so malformed
+// fields reach the parser instead of being caught by the checksum.
+func sealModel(t *testing.T, body string) string {
+	t.Helper()
+	var buf bytes.Buffer
+	tw := checkpoint.NewTrailerWriter(&buf)
+	if _, err := tw.Write([]byte(body)); err != nil {
+		t.Fatal(err)
+	}
+	if err := tw.WriteTrailer(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.String()
+}
+
 func TestLoadModelErrors(t *testing.T) {
 	cases := []string{
 		"",
 		"not a model",
-		"spcamodel 1\nbogus line\n",
-		"spcamodel 1\nnoise abc\n",
-		"spcamodel 1\nmean 1 2\ncomponents\ndmx 3 1\n1\n2\n3\n", // mean/components mismatch
-		"spcamodel 1\nalgorithm x\n",                            // truncated
+		sealModel(t, "spcamodel 2\nbogus line\n"),
+		sealModel(t, "spcamodel 2\nnoise abc\n"),
+		sealModel(t, "spcamodel 2\nmean 1 2\ncomponents\ndmx 3 1\n1\n2\n3\n"), // mean/components mismatch
+		sealModel(t, "spcamodel 2\nalgorithm x\n"),                            // truncated
+		"spcamodel 2\nalgorithm x\n",                                          // no checksum trailer
 	}
 	for _, c := range cases {
 		if _, err := LoadModel(strings.NewReader(c)); err == nil {
 			t.Fatalf("expected error for %q", c)
 		}
+	}
+	// Version 1 had no checksum; a well-formed v1 file is rejected outright.
+	v1 := "spcamodel 1\nalgorithm ppca-local\nnoise 0.5\nmean 1 2\ncomponents\ndmx 2 1\n1\n2\n"
+	if _, err := LoadModel(strings.NewReader(v1)); err == nil || !strings.Contains(err.Error(), "unsupported model version") {
+		t.Fatalf("v1 model error = %v, want unsupported model version", err)
 	}
 	if _, err := LoadModelFile("/nonexistent/model"); err == nil {
 		t.Fatal("expected error for missing file")
@@ -215,6 +237,32 @@ func TestReconstructDimMismatch(t *testing.T) {
 	}
 	if _, err := res.ExplainedVariance(matrix.NewSparse(3, 7)); !errors.Is(err, ErrDimMismatch) {
 		t.Fatalf("ExplainedVariance(wrong width) error = %v, want ErrDimMismatch", err)
+	}
+}
+
+// TestTransformReconstructRoundTrip: on rank-3 data, a LocalPPCA model's
+// posterior Transform followed by Reconstruct recovers the input to within
+// 20% relative 1-norm error.
+func TestTransformReconstructRoundTrip(t *testing.T) {
+	y := GenerateDataset(DatasetSpec{Kind: Diabetes, Rows: 100, Cols: 40, Rank: 3, Seed: 8})
+	res, err := Fit(y, Config{Algorithm: LocalPPCA, Components: 3, MaxIter: 40, Tol: 1e-8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, err := res.Transform(y)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if x.R != 100 || x.C != 3 {
+		t.Fatalf("latent dims %dx%d", x.R, x.C)
+	}
+	recon, err := res.Reconstruct(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dense := y.Dense()
+	if relErr := recon.Sub(dense).Norm1() / dense.Norm1(); relErr > 0.2 {
+		t.Fatalf("round-trip relative error %v", relErr)
 	}
 }
 

@@ -40,13 +40,13 @@ import (
 	"spca/internal/trace"
 )
 
-// Typed errors returned by Fit and FitStreamFile input validation, matchable
-// with errors.Is.
+// Typed errors returned by Fit and FitStreamFileConfig input validation,
+// matchable with errors.Is.
 var (
 	// ErrEmptyInput rejects a nil or zero-sized input matrix.
 	ErrEmptyInput = errors.New("spca: empty input matrix")
 	// ErrNonFiniteInput rejects NaN/Inf values in the input. This is distinct
-	// from FitMissing, which interprets NaN in a *dense* matrix as a
+	// from FitMissingConfig, which interprets NaN in a *dense* matrix as a
 	// missing-entry marker; the sparse fit paths require finite data.
 	ErrNonFiniteInput = errors.New("spca: input contains non-finite values")
 	// ErrBadConfig rejects out-of-range Config fields.
@@ -477,7 +477,7 @@ func validateInput(y *Sparse) error {
 	}
 	for _, v := range y.Vals {
 		if v != v || math.IsInf(v, 0) {
-			return fmt.Errorf("%w (found %v; FitMissing accepts NaN-marked dense matrices)", ErrNonFiniteInput, v)
+			return fmt.Errorf("%w (found %v; FitMissingConfig accepts NaN-marked dense matrices)", ErrNonFiniteInput, v)
 		}
 	}
 	return nil
@@ -1039,7 +1039,7 @@ func fromPPCA(alg Algorithm, seed uint64, res *ppca.Result) *Result {
 	return out
 }
 
-// MissingResult is the output of FitMissing.
+// MissingResult is the output of FitMissingConfig.
 type MissingResult = ppca.MissingResult
 
 // validateDenseInput performs the typed input checks for the dense
@@ -1074,13 +1074,6 @@ func FitMissingConfig(y *Dense, cfg Config) (*MissingResult, error) {
 	}
 	cfg = cfg.normalize(y.C)
 	return ppca.FitMissing(y, cfg.ppcaBaseOptions())
-}
-
-// FitMissing is the positional-argument form of FitMissingConfig.
-//
-// Deprecated: use FitMissingConfig, which accepts the full Config.
-func FitMissing(y *Dense, components, maxIter int, seed uint64) (*MissingResult, error) {
-	return FitMissingConfig(y, Config{Components: components, MaxIter: maxIter, Seed: seed})
 }
 
 // FitStreamFileConfig fits PPCA over a disk-resident spmx matrix without
@@ -1119,13 +1112,6 @@ func FitStreamFileConfig(path string, cfg Config) (*Result, error) {
 	out := attachTrace(fromPPCA(LocalPPCA, cfg.Seed, res), col)
 	out.SkippedRecords = src.Skipped()
 	return out, nil
-}
-
-// FitStreamFile is the positional-argument form of FitStreamFileConfig.
-//
-// Deprecated: use FitStreamFileConfig, which accepts the full Config.
-func FitStreamFile(path string, components, maxIter int, seed uint64) (*Result, error) {
-	return FitStreamFileConfig(path, Config{Components: components, MaxIter: maxIter, Seed: seed})
 }
 
 // MixtureResult is the output of FitMixture.

@@ -284,7 +284,7 @@ func TestFitStreamFileFacade(t *testing.T) {
 	if err := SaveSparseFile(path, y, false); err != nil {
 		t.Fatal(err)
 	}
-	res, err := FitStreamFile(path, 3, 10, 0)
+	res, err := FitStreamFileConfig(path, Config{Components: 3, MaxIter: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,102 +299,16 @@ func TestFitStreamFileFacade(t *testing.T) {
 	if res.Components.MaxAbsDiff(ref.Components) != 0 {
 		t.Fatal("streamed fit differs from in-memory fit")
 	}
-	if _, err := FitStreamFile(filepath.Join(t.TempDir(), "missing"), 3, 5, 0); err == nil {
+	if _, err := FitStreamFileConfig(filepath.Join(t.TempDir(), "missing"), Config{Components: 3, MaxIter: 5}); err == nil {
 		t.Fatal("expected error for missing file")
 	}
-}
-
-// TestDeprecatedWrappersMatchConfigForms pins the compatibility contract of
-// the deprecated positional wrappers: FitMissing and FitStreamFile must be
-// pure argument adapters — bit-identical results and identical errors to
-// their Config counterparts, never a divergent code path.
-func TestDeprecatedWrappersMatchConfigForms(t *testing.T) {
-	y := smallDataset(t)
-
-	// Dense matrix with deterministically planted missing entries.
-	dense := y.Dense()
-	for i := 0; i < dense.R; i += 7 {
-		dense.Row(i)[(i*3)%dense.C] = math.NaN()
-	}
-	wrap, err := FitMissing(dense, 3, 8, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfgRes, err := FitMissingConfig(dense, Config{Components: 3, MaxIter: 8, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wrap.Components.MaxAbsDiff(cfgRes.Components) != 0 ||
-		wrap.Latent.MaxAbsDiff(cfgRes.Latent) != 0 {
-		t.Fatal("FitMissing model not bit-identical to FitMissingConfig")
-	}
-	if wrap.SS != cfgRes.SS || wrap.Iterations != cfgRes.Iterations {
-		t.Fatalf("FitMissing trajectory diverged: ss %v vs %v, iters %d vs %d",
-			wrap.SS, cfgRes.SS, wrap.Iterations, cfgRes.Iterations)
-	}
-	for i, v := range wrap.LogLikeTrace {
-		if v != cfgRes.LogLikeTrace[i] {
-			t.Fatalf("LogLikeTrace[%d] = %v vs %v", i, v, cfgRes.LogLikeTrace[i])
-		}
-	}
-
-	path := filepath.Join(t.TempDir(), "y.spmx")
-	if err := SaveSparseFile(path, y, false); err != nil {
-		t.Fatal(err)
-	}
-	sWrap, err := FitStreamFile(path, 3, 6, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sCfg, err := FitStreamFileConfig(path, Config{Components: 3, MaxIter: 6, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sWrap.Components.MaxAbsDiff(sCfg.Components) != 0 {
-		t.Fatal("FitStreamFile components not bit-identical to FitStreamFileConfig")
-	}
-	if sWrap.Err != sCfg.Err || sWrap.Iterations != sCfg.Iterations ||
-		len(sWrap.History) != len(sCfg.History) {
-		t.Fatalf("FitStreamFile trajectory diverged: err %v vs %v, iters %d vs %d",
-			sWrap.Err, sCfg.Err, sWrap.Iterations, sCfg.Iterations)
-	}
-
-	// Errors must match too, case by case.
-	wantErr := func(name string, a, b error) {
-		t.Helper()
-		if a == nil || b == nil {
-			t.Fatalf("%s: wrapper err %v, config err %v — both must fail", name, a, b)
-		}
-		if a.Error() != b.Error() {
-			t.Fatalf("%s: wrapper err %q != config err %q", name, a, b)
-		}
-	}
-	_, aErr := FitMissing(nil, 3, 5, 1)
-	_, bErr := FitMissingConfig(nil, Config{Components: 3, MaxIter: 5, Seed: 1})
-	wantErr("FitMissing(nil)", aErr, bErr)
-	if !errors.Is(aErr, ErrEmptyInput) {
-		t.Fatalf("FitMissing(nil) = %v, want ErrEmptyInput", aErr)
-	}
-	inf := dense.Clone()
-	inf.Row(1)[2] = math.Inf(1)
-	_, aErr = FitMissing(inf, 3, 5, 1)
-	_, bErr = FitMissingConfig(inf, Config{Components: 3, MaxIter: 5, Seed: 1})
-	wantErr("FitMissing(Inf)", aErr, bErr)
-	if !errors.Is(aErr, ErrNonFiniteInput) {
-		t.Fatalf("FitMissing(Inf) = %v, want ErrNonFiniteInput", aErr)
-	}
-
-	missing := filepath.Join(t.TempDir(), "nope.spmx")
-	_, aErr = FitStreamFile(missing, 3, 5, 1)
-	_, bErr = FitStreamFileConfig(missing, Config{Components: 3, MaxIter: 5, Seed: 1})
-	wantErr("FitStreamFile(missing)", aErr, bErr)
 	corrupt := filepath.Join(t.TempDir(), "bad.spmx")
 	if err := os.WriteFile(corrupt, []byte("not a matrix\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, aErr = FitStreamFile(corrupt, 3, 5, 1)
-	_, bErr = FitStreamFileConfig(corrupt, Config{Components: 3, MaxIter: 5, Seed: 1})
-	wantErr("FitStreamFile(corrupt)", aErr, bErr)
+	if _, err := FitStreamFileConfig(corrupt, Config{Components: 3, MaxIter: 5}); !errors.Is(err, ErrMalformedMatrix) {
+		t.Fatalf("corrupt file = %v, want ErrMalformedMatrix", err)
+	}
 }
 
 func TestFitInputValidation(t *testing.T) {

@@ -343,8 +343,8 @@ func TestBaselineHistoryPopulated(t *testing.T) {
 	}
 }
 
-// TestConfigEntryPoints checks the unified Config-based signatures against
-// their deprecated positional wrappers and the shared validation path.
+// TestConfigEntryPoints checks the Config-based streaming and missing-data
+// entry points: shared validation, typed input errors, and tracing.
 func TestConfigEntryPoints(t *testing.T) {
 	y := smallDataset(t)
 	path := filepath.Join(t.TempDir(), "y.spmx")
@@ -352,18 +352,7 @@ func TestConfigEntryPoints(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	oldStream, err := FitStreamFile(path, 3, 5, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	newStream, err := FitStreamFileConfig(path, Config{Components: 3, MaxIter: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if oldStream.Components.MaxAbsDiff(newStream.Components) != 0 {
-		t.Error("FitStreamFile and FitStreamFileConfig disagree")
-	}
-	// The Config path validates; the deprecated wrapper inherits it.
+	// The Config path validates.
 	if _, err := FitStreamFileConfig(path, Config{TargetAccuracy: 2}); !errors.Is(err, ErrBadConfig) {
 		t.Errorf("bad config = %v, want ErrBadConfig", err)
 	}
@@ -377,16 +366,8 @@ func TestConfigEntryPoints(t *testing.T) {
 	}
 
 	dense := denseWithHole(t, y)
-	oldMissing, err := FitMissing(dense, 3, 5, 1)
-	if err != nil {
+	if _, err := FitMissingConfig(dense, Config{Components: 3, MaxIter: 5, Seed: 1}); err != nil {
 		t.Fatal(err)
-	}
-	newMissing, err := FitMissingConfig(dense, Config{Components: 3, MaxIter: 5, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if oldMissing.Components.MaxAbsDiff(newMissing.Components) != 0 {
-		t.Error("FitMissing and FitMissingConfig disagree")
 	}
 	if _, err := FitMissingConfig(nil, Config{Components: 3}); !errors.Is(err, ErrEmptyInput) {
 		t.Errorf("nil dense input = %v, want ErrEmptyInput", err)
