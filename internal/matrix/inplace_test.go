@@ -2,6 +2,7 @@ package matrix
 
 import (
 	"math"
+	"strconv"
 	"testing"
 
 	"spca/internal/parallel"
@@ -54,6 +55,114 @@ func TestIntoVariantsMatchAllocatingKernels(t *testing.T) {
 			t.Fatalf("MulVecTInto element %d differs", i)
 		}
 	}
+}
+
+// refMul is out = a*b by the plain i-k-j loop with the a == 0 skip: each
+// out[i][j] sums over k in ascending order, the order MulInto keeps.
+func refMul(a, b *Dense) *Dense {
+	out := NewDense(a.R, b.C)
+	for i := 0; i < a.R; i++ {
+		orow := out.Row(i)
+		for k, av := range a.Row(i) {
+			if av == 0 {
+				continue
+			}
+			for j, bv := range b.Row(k) {
+				orow[j] += av * bv
+			}
+		}
+	}
+	return out
+}
+
+// refMulT is out = aᵀ*b by the plain loop with the a == 0 skip: each
+// out[k][j] sums over i in ascending order, the order MulTInto keeps.
+func refMulT(a, b *Dense) *Dense {
+	out := NewDense(a.C, b.C)
+	for i := 0; i < a.R; i++ {
+		brow := b.Row(i)
+		for k, av := range a.Row(i) {
+			if av == 0 {
+				continue
+			}
+			orow := out.Row(k)
+			for j, bv := range brow {
+				orow[j] += av * bv
+			}
+		}
+	}
+	return out
+}
+
+// TestTiledMulIntoBitIdentical pins MulInto, and its chunk body at k-tile
+// widths that leave ragged remainders, against the plain loop bit for bit.
+// The operands hold zeros in a against Inf/NaN rows of b, so a kernel that
+// dropped the a == 0 skip would surface as a spurious NaN.
+func TestTiledMulIntoBitIdentical(t *testing.T) {
+	rng := NewRNG(11)
+	for _, sh := range []struct{ m, k, n int }{
+		{64, 64, 64}, {193, 61, 53}, {97, 128, 17}, {66, 65, 19}, {160, 160, 160},
+	} {
+		a := sprinkledMat(rng, sh.m, sh.k, 0.3)
+		b := nonFiniteMat(rng, sh.k, sh.n)
+		for i := 0; i < sh.m; i += 3 {
+			a.Set(i, 1, 0)
+		}
+		want := refMul(a, b)
+		bitsEqual(t, "MulInto", a.MulInto(b, NewDense(sh.m, sh.n)), want)
+		for _, kBlock := range []int{1, 3, 8, 64, sh.k} {
+			body := mulBody{m: a, b: b, out: NewDense(sh.m, sh.n), kBlock: kBlock}
+			body.Run(0, sh.m)
+			bitsEqual(t, "mulBody kBlock="+strconv.Itoa(kBlock), body.out, want)
+		}
+	}
+}
+
+// TestTiledMulTIntoBitIdentical is the same pin for MulTInto (out = aᵀ*b),
+// whose chunk body is run over column bands of awkward widths.
+func TestTiledMulTIntoBitIdentical(t *testing.T) {
+	rng := NewRNG(23)
+	for _, sh := range []struct{ r, c, n int }{
+		{64, 64, 64}, {193, 61, 53}, {128, 97, 17}, {65, 66, 19}, {160, 160, 160},
+	} {
+		a := sprinkledMat(rng, sh.r, sh.c, 0.3)
+		b := nonFiniteMat(rng, sh.r, sh.n)
+		for k := 0; k < sh.c; k++ {
+			a.Set(1, k, 0)
+		}
+		want := refMulT(a, b)
+		bitsEqual(t, "MulTInto", a.MulTInto(b, NewDense(sh.c, sh.n)), want)
+		for _, band := range []int{1, 3, 5, sh.c} {
+			body := mulTBody{m: a, b: b, out: NewDense(sh.c, sh.n)}
+			for lo := 0; lo < sh.c; lo += band {
+				body.Run(lo, min(lo+band, sh.c))
+			}
+			bitsEqual(t, "mulTBody band="+strconv.Itoa(band), body.out, want)
+		}
+	}
+}
+
+// TestTiledSequentialMatchesParallel pins that chunk boundaries cannot
+// change results: one sequential pass of each Mul body matches the pool's
+// chunked run (forced to 4 workers) bit for bit, even though MulInto picks
+// a different k-tile width than the sequential pass.
+func TestTiledSequentialMatchesParallel(t *testing.T) {
+	rng := NewRNG(31)
+	a := sprinkledMat(rng, 150, 150, 0.2)
+	b := sprinkledMat(rng, 150, 150, 0.2)
+
+	parallel.SetWorkers(4)
+	par := a.MulInto(b, NewDense(150, 150))
+	parT := a.MulTInto(b, NewDense(150, 150))
+	parallel.SetWorkers(0)
+
+	seq := mulBody{m: a, b: b, out: NewDense(150, 150), kBlock: 8}
+	seq.Run(0, a.R)
+	bitsEqual(t, "MulInto parallel vs sequential", seq.out, par)
+
+	seqT := mulTBody{m: a, b: b, out: NewDense(150, 150)}
+	seqT.Run(0, a.C)
+	bitsEqual(t, "MulTInto parallel vs sequential", seqT.out, parT)
 }
 
 func TestAddScaledIntoMatchesScaleThenAdd(t *testing.T) {
