@@ -16,10 +16,10 @@ test:
 	$(GO) test ./...
 
 # The two distributed engines run real goroutines; keep them race-clean,
-# along with the kernel worker pool and the sketch engines that fan out
-# across both platforms.
+# along with the kernel worker pool and the EM and sketch engines that fan
+# out across both platforms.
 race:
-	$(GO) test -race ./internal/rdd ./internal/mapred ./internal/parallel ./internal/rsvd ./internal/serve
+	$(GO) test -race ./internal/rdd ./internal/mapred ./internal/parallel ./internal/ppca ./internal/rsvd ./internal/serve
 
 # Serving-layer smoke: registry round-trip, both wire protocols, the
 # zero-allocation gate on the binary hot path, and the graceful drain.

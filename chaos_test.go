@@ -125,6 +125,10 @@ func modelFingerprint(res *Result) string {
 // iteration, even several incarnations in a row) auto-resumes and produces a
 // model bit-identical to the uninterrupted run on the same simulated clock,
 // with the recovery cost reported out-of-band.
+//
+// The "at-target" case stops on TargetAccuracy instead of MaxIter and crashes
+// on the stopping iteration itself: the resumed incarnation must see that the
+// restored history already meets the target and stop, not run extra rounds.
 func TestChaosDriverCrashResume(t *testing.T) {
 	y := GenerateDataset(DatasetSpec{Kind: Tweets, Rows: 500, Cols: 70, Seed: 9})
 	schedules := map[string][]int{
@@ -144,30 +148,50 @@ func TestChaosDriverCrashResume(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cleanFP := modelFingerprint(clean)
 			for name, crashes := range schedules {
-				cfg := base
-				cfg.Checkpoint.Dir = t.TempDir()
-				cfg.Faults = &FaultPlan{DriverCrashIters: crashes}
-				res, err := Fit(y, cfg)
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				if fp := modelFingerprint(res); fp != cleanFP {
-					t.Errorf("%s: resumed model fingerprint %s != uninterrupted %s", name, fp, cleanFP)
-				}
-				if res.Metrics.SimSeconds != clean.Metrics.SimSeconds {
-					t.Errorf("%s: resumed SimSeconds %v != uninterrupted %v",
-						name, res.Metrics.SimSeconds, clean.Metrics.SimSeconds)
-				}
-				if got, want := res.Metrics.DriverRestarts, int64(len(crashes)); got != want {
-					t.Errorf("%s: DriverRestarts = %d, want %d", name, got, want)
-				}
-				if alg != LocalPPCA && res.Metrics.RecoverySeconds <= 0 {
-					t.Errorf("%s: recovery cost not charged: %v", name, res.Metrics.RecoverySeconds)
-				}
+				checkCrashResume(t, y, base, clean, name, crashes)
 			}
+
+			target := base
+			target.MaxIter = 6
+			target.TargetAccuracy = 0.95
+			target.Checkpoint.Interval = 1
+			clean, err = Fit(y, target)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if clean.Iterations >= target.MaxIter {
+				t.Fatalf("at-target: clean fit ran all %d iterations without reaching the target", clean.Iterations)
+			}
+			checkCrashResume(t, y, target, clean, "at-target", []int{clean.Iterations})
 		})
+	}
+}
+
+// checkCrashResume fits base with the given driver-crash schedule and
+// requires the auto-resumed result to match the uninterrupted clean fit bit
+// for bit, with one restart per crash and the recovery cost charged.
+func checkCrashResume(t *testing.T, y *Sparse, base Config, clean *Result, name string, crashes []int) {
+	t.Helper()
+	cfg := base
+	cfg.Checkpoint.Dir = t.TempDir()
+	cfg.Faults = &FaultPlan{DriverCrashIters: crashes}
+	res, err := Fit(y, cfg)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if fp, cleanFP := modelFingerprint(res), modelFingerprint(clean); fp != cleanFP {
+		t.Errorf("%s: resumed model fingerprint %s != uninterrupted %s", name, fp, cleanFP)
+	}
+	if res.Metrics.SimSeconds != clean.Metrics.SimSeconds {
+		t.Errorf("%s: resumed SimSeconds %v != uninterrupted %v",
+			name, res.Metrics.SimSeconds, clean.Metrics.SimSeconds)
+	}
+	if got, want := res.Metrics.DriverRestarts, int64(len(crashes)); got != want {
+		t.Errorf("%s: DriverRestarts = %d, want %d", name, got, want)
+	}
+	if base.Algorithm != LocalPPCA && res.Metrics.RecoverySeconds <= 0 {
+		t.Errorf("%s: recovery cost not charged: %v", name, res.Metrics.RecoverySeconds)
 	}
 }
 

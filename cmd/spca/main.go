@@ -110,17 +110,20 @@ func main() {
 		ctx, cancelT = context.WithTimeout(ctx, *timeout)
 		defer cancelT()
 	}
-	ctx, stop := signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
-	defer stop()
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	sigs := make(chan os.Signal, 2) // the two signals the watcher acts on
+	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sigs)
 	cfg.Context = ctx
+	// The watcher wakes only on a delivered signal, never on the context
+	// ending by itself (the -timeout deadline, or the deferred cancel of a
+	// normal exit).
 	go func() {
-		<-ctx.Done()
-		if errors.Is(ctx.Err(), context.Canceled) {
-			fmt.Fprintln(os.Stderr, "spca: interrupted, finishing the current iteration (press ctrl-C again to hard-stop)")
-		}
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-		<-sig
+		<-sigs
+		fmt.Fprintln(os.Stderr, "spca: interrupted, finishing the current iteration (press ctrl-C again to hard-stop)")
+		cancel()
+		<-sigs
 		var hard atomic.Bool
 		hard.Store(true)
 		parallel.SetAbort(&hard) // stop in-flight kernels from claiming more work

@@ -1,11 +1,51 @@
 package main
 
 import (
+	"bytes"
+	"os"
+	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"spca"
 )
+
+// TestMain lets a test re-execute this test binary as the spca command
+// itself (see runCommand).
+func TestMain(m *testing.M) {
+	if os.Getenv("SPCA_TEST_RUN_MAIN") == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// runCommand runs the spca command with args in a child process and returns
+// its standard error.
+func runCommand(t *testing.T, args ...string) string {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "SPCA_TEST_RUN_MAIN=1")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	if err := cmd.Run(); err != nil {
+		t.Fatalf("spca %s: %v\n%s", strings.Join(args, " "), err, stderr.String())
+	}
+	return stderr.String()
+}
+
+// TestNormalExitReportsNoInterrupt runs short fits to completion: a run that
+// received no signal must not tell the user it was interrupted. The exit
+// path's own context cleanup must not look like a signal to the watcher.
+func TestNormalExitReportsNoInterrupt(t *testing.T) {
+	for i := 0; i < 10; i++ {
+		stderr := runCommand(t, "-dataset", "tweets", "-rows", "200", "-cols", "40", "-d", "3", "-iters", "2")
+		if strings.Contains(stderr, "interrupted") {
+			t.Fatalf("run %d: normal exit reported an interrupt:\n%s", i, stderr)
+		}
+	}
+}
 
 func TestLoadInputValidation(t *testing.T) {
 	if _, err := loadInput("", "", 0, 0, 0, 1, 0); err == nil {

@@ -89,12 +89,12 @@ func TestRunEntryPollPreservesJobSeq(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // canceled before the job starts
 	e := interruptedEngine(ctx)
-	seq := e.JobSeq()
+	seq := e.Epoch()
 	_, err := Run(e, wordCountJob(), []string{"a b"})
 	if !errors.Is(err, cluster.ErrCanceled) {
 		t.Fatalf("want ErrCanceled, got %v", err)
 	}
-	if got := e.JobSeq(); got != seq {
+	if got := e.Epoch(); got != seq {
 		t.Fatalf("entry poll advanced the fault cursor: jobSeq %d -> %d", seq, got)
 	}
 	m := e.Cluster.Metrics()
@@ -136,12 +136,12 @@ func TestRunDenseEntryPollPreservesJobSeq(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	e := interruptedEngine(ctx)
-	seq := e.JobSeq()
+	seq := e.Epoch()
 	_, err := Run(e, denseScalarJob(4), []int{1, 2, 3})
 	if !errors.Is(err, cluster.ErrCanceled) {
 		t.Fatalf("want ErrCanceled, got %v", err)
 	}
-	if got := e.JobSeq(); got != seq {
+	if got := e.Epoch(); got != seq {
 		t.Fatalf("entry poll advanced the fault cursor: jobSeq %d -> %d", seq, got)
 	}
 }

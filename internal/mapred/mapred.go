@@ -143,17 +143,18 @@ func (e *Engine) NumSplits(n int) int {
 	return splits
 }
 
-// JobSeq reports the engine's job sequence counter, which salts per-job
-// fault decisions. Checkpoints capture it so a resumed driver draws the
-// exact same faults an uninterrupted run would for the remaining jobs.
-func (e *Engine) JobSeq() int64 {
+// Epoch reports the engine's job sequence counter, which salts per-job
+// fault decisions (the MapReduce counterpart of rdd.Context.Epoch).
+// Checkpoints capture it so a resumed driver draws the exact same faults an
+// uninterrupted run would for the remaining jobs.
+func (e *Engine) Epoch() int64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.jobSeq
 }
 
-// SetJobSeq restores the job sequence counter from a checkpoint.
-func (e *Engine) SetJobSeq(seq int64) {
+// SetEpoch restores the job sequence counter from a checkpoint.
+func (e *Engine) SetEpoch(seq int64) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.jobSeq = seq

@@ -1,6 +1,7 @@
 package ppca
 
 import (
+	"sync"
 	"testing"
 
 	"spca/internal/cluster"
@@ -51,10 +52,17 @@ func (nopOps) AddOps(int64) {}
 
 // retainMapper emits one shared accumulator slice per task — the in-mapper
 // combining pattern — and keeps a reference to it after Cleanup, modelling a
-// pooled mapper that will reuse the buffer next iteration.
+// pooled mapper that will reuse the buffer next iteration. Map tasks run
+// concurrently, so every mapper of a job appends to the shared list under
+// its lock.
 type retainMapper struct {
 	acc      []float64
-	retained *[][]float64
+	retained *retainedList
+}
+
+type retainedList struct {
+	mu   sync.Mutex
+	bufs [][]float64
 }
 
 func (m *retainMapper) Map(row matrix.SparseVector, out mapred.Emitter[int, []float64]) {
@@ -66,7 +74,9 @@ func (m *retainMapper) Map(row matrix.SparseVector, out mapred.Emitter[int, []fl
 
 func (m *retainMapper) Cleanup(out mapred.Emitter[int, []float64]) {
 	out.Emit(7, m.acc)
-	*m.retained = append(*m.retained, m.acc)
+	m.retained.mu.Lock()
+	m.retained.bufs = append(m.retained.bufs, m.acc)
+	m.retained.mu.Unlock()
 }
 
 // TestReducerOutputMutationDoesNotCorruptRetainedEmission runs a real job
@@ -75,11 +85,11 @@ func (m *retainMapper) Cleanup(out mapred.Emitter[int, []float64]) {
 // mapper-retained emission buffers must be unaffected.
 func TestReducerOutputMutationDoesNotCorruptRetainedEmission(t *testing.T) {
 	eng := mapred.NewEngine(cluster.MustNew(cluster.DefaultConfig()))
-	var retained [][]float64
+	var list retainedList
 	job := mapred.Job[matrix.SparseVector, int, []float64, []float64]{
 		Name: "alias-audit",
 		NewMapper: func(int) mapred.Mapper[matrix.SparseVector, int, []float64] {
-			return &retainMapper{acc: make([]float64, 3), retained: &retained}
+			return &retainMapper{acc: make([]float64, 3), retained: &list}
 		},
 		Combine:     sumVec,
 		Reduce:      reduceSumVec,
@@ -96,6 +106,7 @@ func TestReducerOutputMutationDoesNotCorruptRetainedEmission(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	retained := list.bufs
 	if len(retained) == 0 {
 		t.Fatal("no emissions retained — job did not run mappers")
 	}

@@ -1,19 +1,17 @@
 package ppca
 
-// Durability and numerical guards for the EM driver. This file holds the
-// shared guarded iteration loop all four engines run on (runEM + emEngine),
-// the non-finite and divergence detectors, the deterministic escalating-ridge
-// retry for the d×d SPD solves, and the checkpoint write/restore glue. See
-// DESIGN.md "Durability & numerical guards".
+// Numerical guards for the EM iterations. This file holds the guarded EM
+// step all four engines run on the shared iterative driver (emStep +
+// emEngine), the non-finite and divergence detectors, the deterministic
+// escalating-ridge retry for the d×d SPD solves, and the snapshot
+// build/restore glue. See DESIGN.md "Durability & numerical guards".
 
 import (
 	"errors"
 	"fmt"
-	"path/filepath"
-	"time"
 
 	"spca/internal/checkpoint"
-	"spca/internal/cluster"
+	"spca/internal/driver"
 	"spca/internal/matrix"
 	"spca/internal/trace"
 )
@@ -36,30 +34,12 @@ func (e *BreakdownError) Error() string {
 
 func (e *BreakdownError) Unwrap() error { return ErrNumericalBreakdown }
 
-// CheckpointSpec configures periodic driver snapshots. The zero value
-// disables checkpointing entirely: no files, no simulated charges, and runs
-// stay byte-identical to a build without the subsystem.
-type CheckpointSpec struct {
-	// Interval writes a snapshot after every Interval-th EM iteration.
-	Interval int
-	// Dir is the directory snapshot files are written to (created if absent).
-	Dir string
-	// Keep bounds how many snapshot generations are retained after each
-	// write: 0 means checkpoint.DefaultKeep, negative means unlimited.
-	// Keeping more than one generation is what lets a resume fall back past
-	// a corrupt newest snapshot.
-	Keep int
-}
-
-// Enabled reports whether snapshots will be written.
-func (c CheckpointSpec) Enabled() bool { return c.Interval > 0 && c.Dir != "" }
-
 // maxRidgeRetries bounds the reactive ridge escalation on a singular solve.
 // Past it the input is genuinely unrecoverable and ErrSingular propagates.
 const maxRidgeRetries = 6
 
 // emEngine abstracts the per-iteration distributed work of one engine, so
-// the guarded EM loop (runEM) is written once and shared by the MapReduce,
+// the guarded EM step (emStep) is written once and shared by the MapReduce,
 // Spark, local, and streaming fits. Driver-side math stays in emDriver; the
 // engine supplies the data passes and the cost-model charges around them.
 type emEngine interface {
@@ -73,80 +53,26 @@ type emEngine interface {
 	ss3(em *emDriver, cNew *matrix.Dense) (float64, error)
 	// reconErr computes the sampled reconstruction error of the current model.
 	reconErr(em *emDriver) float64
-	// cluster returns the simulated cluster, or nil for single-machine fits.
-	cluster() *cluster.Cluster
-	// faultEpoch reports the engine's fault-decision cursor (job sequence /
-	// action epoch) for checkpoints, so a resumed driver replays the same
-	// task-fault draws. Zero for single-machine engines.
-	faultEpoch() int64
 }
 
-// runEM is the guarded EM iteration loop shared by all four engines. Each
-// iteration runs prepare → pass → update → ss3 → finishVariance exactly as
-// the per-engine loops used to, then layers on the durability and numerical
-// guards: a non-finite scan of the model state, divergence detection with
-// rollback to the best snapshot, the periodic checkpoint write, and the
-// scheduled driver-crash injection. The convergence check runs at the top of
-// the loop so a run resumed from a snapshot taken at its converged iteration
-// stops immediately instead of iterating past the uninterrupted run.
-func runEM(em *emDriver, opt Options, eng emEngine, res *Result) error {
-	cl := eng.cluster()
-	for iter := em.startIter; iter <= opt.MaxIter; iter++ {
-		if opt.converged(res.History) {
-			break
-		}
-		// Entry poll: a context canceled before (or between) iterations is
-		// observed here, with iter-1 iterations completed and the driver
-		// state exactly at that boundary.
-		if cause := opt.Interrupt.Err(); cause != nil {
-			return em.abortRun(iter-1, cause, opt, res, cl, eng.faultEpoch(), true)
-		}
-		if err := runEMIter(em, opt, eng, res, cl, iter); err != nil {
-			if cluster.IsInterrupt(err) {
-				// An engine phase caught the interrupt mid-iteration. The
-				// current iteration is abandoned — driver state may be
-				// mid-update, so no fresh snapshot is written; a resume
-				// redoes the abandoned iteration from the last periodic
-				// snapshot, deterministically.
-				return em.abortRun(iter-1, err, opt, res, cl, eng.faultEpoch(), false)
-			}
-			return err
-		}
-		// Boundary poll: the iteration (including its periodic checkpoint and
-		// observer callbacks) finished — this is the deterministic abort point
-		// the chaos suite cancels at. Checked before Progress so a stall that
-		// opened during the iteration's driver-side tail is still observed.
-		if cause := opt.Interrupt.Err(); cause != nil {
-			return em.abortRun(iter, cause, opt, res, cl, eng.faultEpoch(), true)
-		}
-		opt.Interrupt.Progress()
-	}
-	res.Components = em.c
-	res.SS = em.ss
-	res.Iterations = len(res.History)
-	if cl != nil {
-		res.Metrics = cl.Metrics()
-		res.Phases = cluster.Summarize(cl.PhaseLog(), cl.Config())
-	}
-	return nil
+// emStep is one guarded EM iteration behind the shared iterative driver
+// (internal/driver), which owns the loop, the interrupt polls, the
+// checkpoints, and the driver-crash injection around it. Each iteration runs
+// prepare → pass → update → ss3 → finishVariance, then the numerical guards
+// (a non-finite scan of the model state, divergence detection with rollback
+// to the best snapshot) and the history entry.
+type emStep struct {
+	em  *emDriver
+	eng emEngine
+	run *driver.Run
+	res *Result
 }
 
-// runEMIter is one guarded EM iteration, factored out so the iteration span
-// brackets exactly the work of the iteration (including its checkpoint write)
-// on every exit path.
-func runEMIter(em *emDriver, opt Options, eng emEngine, res *Result, cl *cluster.Cluster, iter int) (err error) {
-	tr := opt.Tracer
-	if tr != nil {
-		tr.Begin("iteration", trace.KindIteration, trace.I("iter", int64(iter)))
-		defer func() {
-			if err != nil {
-				tr.End(trace.I("aborted", 1))
-				return
-			}
-			last := res.History[len(res.History)-1]
-			tr.End(trace.F("err", last.Err), trace.F("ss", last.SS))
-		}()
-	}
+// Done applies the STOP_CONDITION of §5.1 to the completed history.
+func (s *emStep) Done() bool { return s.em.opt.converged(s.res.History) }
+
+func (s *emStep) Step(iter int) error {
+	em, eng, opt := s.em, s.eng, s.em.opt
 	if err := em.prepare(); err != nil {
 		return err
 	}
@@ -175,118 +101,49 @@ func runEMIter(em *emDriver, opt Options, eng emEngine, res *Result, cl *cluster
 		Err:          e,
 		Accuracy:     opt.accuracyOf(e),
 		SS:           em.ss,
+		SimSeconds:   s.run.SimSeconds(),
 		Ridge:        em.lastRidge,
 		RidgeRetries: em.iterRidgeRetries,
 	}
 	em.iterRidgeRetries = 0
-	if cl != nil {
-		stat.SimSeconds = cl.Metrics().SimSeconds
-	}
-	em.observeDivergence(&stat, opt, res.History)
-	res.History = append(res.History, stat)
-	if tr != nil {
-		tr.IterationDone(trace.Iteration{
-			Iter: stat.Iter, Err: stat.Err, Accuracy: stat.Accuracy, SS: stat.SS,
-			SimSeconds: stat.SimSeconds, Ridge: stat.Ridge,
-			RidgeRetries: stat.RidgeRetries, Rollback: stat.Rollback,
-		})
-	}
-
-	if opt.Checkpoint.Enabled() && iter%opt.Checkpoint.Interval == 0 {
-		if err := em.writeCheckpoint(iter, opt, res, cl, eng.faultEpoch()); err != nil {
-			return err
-		}
-	}
-	if opt.Faults.DriverCrashAt(iter, opt.Incarnation) {
-		crash := &cluster.DriverCrashError{Iter: iter, Incarnation: opt.Incarnation}
-		if cl != nil {
-			crash.SimSeconds = cl.Metrics().SimSeconds
-		}
-		if tr != nil {
-			tr.Event("driver-crash",
-				trace.I("iter", int64(iter)), trace.I("incarnation", int64(opt.Incarnation)))
-		}
-		return crash
-	}
+	em.observeDivergence(&stat, opt, s.res.History)
+	s.res.History = append(s.res.History, stat)
+	opt.Tracer.IterationDone(trace.Iteration{
+		Iter: stat.Iter, Err: stat.Err, Accuracy: stat.Accuracy, SS: stat.SS,
+		SimSeconds: stat.SimSeconds, Ridge: stat.Ridge,
+		RidgeRetries: stat.RidgeRetries, Rollback: stat.Rollback,
+	})
 	return nil
 }
 
-// abortRun converts an observed interrupt into a resumable *cluster.AbortError.
-// last is the number of fully completed EM iterations; atBoundary reports
-// whether the driver state is exactly the post-iteration-last state (true for
-// the runEM boundary polls, false when an engine phase unwound mid-iteration).
-// Only a boundary abort may flush a fresh snapshot — mid-iteration state is
-// not a valid model — and the flush charges nothing to the simulated cluster,
-// so a resumed run's clock and trajectory stay bit-identical to an
-// uninterrupted one.
-func (em *emDriver) abortRun(last int, cause error, opt Options, res *Result, cl *cluster.Cluster, epoch int64, atBoundary bool) error {
-	ab := &cluster.AbortError{Iter: last, Cause: cause, SimSeconds: snapMetrics(cl, res).SimSeconds}
-	if errors.Is(cause, cluster.ErrStalled) {
-		ab.Diagnostic = cl.StallDiagnostic()
+// SpanEnd closes an iteration span with its error and noise variance, or
+// marks it aborted.
+func (s *emStep) SpanEnd(err error) []trace.Attr {
+	if err != nil {
+		return []trace.Attr{trace.I("aborted", 1)}
 	}
-	if opt.Checkpoint.Enabled() {
-		switch {
-		case last > 0 && last%opt.Checkpoint.Interval == 0:
-			// The periodic write at this boundary already covers it (either
-			// written this incarnation or the snapshot this run resumed from).
-			ab.Checkpointed = true
-		case atBoundary && last > 0:
-			if err := em.writeFinalCheckpoint(last, opt, res, cl, epoch); err != nil {
-				opt.Tracer.Event("final-checkpoint-failed", trace.I("iter", int64(last)))
-			} else {
-				ab.Checkpointed = true
-			}
-		default:
-			// Abandoned iteration: the newest periodic snapshot (or the one
-			// this run resumed from) is the resume point, if any exists.
-			ab.Checkpointed = last >= opt.Checkpoint.Interval || opt.Resume != nil
-		}
-	}
-	ck := int64(0)
-	if ab.Checkpointed {
-		ck = 1
-	}
-	opt.Tracer.Event(cluster.AbortEventName(cause), trace.I("iter", int64(last)), trace.I("checkpointed", ck))
-	return ab
+	last := s.res.History[len(s.res.History)-1]
+	return []trace.Attr{trace.F("err", last.Err), trace.F("ss", last.SS)}
 }
 
-// Final-snapshot flush retry bounds. This write is the run's last chance to
-// preserve progress before unwinding, so transient real-I/O failures are
-// retried with exponential backoff (real time — the simulated clock is
-// never involved in abort handling).
-const (
-	finalSaveRetries = 3
-	finalSaveBackoff = 25 * time.Millisecond
-)
+func (s *emStep) Snapshot(iter int) *checkpoint.Snapshot {
+	return s.em.buildSnapshot(iter, s.res)
+}
 
-// writeFinalCheckpoint flushes an out-of-interval snapshot at an abort
-// boundary. Unlike the periodic writeCheckpoint it charges NOTHING to the
-// simulated cluster: the uninterrupted run never pays for this write, and the
-// snapshot's embedded metrics must equal the boundary state exactly so a
-// resume continues bit-identically.
-func (em *emDriver) writeFinalCheckpoint(iter int, opt Options, res *Result, cl *cluster.Cluster, epoch int64) error {
-	snap := em.buildSnapshot(iter, opt, res, epoch)
-	snap.Metrics = snapMetrics(cl, res)
-	var err error
-	backoff := finalSaveBackoff
-	for attempt := 0; attempt <= finalSaveRetries; attempt++ {
-		if attempt > 0 {
-			time.Sleep(backoff)
-			backoff *= 2
-		}
-		if _, err = checkpoint.Save(opt.Checkpoint.Dir, snap); err == nil {
-			opt.Tracer.Event("final-checkpoint",
-				trace.I("iter", int64(iter)), trace.I("retries", int64(attempt)))
-			if opt.Checkpoint.Keep >= 0 {
-				if perr := checkpoint.Prune(opt.Checkpoint.Dir, opt.Checkpoint.Keep); perr != nil {
-					return fmt.Errorf("ppca: pruning checkpoints at abort: %w", perr)
-				}
-			}
-			return nil
-		}
+// fit runs the EM iterations on the shared driver and assembles the result.
+func (em *emDriver) fit(run *driver.Run, eng emEngine) (*Result, error) {
+	res := &Result{Mean: em.mean}
+	if snap := em.opt.Resume; snap != nil {
+		em.restore(snap, res)
 	}
-	return fmt.Errorf("ppca: final checkpoint at iteration %d failed after %d retries: %w",
-		iter, finalSaveRetries, err)
+	if err := run.Loop(&emStep{em: em, eng: eng, run: run, res: res}, em.opt.MaxIter, "iteration", "iter"); err != nil {
+		return nil, err
+	}
+	res.Components = em.c
+	res.SS = em.ss
+	res.Iterations = len(res.History)
+	res.Metrics, res.Phases = run.Finish()
+	return res, nil
 }
 
 // checkFinite scans the model state after an iteration. EM cannot recover
@@ -408,56 +265,14 @@ func (em *emDriver) solveGuarded(xtx, ytx, dst *matrix.Dense, ws *matrix.SPDWork
 	}
 }
 
-// currentMetrics returns the accounting the next checkpoint should embed:
-// the cluster's metrics for engine fits, the locally accumulated Result
-// metrics for single-machine fits.
-func snapMetrics(cl *cluster.Cluster, res *Result) cluster.Metrics {
-	if cl != nil {
-		return cl.Metrics()
-	}
-	return res.Metrics
-}
-
-// writeCheckpoint charges and writes one driver snapshot. The simulated cost
-// uses the modeled binary size (Snapshot.CostBytes), which depends only on
-// the state shapes — never on the metric values being serialized — so the
-// charge is bit-identical between an uninterrupted run and a crashed+resumed
-// one. The charge lands before the snapshot's Metrics are captured: on
-// resume the clock restores to the post-write value, exactly what the
-// uninterrupted run's clock reads going into the next iteration.
-func (em *emDriver) writeCheckpoint(iter int, opt Options, res *Result, cl *cluster.Cluster, epoch int64) error {
-	snap := em.buildSnapshot(iter, opt, res, epoch)
-	cost := snap.CostBytes()
-	if cl != nil {
-		cl.ChargeCheckpoint(cost) // emits the checkpoint span itself
-	} else {
-		res.Metrics.CheckpointBytes += cost
-		opt.Tracer.Event("checkpoint", trace.I("checkpoint_bytes", cost))
-	}
-	snap.Metrics = snapMetrics(cl, res)
-	if _, err := checkpoint.Save(opt.Checkpoint.Dir, snap); err != nil {
-		return fmt.Errorf("ppca: writing checkpoint at iteration %d: %w", iter, err)
-	}
-	if err := injectSnapshotFault(opt, iter, snap.Bytes); err != nil {
-		return fmt.Errorf("ppca: injecting checkpoint fault at iteration %d: %w", iter, err)
-	}
-	if opt.Checkpoint.Keep >= 0 {
-		if err := checkpoint.Prune(opt.Checkpoint.Dir, opt.Checkpoint.Keep); err != nil {
-			return fmt.Errorf("ppca: pruning checkpoints at iteration %d: %w", iter, err)
-		}
-	}
-	return nil
-}
-
 // buildSnapshot assembles the driver's current boundary state into a
-// checkpoint snapshot (metrics are filled in by the caller, which decides
-// whether the write is charged to the simulated cluster first).
-func (em *emDriver) buildSnapshot(iter int, opt Options, res *Result, epoch int64) *checkpoint.Snapshot {
+// checkpoint snapshot (the shared driver stamps the metrics and the engine's
+// fault cursor).
+func (em *emDriver) buildSnapshot(iter int, res *Result) *checkpoint.Snapshot {
 	snap := &checkpoint.Snapshot{
 		Iter: iter,
-		N:    em.n, Dims: em.dims, D: em.d, Seed: opt.Seed,
-		FaultEpoch: epoch,
-		SS:         em.ss, SS1: em.ss1,
+		N:    em.n, Dims: em.dims, D: em.d, Seed: em.opt.Seed,
+		SS: em.ss, SS1: em.ss1,
 		Mean: em.mean, C: em.c,
 		RidgeLevel: em.ridgeLevel, Rising: em.rising,
 	}
@@ -475,32 +290,9 @@ func (em *emDriver) buildSnapshot(iter int, opt Options, res *Result, epoch int6
 	return snap
 }
 
-// injectSnapshotFault damages the just-written snapshot file when the fault
-// plan says this generation is the unlucky one: either a torn write
-// (truncation, as if the process died mid-flush of a non-atomic writer) or a
-// flipped bit at a plan-derived offset. The damage is to the file only — the
-// in-memory driver state and simulated clock are untouched, so the run
-// continues exactly as if the write had succeeded, and only a later resume
-// discovers (and quarantines) the bad generation.
-func injectSnapshotFault(opt Options, iter int, size int64) error {
-	if !opt.Faults.SnapshotCorrupt(iter) {
-		return nil
-	}
-	path := filepath.Join(opt.Checkpoint.Dir, checkpoint.FileName(iter))
-	torn := opt.Faults.SnapshotTorn(iter)
-	off := opt.Faults.CorruptOffset("ckpt", iter, size)
-	kind := int64(0)
-	if torn {
-		kind = 1
-	}
-	opt.Tracer.Event("checkpoint-corrupted",
-		trace.I("iter", int64(iter)), trace.I("torn", kind), trace.I("offset", off))
-	return checkpoint.Corrupt(path, torn, off)
-}
-
 // restore loads a validated snapshot into the driver: model state, guard
-// state, and the completed history. The caller is responsible for restoring
-// cluster metrics and charging the restore (the engines do it differently).
+// state, and the completed history. The shared driver's Resume prelude has
+// already restored and charged the clock.
 func (em *emDriver) restore(snap *checkpoint.Snapshot, res *Result) {
 	copy(em.c.Data, snap.C.Data)
 	em.ss = snap.SS
@@ -524,5 +316,4 @@ func (em *emDriver) restore(snap *checkpoint.Snapshot, res *Result) {
 			RidgeRetries: h.RidgeRetries, Rollback: h.Rollback,
 		})
 	}
-	em.startIter = snap.Iter + 1
 }

@@ -8,6 +8,7 @@ import (
 	"spca/internal/checkpoint"
 	"spca/internal/cluster"
 	"spca/internal/dataset"
+	"spca/internal/driver"
 	"spca/internal/matrix"
 )
 
@@ -17,7 +18,7 @@ func guardOpt(interval int, dir string) Options {
 	opt := DefaultOptions(3)
 	opt.MaxIter = 6
 	opt.Tol = 0
-	opt.Checkpoint = CheckpointSpec{Interval: interval, Dir: dir}
+	opt.Checkpoint = driver.CheckpointSpec{Interval: interval, Dir: dir}
 	return opt
 }
 

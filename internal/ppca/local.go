@@ -3,7 +3,7 @@ package ppca
 import (
 	"fmt"
 
-	"spca/internal/cluster"
+	"spca/internal/driver"
 	"spca/internal/matrix"
 	"spca/internal/parallel"
 	"spca/internal/trace"
@@ -35,47 +35,32 @@ func FitLocal(y *matrix.Sparse, opt Options) (*Result, error) {
 	mean := y.ColMeans()
 	ss1 := y.CenteredFrobeniusSq(mean)
 	em := newEMDriver(opt, y.R, y.C, mean, ss1)
-	res := &Result{}
-
-	if snap := opt.Resume; snap != nil {
-		// Local fits have no simulated cluster: the restore only counts the
-		// snapshot read and the restart in the Result metrics.
-		if err := snap.Validate(y.R, y.C, opt.Components, opt.Seed); err != nil {
-			return nil, err
-		}
-		res.Metrics = snap.Metrics
-		res.Metrics.DriverRestarts++
-		em.restore(snap, res)
-	} else if opt.SmartGuess {
+	// Local fits have no simulated cluster: a restore only counts the
+	// restart in the Result metrics.
+	run := driver.New(opt.Options, nil, nil)
+	if err := run.Resume(y.R, y.C, opt.Components, opt.Seed); err != nil {
+		return nil, err
+	}
+	if opt.Resume == nil && opt.SmartGuess {
 		if err := smartGuessLocal(y, opt, em); err != nil {
 			return nil, fmt.Errorf("ppca: smart guess: %w", err)
 		}
 	}
-	if opt.Resume == nil && opt.Incarnation > 0 {
-		res.Metrics.DriverRestarts++
-	}
-	res.Mean = mean
 
 	// Pass scratch allocated once and recycled every iteration.
-	e := &localEngine{y: y, scr: newLocalScratch(y.C, em.d), sample: sampleIdx(y.R, opt.sampleRows(), opt.Seed)}
-	if err := runEM(em, opt, e, res); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return em.fit(run, &localEngine{y: y, scr: newLocalScratch(y.C, em.d), sample: sampleIdx(y.R, opt.sampleRows(), opt.Seed)})
 }
 
 // localEngine adapts the single-machine passes to the shared guarded EM
-// loop. There is no simulated cluster, so the broadcast/compute charge hooks
-// are no-ops and History.SimSeconds stays zero, as before.
+// step. There is no simulated cluster, so the broadcast/compute charge hooks
+// are no-ops and History.SimSeconds stays zero.
 type localEngine struct {
 	y      *matrix.Sparse
 	scr    *localScratch
 	sample []int
 }
 
-func (e *localEngine) cluster() *cluster.Cluster { return nil }
-func (e *localEngine) faultEpoch() int64         { return 0 }
-func (e *localEngine) prepared(*emDriver)        {}
+func (e *localEngine) prepared(*emDriver) {}
 func (e *localEngine) pass(em *emDriver) (jobSums, error) {
 	return localPass(e.y, em, e.scr), nil
 }

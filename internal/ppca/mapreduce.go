@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"spca/internal/cluster"
+	"spca/internal/driver"
 	"spca/internal/mapred"
 	"spca/internal/matrix"
 	"spca/internal/trace"
@@ -35,21 +36,15 @@ func FitMapReduce(eng *mapred.Engine, rows []matrix.SparseVector, dims int, opt 
 			trace.I("components", int64(opt.Components)), trace.I("incarnation", int64(opt.Incarnation)))
 		defer tr.End()
 	}
-	res := &Result{}
-
+	run := driver.New(opt.Options, cl, eng)
+	if err := run.Resume(len(rows), dims, opt.Components, opt.Seed); err != nil {
+		return nil, err
+	}
 	var em *emDriver
 	if snap := opt.Resume; snap != nil {
-		// Resume: the mean/Frobenius jobs (and SmartGuess) were already paid
-		// for by the crashed incarnation and live in the snapshot; restore
-		// its clock wholesale and report the restore out-of-band.
-		if err := snap.Validate(len(rows), dims, opt.Components, opt.Seed); err != nil {
-			return nil, err
-		}
+		// The mean/Frobenius jobs (and SmartGuess) were already paid for by
+		// the crashed incarnation and live in the snapshot.
 		em = newEMDriver(opt, len(rows), dims, snap.Mean, snap.SS1)
-		cl.RestoreMetrics(snap.Metrics)
-		cl.ChargeDriverRestore(snap.CostBytes(), opt.RecoveredSeconds)
-		eng.SetJobSeq(snap.FaultEpoch)
-		em.restore(snap, res)
 	} else {
 		// meanJob + FnormJob run once before the loop (Algorithm 4 lines 3-4).
 		mean, err := meanJob(eng, rows, dims)
@@ -66,30 +61,20 @@ func FitMapReduce(eng *mapred.Engine, rows []matrix.SparseVector, dims int, opt 
 				return nil, fmt.Errorf("ppca: smart guess: %w", err)
 			}
 		}
-		if opt.Incarnation > 0 {
-			// Restarted from scratch after a crash with no usable snapshot:
-			// count the restart and the previous incarnation's wasted time.
-			cl.ChargeDriverRestore(0, opt.RecoveredSeconds)
-		}
 	}
-	res.Mean = em.mean
 
 	// Per-task mapper scratch plus the driver-side job sums, allocated once
 	// and recycled every iteration.
-	e := &mrEngine{
+	return em.fit(run, &mrEngine{
 		eng: eng, rows: rows, dims: dims, opt: opt,
 		scr:    newMRScratch(eng.NumSplits(len(rows)), em.d, dims),
 		sums:   newJobSums(dims, em.d),
 		y:      sparseFromRows(rows, dims),
 		sample: sampleIdx(len(rows), opt.sampleRows(), opt.Seed),
-	}
-	if err := runEM(em, opt, e, res); err != nil {
-		return nil, err
-	}
-	return res, nil
+	})
 }
 
-// mrEngine adapts the MapReduce jobs to the shared guarded EM loop.
+// mrEngine adapts the MapReduce jobs to the shared guarded EM step.
 type mrEngine struct {
 	eng    *mapred.Engine
 	rows   []matrix.SparseVector
@@ -100,9 +85,6 @@ type mrEngine struct {
 	y      *matrix.Sparse
 	sample []int
 }
-
-func (e *mrEngine) cluster() *cluster.Cluster { return e.eng.Cluster }
-func (e *mrEngine) faultEpoch() int64         { return e.eng.JobSeq() }
 
 func (e *mrEngine) prepared(em *emDriver) {
 	// Ship CM (and later C) to every node, like Hadoop's distributed cache.

@@ -18,11 +18,10 @@ import (
 	"fmt"
 	"math"
 
-	"spca/internal/checkpoint"
 	"spca/internal/cluster"
+	"spca/internal/driver"
 	"spca/internal/matrix"
 	"spca/internal/parallel"
-	"spca/internal/trace"
 )
 
 // Options configures a PPCA/sPCA fit. The zero value is not valid; start
@@ -76,40 +75,10 @@ type Options struct {
 	// solves. Zero disables the guard (and its best-model tracking).
 	DivergeWindow int
 
-	// Checkpoint configures periodic durable driver snapshots. The zero
-	// value disables them; see CheckpointSpec.
-	Checkpoint CheckpointSpec
-	// Resume, when non-nil, restarts the fit from a snapshot instead of from
-	// the random initialization: the mean/Frobenius jobs and SmartGuess are
-	// skipped, the snapshot's model/guard/history/metrics state is restored,
-	// and iteration continues at snap.Iter+1 — producing a final model
-	// bit-identical to the uninterrupted run.
-	Resume *checkpoint.Snapshot
-	// Faults carries the fault plan for driver-crash injection (task-level
-	// faults are configured on the engines themselves). Incarnation is this
-	// driver's 0-based crash-schedule index: the facade increments it on
-	// every restart so a resumed driver consults the next scheduled crash.
-	Faults      *cluster.FaultPlan
-	Incarnation int
-	// RecoveredSeconds is the simulated time a previous incarnation wasted
-	// on work this run redoes (iterations past the snapshot, or the whole
-	// run when restarting from scratch). It is charged to RecoverySeconds at
-	// restore time and never touches the simulated clock.
-	RecoveredSeconds float64
-
-	// Tracer, when non-nil, receives deterministic spans for the fit, every
-	// EM iteration, every engine job/action/phase charge, and fault events,
-	// all stamped with the simulated clock. Nil (the default) disables
-	// tracing with zero overhead on the steady-state paths.
-	Tracer *trace.Tracer
-
-	// Interrupt, when non-nil, is polled at every iteration boundary (and by
-	// the engines at phase boundaries via the cluster). On cancel, deadline,
-	// or stall the guarded loop stops at the boundary, writes a final
-	// checkpoint when configured, and returns a *cluster.AbortError. Nil (the
-	// default) makes the fit uninterruptible; the poll is allocation-free so
-	// a live handle leaves the steady state and the cost model untouched.
-	Interrupt *cluster.Interrupt
+	// Options are the durability, tracing and interruption settings the
+	// shared iterative driver reads (checkpointing, resume, driver-crash
+	// injection, incarnation accounting, Tracer, Interrupt).
+	driver.Options
 }
 
 // DefaultOptions returns the paper's settings: d components, at most 10
@@ -219,13 +188,11 @@ type emDriver struct {
 	errNum  []float64 // dims
 	errDen  []float64 // dims
 
-	// Durability and numerical-guard state (see guard.go). startIter is 1
-	// for a fresh run and snapshot.Iter+1 after a restore; ridgeLevel is the
-	// standing ridge escalation from divergence rollbacks; lastRidge and
-	// iterRidgeRetries trace the current iteration's guard activity into its
-	// History entry; bestC/bestSS/bestErr/bestIter track the rollback target
-	// (bestC preallocated only when the divergence guard is armed).
-	startIter        int
+	// Numerical-guard state (see guard.go). ridgeLevel is the standing ridge
+	// escalation from divergence rollbacks; lastRidge and iterRidgeRetries
+	// trace the current iteration's guard activity into its History entry;
+	// bestC/bestSS/bestErr/bestIter track the rollback target (bestC
+	// preallocated only when the divergence guard is armed).
 	ridgeLevel       int
 	rising           int
 	lastRidge        float64
@@ -245,27 +212,26 @@ func newEMDriver(opt Options, n, dims int, mean []float64, ss1 float64) *emDrive
 		bestC = matrix.NewDense(dims, d) // rollback target, copied into in place
 	}
 	return &emDriver{
-		startIter: 1,
-		bestC:     bestC,
-		opt:       opt,
-		n:         n,
-		d:         d,
-		dims:      dims,
-		c:         matrix.NormRnd(rng, dims, d),
-		ss:        math.Abs(matrix.NewRNG(opt.Seed+0x9999).NormFloat64()) + 1,
-		mean:      mean,
-		ss1:       ss1,
-		cNext:     matrix.NewDense(dims, d),
-		cm:        matrix.NewDense(dims, d),
-		minv:      matrix.NewDense(d, d),
-		xm:        make([]float64, d),
-		mWork:     matrix.NewDense(d, d),
-		invWork:   matrix.NewDense(d, 2*d),
-		ctc:       matrix.NewDense(d, d),
-		ctym:      make([]float64, d),
-		errXi:     make([]float64, d),
-		errNum:    make([]float64, dims),
-		errDen:    make([]float64, dims),
+		bestC:   bestC,
+		opt:     opt,
+		n:       n,
+		d:       d,
+		dims:    dims,
+		c:       matrix.NormRnd(rng, dims, d),
+		ss:      math.Abs(matrix.NewRNG(opt.Seed+0x9999).NormFloat64()) + 1,
+		mean:    mean,
+		ss1:     ss1,
+		cNext:   matrix.NewDense(dims, d),
+		cm:      matrix.NewDense(dims, d),
+		minv:    matrix.NewDense(d, d),
+		xm:      make([]float64, d),
+		mWork:   matrix.NewDense(d, d),
+		invWork: matrix.NewDense(d, 2*d),
+		ctc:     matrix.NewDense(d, d),
+		ctym:    make([]float64, d),
+		errXi:   make([]float64, d),
+		errNum:  make([]float64, dims),
+		errDen:  make([]float64, dims),
 	}
 }
 

@@ -3,7 +3,7 @@ package ppca
 import (
 	"fmt"
 
-	"spca/internal/cluster"
+	"spca/internal/driver"
 	"spca/internal/mapred"
 	"spca/internal/matrix"
 	"spca/internal/rdd"
@@ -32,22 +32,16 @@ func FitSpark(ctx *rdd.Context, rows []matrix.SparseVector, dims int, opt Option
 	y.Persist()
 	defer y.Unpersist()
 
-	res := &Result{}
+	// On resume the RDD setup above was redone by this incarnation, so its
+	// cost moves to RecoverySeconds when the clock is rewound to the
+	// snapshot; the mean and Frobenius jobs are restored, not re-run.
+	run := driver.New(opt.Options, cl, ctx)
+	if err := run.Resume(len(rows), dims, opt.Components, opt.Seed); err != nil {
+		return nil, err
+	}
 	var em *emDriver
 	if snap := opt.Resume; snap != nil {
-		// Resume: the RDD setup above had to be redone by this incarnation,
-		// so its cost (everything charged so far) moves to RecoverySeconds
-		// when the clock is rewound to the snapshot's value; the mean and
-		// Frobenius jobs are restored, not re-run.
-		if err := snap.Validate(len(rows), dims, opt.Components, opt.Seed); err != nil {
-			return nil, err
-		}
-		setup := cl.Metrics().SimSeconds
 		em = newEMDriver(opt, len(rows), dims, snap.Mean, snap.SS1)
-		cl.RestoreMetrics(snap.Metrics)
-		cl.ChargeDriverRestore(snap.CostBytes(), opt.RecoveredSeconds+setup)
-		ctx.SetEpoch(snap.FaultEpoch)
-		em.restore(snap, res)
 	} else {
 		mean, err := sparkMean(ctx, y, dims)
 		if err != nil {
@@ -63,27 +57,19 @@ func FitSpark(ctx *rdd.Context, rows []matrix.SparseVector, dims int, opt Option
 				return nil, fmt.Errorf("ppca: smart guess: %w", err)
 			}
 		}
-		if opt.Incarnation > 0 {
-			cl.ChargeDriverRestore(0, opt.RecoveredSeconds)
-		}
 	}
-	res.Mean = em.mean
 
 	// Per-partition task scratch plus the driver-side sums, allocated once
 	// and recycled every iteration.
-	e := &sparkEngine{
+	return em.fit(run, &sparkEngine{
 		ctx: ctx, y: y, dims: dims, opt: opt,
 		scr:    newSparkScratch(y.NumPartitions(), dims, em.d),
 		ymat:   sparseFromRows(rows, dims),
 		sample: sampleIdx(len(rows), opt.sampleRows(), opt.Seed),
-	}
-	if err := runEM(em, opt, e, res); err != nil {
-		return nil, err
-	}
-	return res, nil
+	})
 }
 
-// sparkEngine adapts the RDD jobs to the shared guarded EM loop.
+// sparkEngine adapts the RDD jobs to the shared guarded EM step.
 type sparkEngine struct {
 	ctx    *rdd.Context
 	y      *rdd.RDD[matrix.SparseVector]
@@ -93,9 +79,6 @@ type sparkEngine struct {
 	ymat   *matrix.Sparse
 	sample []int
 }
-
-func (e *sparkEngine) cluster() *cluster.Cluster { return e.ctx.Cluster() }
-func (e *sparkEngine) faultEpoch() int64         { return e.ctx.Epoch() }
 
 func (e *sparkEngine) prepared(em *emDriver) {
 	rdd.Broadcast(e.ctx, "CM", mapred.BytesOfDense(em.cm))

@@ -3,7 +3,7 @@ package ppca
 import (
 	"fmt"
 
-	"spca/internal/cluster"
+	"spca/internal/driver"
 	"spca/internal/matrix"
 	"spca/internal/trace"
 )
@@ -86,39 +86,25 @@ func FitStream(src matrix.RowSource, opt Options) (*Result, error) {
 		sampleRows[i] = i
 	}
 
-	em := newEMDriver(opt, n, dims, mean, ss1)
-	res := &Result{}
-	if snap := opt.Resume; snap != nil {
-		// Streaming resume: pass 0 above is re-run (the sample capture needs
-		// a scan regardless, and its mean/ss1 are bit-identical to the
-		// snapshot's), then the model/guard/history state is restored.
-		if err := snap.Validate(n, dims, opt.Components, opt.Seed); err != nil {
-			return nil, err
-		}
-		res.Metrics = snap.Metrics
-		res.Metrics.DriverRestarts++
-		em.restore(snap, res)
-	} else if opt.Incarnation > 0 {
-		res.Metrics.DriverRestarts++
+	// On resume pass 0 above is re-run (the sample capture needs a scan
+	// regardless, and its mean/ss1 are bit-identical to the snapshot's).
+	run := driver.New(opt.Options, nil, nil)
+	if err := run.Resume(n, dims, opt.Components, opt.Seed); err != nil {
+		return nil, err
 	}
-	res.Mean = mean
-
+	em := newEMDriver(opt, n, dims, mean, ss1)
 	d := em.d
 	// The pass sums are hoisted out of the iteration loop and zeroed in place
 	// each iteration.
-	e := &streamEngine{
+	return em.fit(run, &streamEngine{
 		src: src, sums: newJobSums(dims, d),
 		sample: sample, sampleRows: sampleRows,
 		xi: make([]float64, d), ct: make([]float64, d),
-	}
-	if err := runEM(em, opt, e, res); err != nil {
-		return nil, err
-	}
-	return res, nil
+	})
 }
 
 // streamEngine adapts the two streaming passes to the shared guarded EM
-// loop. Like the local engine it has no simulated cluster; the error metric
+// step. Like the local engine it has no simulated cluster; the error metric
 // runs on the row sample captured during pass 0.
 type streamEngine struct {
 	src        matrix.RowSource
@@ -128,9 +114,7 @@ type streamEngine struct {
 	xi, ct     []float64
 }
 
-func (e *streamEngine) cluster() *cluster.Cluster { return nil }
-func (e *streamEngine) faultEpoch() int64         { return 0 }
-func (e *streamEngine) prepared(*emDriver)        {}
+func (e *streamEngine) prepared(*emDriver) {}
 
 func (e *streamEngine) pass(em *emDriver) (jobSums, error) {
 	// Consolidated YtX/XtX/ΣX in one sequential scan.

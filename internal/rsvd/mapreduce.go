@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"spca/internal/cluster"
+	"spca/internal/driver"
 	"spca/internal/mapred"
 	"spca/internal/matrix"
 	"spca/internal/trace"
@@ -30,47 +31,31 @@ func FitMapReduce(eng *mapred.Engine, rows []matrix.SparseVector, dims int, opt 
 			trace.I("components", int64(opt.Components)), trace.I("incarnation", int64(opt.Incarnation)))
 		defer tr.End()
 	}
-	res := &Result{}
-	dr := newDriver(cl, opt, rows, dims)
-
-	indexed := make([]indexedRow, len(rows))
-	for i, r := range rows {
-		indexed[i] = indexedRow{idx: i, row: r}
+	sk := newSketch(opt, rows, dims)
+	run := driver.New(opt.Options, cl, eng)
+	if err := run.Resume(len(rows), dims, opt.Components, opt.Seed); err != nil {
+		return nil, err
 	}
-	me := &mrEngine{
-		eng: eng, opt: opt, dims: dims, indexed: indexed,
-		scr: newMRScratch(eng.NumSplits(len(rows))),
-	}
-
 	if snap := opt.Resume; snap != nil {
-		// Resume: the mean job was already paid for by the crashed
-		// incarnation and lives in the snapshot; restore its clock wholesale
-		// and replay the remaining rounds under the same fault cursor.
-		if err := snap.Validate(len(rows), dims, opt.Components, opt.Seed); err != nil {
-			return nil, err
-		}
-		cl.RestoreMetrics(snap.Metrics)
-		cl.ChargeDriverRestore(snap.CostBytes(), opt.RecoveredSeconds)
-		eng.SetJobSeq(snap.FaultEpoch)
-		dr.restore(snap, res)
+		// The mean job was already paid for by the crashed incarnation and
+		// lives in the snapshot.
+		sk.restore(snap)
 	} else {
 		mean, err := meanJob(eng, rows, dims)
 		if err != nil {
 			return nil, err
 		}
-		dr.mean = mean
-		if opt.Incarnation > 0 {
-			// Restarted from scratch after a crash with no usable snapshot:
-			// count the restart and the previous incarnation's wasted time.
-			cl.ChargeDriverRestore(0, opt.RecoveredSeconds)
-		}
+		sk.mean = mean
 	}
-	me.mean = dr.mean
 
-	if err := dr.run(me, res); err != nil {
-		return nil, err
+	indexed := make([]indexedRow, len(rows))
+	for i, r := range rows {
+		indexed[i] = indexedRow{idx: i, row: r}
 	}
-	return res, nil
+	return sk.fit(run, &mrEngine{
+		eng: eng, opt: opt, dims: dims, indexed: indexed, mean: sk.mean,
+		scr: newMRScratch(eng.NumSplits(len(rows))),
+	})
 }
 
 type indexedRow struct {
@@ -91,8 +76,6 @@ type mrEngine struct {
 	p       *matrix.Dense // N x k projection, refilled by every project job
 	b       *matrix.Dense // D x k, refilled by every B job
 }
-
-func (e *mrEngine) faultEpoch() int64 { return e.eng.JobSeq() }
 
 func (e *mrEngine) round(round, k int) (*matrix.Dense, []float64, error) {
 	cl := e.eng.Cluster

@@ -29,31 +29,13 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"path/filepath"
-	"time"
 
 	"spca/internal/checkpoint"
 	"spca/internal/cluster"
+	"spca/internal/driver"
 	"spca/internal/matrix"
 	"spca/internal/trace"
 )
-
-// CheckpointSpec configures periodic driver snapshots at sketch-round
-// granularity. The zero value disables checkpointing. (This mirrors
-// ppca.CheckpointSpec; rsvd sits beside ppca in the import graph, so it
-// carries its own copy.)
-type CheckpointSpec struct {
-	// Interval snapshots after every Interval-th completed round.
-	Interval int
-	// Dir receives the snapshot files.
-	Dir string
-	// Keep bounds retained snapshot generations after each write: 0 means
-	// checkpoint.DefaultKeep, negative means unlimited.
-	Keep int
-}
-
-// Enabled reports whether checkpointing is armed.
-func (c CheckpointSpec) Enabled() bool { return c.Interval > 0 && c.Dir != "" }
 
 // Options configures a randomized-sketch PCA run.
 type Options struct {
@@ -79,29 +61,12 @@ type Options struct {
 	SampleRows int
 	// Seed drives every random draw through matrix.DeriveSeed.
 	Seed uint64
-	// Tracer, when non-nil, receives deterministic spans. Nil disables
-	// tracing.
-	Tracer *trace.Tracer
 
-	// Checkpoint arms round-granularity snapshots (see CheckpointSpec).
-	Checkpoint CheckpointSpec
-	// Incarnation is the 0-based driver incarnation (used by the fault
-	// plan's driver-crash schedule and the resume accounting).
-	Incarnation int
-	// RecoveredSeconds charges the simulated time lost to the previous
-	// incarnation's crash.
-	RecoveredSeconds float64
-	// Resume, when non-nil, restores the run from a snapshot instead of
-	// starting from scratch.
-	Resume *checkpoint.Snapshot
-	// Faults injects deterministic driver crashes (task-level faults are
-	// armed on the engine / context by the caller).
-	Faults *cluster.FaultPlan
-	// Interrupt, when non-nil, is polled at every round boundary (and by the
-	// engines at phase boundaries via the cluster). On cancel/deadline/stall
-	// the round loop stops at the boundary, flushes a final snapshot when
-	// checkpointing is armed, and returns a *cluster.AbortError.
-	Interrupt *cluster.Interrupt
+	// Options are the settings of the shared iterative driver: round-
+	// granularity snapshots, resume, driver-crash injection (task-level
+	// faults are armed on the engine / context by the caller), incarnation
+	// accounting, Tracer, and the Interrupt polled at every round boundary.
+	driver.Options
 }
 
 // DefaultOptions returns the paper-flavoured defaults for d components.
@@ -183,19 +148,21 @@ type Result struct {
 }
 
 // roundEngine is the per-platform part of a fit: one full sketch round
-// producing candidate components and singular values. faultEpoch reports the
-// engine's fault-decision cursor for checkpointing.
+// producing candidate components and singular values.
 type roundEngine interface {
 	round(round, k int) (*matrix.Dense, []float64, error)
-	faultEpoch() int64
 }
 
-// driver owns the platform-independent round loop: best-of-rounds selection,
-// the sampled error metric, history/tracing, checkpoint writes, and injected
-// driver crashes.
-type driver struct {
-	cl      *cluster.Cluster
+// sketch is the platform-independent half of a fit, run one round per Step
+// by the shared iterative driver (internal/driver), which owns the loop,
+// the interrupt polls, the checkpoints, and the driver-crash injection. It
+// keeps the best-of-rounds model under the sampled error metric and the
+// round history.
+type sketch struct {
 	opt     Options
+	run     *driver.Run
+	eng     roundEngine
+	res     *Result
 	n, dims int
 	k       int
 	mean    []float64
@@ -208,9 +175,10 @@ type driver struct {
 	bestSing []float64
 }
 
-func newDriver(cl *cluster.Cluster, opt Options, rows []matrix.SparseVector, dims int) *driver {
-	return &driver{
-		cl: cl, opt: opt, n: len(rows), dims: dims,
+func newSketch(opt Options, rows []matrix.SparseVector, dims int) *sketch {
+	return &sketch{
+		opt: opt, n: len(rows), dims: dims,
+		res:     &Result{},
 		k:       opt.sketchWidth(len(rows), dims),
 		y:       sparseFromRows(rows, dims),
 		sample:  sampleIdx(len(rows), opt.sampleRows(), opt.Seed),
@@ -220,237 +188,85 @@ func newDriver(cl *cluster.Cluster, opt Options, rows []matrix.SparseVector, dim
 }
 
 // restore loads a validated snapshot: best-of-rounds state, mean, and
-// history. The caller restores cluster metrics and the engine fault epoch.
-func (dr *driver) restore(snap *checkpoint.Snapshot, res *Result) {
-	dr.mean = snap.Mean
-	dr.bestErr = snap.SS
-	dr.bestW = snap.C
-	dr.bestSing = snap.Singular
-	res.History = res.History[:0]
+// history. The shared driver's Resume prelude has already restored and
+// charged the clock and rewound the engine's fault cursor.
+func (s *sketch) restore(snap *checkpoint.Snapshot) {
+	s.mean = snap.Mean
+	s.bestErr = snap.SS
+	s.bestW = snap.C
+	s.bestSing = snap.Singular
 	for _, h := range snap.History {
-		res.History = append(res.History, IterationStat{
+		s.res.History = append(s.res.History, IterationStat{
 			Iter: h.Iter, Err: h.Err, Accuracy: h.Accuracy, SimSeconds: h.SimSeconds,
 		})
 	}
 }
 
-// run executes sketch rounds until MaxRounds or TargetAccuracy, starting
-// after the resumed round when a snapshot was restored.
-func (dr *driver) run(eng roundEngine, res *Result) error {
-	opt := dr.opt
-	start := 1
-	if opt.Resume != nil {
-		start = opt.Resume.Iter + 1
+// fit runs sketch rounds on the shared driver until MaxRounds or
+// TargetAccuracy, then assembles the best round's model.
+func (s *sketch) fit(run *driver.Run, eng roundEngine) (*Result, error) {
+	s.run, s.eng = run, eng
+	if err := run.Loop(s, s.opt.maxRounds(), "round", "round"); err != nil {
+		return nil, err
 	}
-	for round := start; round <= opt.maxRounds(); round++ {
-		// Entry poll: a pre-canceled context (or one canceled between rounds)
-		// is observed here, with round-1 rounds completed.
-		if cause := opt.Interrupt.Err(); cause != nil {
-			return dr.abortRun(round-1, cause, eng, res, true)
-		}
-		stop, err := dr.runRound(eng, res, round)
-		if err != nil {
-			if cluster.IsInterrupt(err) {
-				// An engine phase unwound mid-round: the round is abandoned
-				// (its jobs partly charged, the engine's fault cursor
-				// mid-stream), so no fresh snapshot is written — resume
-				// redoes the round from the last periodic one.
-				return dr.abortRun(round-1, err, eng, res, false)
-			}
-			return err
-		}
-		if stop {
-			break
-		}
-		// Boundary poll: the deterministic abort point between rounds.
-		if cause := opt.Interrupt.Err(); cause != nil {
-			return dr.abortRun(round, cause, eng, res, true)
-		}
-		opt.Interrupt.Progress()
-	}
-	res.Components = dr.bestW
-	res.Singular = dr.bestSing
-	res.Mean = dr.mean
+	res := s.res
+	res.Components = s.bestW
+	res.Singular = s.bestSing
+	res.Mean = s.mean
 	res.Iterations = len(res.History)
-	res.Metrics = dr.cl.Metrics()
-	res.Phases = cluster.Summarize(dr.cl.PhaseLog(), dr.cl.Config())
-	return nil
+	res.Metrics, res.Phases = run.Finish()
+	return res, nil
 }
 
-func (dr *driver) runRound(eng roundEngine, res *Result, round int) (bool, error) {
-	opt := dr.opt
-	tr := opt.Tracer
-	if tr != nil {
-		tr.Begin("round", trace.KindIteration, trace.I("round", int64(round)))
-		defer tr.End()
-	}
-	w, sing, err := eng.round(round, dr.k)
+// Done stops re-drawing once the best round reaches TargetAccuracy.
+func (s *sketch) Done() bool {
+	h := s.res.History
+	return s.opt.TargetAccuracy > 0 && len(h) > 0 && h[len(h)-1].Accuracy >= s.opt.TargetAccuracy
+}
+
+func (s *sketch) Step(round int) error {
+	w, sing, err := s.eng.round(round, s.k)
 	if err != nil {
-		return false, err
+		return err
 	}
 	// Best-of-rounds on the sampled reconstruction error (§2.3's
 	// accuracy/compute trade, shared with the ssvd baseline's metric).
-	e := dr.recon.reconstructionError(dr.y, dr.mean, w, dr.sample)
-	if e < dr.bestErr {
-		dr.bestErr = e
-		dr.bestW = w
-		dr.bestSing = sing
+	e := s.recon.reconstructionError(s.y, s.mean, w, s.sample)
+	if e < s.bestErr {
+		s.bestErr = e
+		s.bestW = w
+		s.bestSing = sing
 	}
-	acc := accuracyOf(opt, dr.bestErr)
 	stat := IterationStat{
-		Iter: round, Err: dr.bestErr, Accuracy: acc, SimSeconds: dr.cl.Metrics().SimSeconds,
+		Iter: round, Err: s.bestErr, Accuracy: accuracyOf(s.opt, s.bestErr), SimSeconds: s.run.SimSeconds(),
 	}
-	res.History = append(res.History, stat)
-	if tr != nil {
-		tr.IterationDone(trace.Iteration{
-			Iter: stat.Iter, Err: stat.Err, Accuracy: stat.Accuracy, SimSeconds: stat.SimSeconds,
-		})
-	}
-	if opt.Checkpoint.Enabled() && round%opt.Checkpoint.Interval == 0 {
-		if err := dr.writeCheckpoint(eng, res, round); err != nil {
-			return false, err
-		}
-	}
-	if opt.Faults.DriverCrashAt(round, opt.Incarnation) {
-		crash := &cluster.DriverCrashError{
-			Iter: round, Incarnation: opt.Incarnation, SimSeconds: dr.cl.Metrics().SimSeconds,
-		}
-		if tr != nil {
-			tr.Event("driver-crash",
-				trace.I("iter", int64(round)), trace.I("incarnation", int64(opt.Incarnation)))
-		}
-		return false, crash
-	}
-	return opt.TargetAccuracy > 0 && acc >= opt.TargetAccuracy, nil
-}
-
-// writeCheckpoint charges and writes one round-granularity snapshot. As in
-// the EM driver, the checkpoint cost is charged BEFORE metrics are captured,
-// so a resumed run's restored clock already includes the write it resumes
-// from.
-func (dr *driver) writeCheckpoint(eng roundEngine, res *Result, round int) error {
-	opt := dr.opt
-	snap := dr.buildSnapshot(eng, res, round)
-	dr.cl.ChargeCheckpoint(snap.CostBytes()) // emits the checkpoint span itself
-	snap.Metrics = dr.cl.Metrics()
-	if _, err := checkpoint.Save(opt.Checkpoint.Dir, snap); err != nil {
-		return fmt.Errorf("rsvd: writing checkpoint at round %d: %w", round, err)
-	}
-	// Injected storage corruption damages the file only — driver state and
-	// the simulated clock are untouched, so the run continues as if the write
-	// succeeded and only a later resume discovers the bad generation.
-	if opt.Faults.SnapshotCorrupt(round) {
-		torn := opt.Faults.SnapshotTorn(round)
-		off := opt.Faults.CorruptOffset("ckpt", round, snap.Bytes)
-		kind := int64(0)
-		if torn {
-			kind = 1
-		}
-		opt.Tracer.Event("checkpoint-corrupted",
-			trace.I("iter", int64(round)), trace.I("torn", kind), trace.I("offset", off))
-		if err := checkpoint.Corrupt(filepath.Join(opt.Checkpoint.Dir, checkpoint.FileName(round)), torn, off); err != nil {
-			return fmt.Errorf("rsvd: injecting checkpoint fault at round %d: %w", round, err)
-		}
-	}
-	if opt.Checkpoint.Keep >= 0 {
-		if err := checkpoint.Prune(opt.Checkpoint.Dir, opt.Checkpoint.Keep); err != nil {
-			return fmt.Errorf("rsvd: pruning checkpoints at round %d: %w", round, err)
-		}
-	}
+	s.res.History = append(s.res.History, stat)
+	s.opt.Tracer.IterationDone(trace.Iteration{
+		Iter: stat.Iter, Err: stat.Err, Accuracy: stat.Accuracy, SimSeconds: stat.SimSeconds,
+	})
 	return nil
 }
 
-// buildSnapshot assembles the best-of-rounds boundary state into a snapshot
-// (metrics are filled in by the caller, which decides whether the write is
-// charged to the simulated cluster first).
-func (dr *driver) buildSnapshot(eng roundEngine, res *Result, round int) *checkpoint.Snapshot {
-	opt := dr.opt
+// SpanEnd closes a round span without attributes.
+func (s *sketch) SpanEnd(error) []trace.Attr { return nil }
+
+// Snapshot assembles the best-of-rounds boundary state.
+func (s *sketch) Snapshot(round int) *checkpoint.Snapshot {
 	snap := &checkpoint.Snapshot{
 		Iter: round,
-		N:    dr.n, Dims: dr.dims, D: opt.Components, Seed: opt.Seed,
-		FaultEpoch: eng.faultEpoch(),
-		SS:         dr.bestErr,
-		Mean:       dr.mean,
-		C:          dr.bestW,
-		Singular:   dr.bestSing,
+		N:    s.n, Dims: s.dims, D: s.opt.Components, Seed: s.opt.Seed,
+		SS:       s.bestErr,
+		Mean:     s.mean,
+		C:        s.bestW,
+		Singular: s.bestSing,
 	}
-	snap.History = make([]checkpoint.HistoryEntry, len(res.History))
-	for i, h := range res.History {
+	snap.History = make([]checkpoint.HistoryEntry, len(s.res.History))
+	for i, h := range s.res.History {
 		snap.History[i] = checkpoint.HistoryEntry{
 			Iter: h.Iter, Err: h.Err, Accuracy: h.Accuracy, SimSeconds: h.SimSeconds,
 		}
 	}
 	return snap
-}
-
-// abortRun converts an observed interrupt into a resumable *cluster.AbortError.
-// Same determinism contract as the EM driver's counterpart (internal/ppca):
-// only a boundary abort flushes a fresh snapshot, and the flush charges
-// nothing to the simulated cluster.
-func (dr *driver) abortRun(last int, cause error, eng roundEngine, res *Result, atBoundary bool) error {
-	opt := dr.opt
-	ab := &cluster.AbortError{Iter: last, Cause: cause, SimSeconds: dr.cl.Metrics().SimSeconds}
-	if errors.Is(cause, cluster.ErrStalled) {
-		ab.Diagnostic = dr.cl.StallDiagnostic()
-	}
-	if opt.Checkpoint.Enabled() {
-		switch {
-		case last > 0 && last%opt.Checkpoint.Interval == 0:
-			ab.Checkpointed = true
-		case atBoundary && last > 0:
-			if err := dr.writeFinalCheckpoint(eng, res, last); err != nil {
-				opt.Tracer.Event("final-checkpoint-failed", trace.I("iter", int64(last)))
-			} else {
-				ab.Checkpointed = true
-			}
-		default:
-			ab.Checkpointed = last >= opt.Checkpoint.Interval || opt.Resume != nil
-		}
-	}
-	ck := int64(0)
-	if ab.Checkpointed {
-		ck = 1
-	}
-	opt.Tracer.Event(cluster.AbortEventName(cause), trace.I("iter", int64(last)), trace.I("checkpointed", ck))
-	return ab
-}
-
-// Final-snapshot flush retry bounds (real time; the simulated clock is never
-// involved in abort handling).
-const (
-	finalSaveRetries = 3
-	finalSaveBackoff = 25 * time.Millisecond
-)
-
-// writeFinalCheckpoint flushes an out-of-interval snapshot at an abort
-// boundary, charging nothing to the simulated cluster: the snapshot's
-// embedded metrics equal the boundary state exactly, so a resume continues
-// bit-identically to an uninterrupted run. Real-I/O failures retry with
-// exponential backoff.
-func (dr *driver) writeFinalCheckpoint(eng roundEngine, res *Result, round int) error {
-	opt := dr.opt
-	snap := dr.buildSnapshot(eng, res, round)
-	snap.Metrics = dr.cl.Metrics()
-	var err error
-	backoff := finalSaveBackoff
-	for attempt := 0; attempt <= finalSaveRetries; attempt++ {
-		if attempt > 0 {
-			time.Sleep(backoff)
-			backoff *= 2
-		}
-		if _, err = checkpoint.Save(opt.Checkpoint.Dir, snap); err == nil {
-			opt.Tracer.Event("final-checkpoint",
-				trace.I("iter", int64(round)), trace.I("retries", int64(attempt)))
-			if opt.Checkpoint.Keep >= 0 {
-				if perr := checkpoint.Prune(opt.Checkpoint.Dir, opt.Checkpoint.Keep); perr != nil {
-					return fmt.Errorf("rsvd: pruning checkpoints at abort: %w", perr)
-				}
-			}
-			return nil
-		}
-	}
-	return fmt.Errorf("rsvd: final checkpoint at round %d failed after %d retries: %w",
-		round, finalSaveRetries, err)
 }
 
 // accuracyOf converts an error into a fraction of ideal accuracy

@@ -3,6 +3,7 @@ package rsvd
 import (
 	"fmt"
 
+	"spca/internal/driver"
 	"spca/internal/mapred"
 	"spca/internal/matrix"
 	"spca/internal/rdd"
@@ -33,39 +34,27 @@ func FitSpark(ctx *rdd.Context, rows []matrix.SparseVector, dims int, opt Option
 	y.Persist()
 	defer y.Unpersist()
 
-	res := &Result{}
-	dr := newDriver(cl, opt, rows, dims)
+	// On resume the RDD setup above was redone by this incarnation, so its
+	// cost moves to RecoverySeconds when the clock is rewound to the
+	// snapshot; the mean job is restored, not re-run.
+	sk := newSketch(opt, rows, dims)
+	run := driver.New(opt.Options, cl, ctx)
+	if err := run.Resume(len(rows), dims, opt.Components, opt.Seed); err != nil {
+		return nil, err
+	}
 	if snap := opt.Resume; snap != nil {
-		// Resume: the RDD setup above had to be redone by this incarnation,
-		// so its cost moves to RecoverySeconds when the clock is rewound to
-		// the snapshot's value; the mean job is restored, not re-run.
-		if err := snap.Validate(len(rows), dims, opt.Components, opt.Seed); err != nil {
-			return nil, err
-		}
-		setup := cl.Metrics().SimSeconds
-		cl.RestoreMetrics(snap.Metrics)
-		cl.ChargeDriverRestore(snap.CostBytes(), opt.RecoveredSeconds+setup)
-		ctx.SetEpoch(snap.FaultEpoch)
-		dr.restore(snap, res)
+		sk.restore(snap)
 	} else {
 		mean, err := sparkMean(ctx, y, dims)
 		if err != nil {
 			return nil, err
 		}
-		dr.mean = mean
-		if opt.Incarnation > 0 {
-			cl.ChargeDriverRestore(0, opt.RecoveredSeconds)
-		}
+		sk.mean = mean
 	}
-
-	se := &sparkEngine{
-		ctx: ctx, y: y, dims: dims, opt: opt, mean: dr.mean,
+	return sk.fit(run, &sparkEngine{
+		ctx: ctx, y: y, dims: dims, opt: opt, mean: sk.mean,
 		parts: make([]*localSketch, y.NumPartitions()),
-	}
-	if err := dr.run(se, res); err != nil {
-		return nil, err
-	}
-	return res, nil
+	})
 }
 
 // sparkEngine implements one sketch round as a single RDD action plus an
@@ -81,8 +70,6 @@ type sparkEngine struct {
 	mb      []float64     // driver-side ΩᵀYm, reused per round
 	stacked *matrix.Dense // (blocks·k) x D merge target, reused per round
 }
-
-func (e *sparkEngine) faultEpoch() int64 { return e.ctx.Epoch() }
 
 func (e *sparkEngine) round(round, k int) (*matrix.Dense, []float64, error) {
 	cl := e.ctx.Cluster()

@@ -30,6 +30,7 @@ import (
 	"spca/internal/cluster"
 	"spca/internal/covpca"
 	"spca/internal/dataset"
+	"spca/internal/driver"
 	"spca/internal/mapred"
 	"spca/internal/matrix"
 	"spca/internal/ppca"
@@ -190,7 +191,7 @@ type FaultPlan = cluster.FaultPlan
 
 // CheckpointSpec configures periodic durable driver snapshots; see
 // Config.Checkpoint.
-type CheckpointSpec = ppca.CheckpointSpec
+type CheckpointSpec = driver.CheckpointSpec
 
 // DriverCrashError reports an injected driver crash: the EM iteration the
 // driver completed before dying, the incarnation that crashed, and the
@@ -529,42 +530,21 @@ func Fit(y *Sparse, cfg Config) (*Result, error) {
 	intr := cluster.NewInterrupt(cfg.Context, cfg.StallTimeout)
 
 	switch cfg.Algorithm {
-	case LocalPPCA:
+	case LocalPPCA, SPCAMapReduce, SPCASpark:
 		opt := cfg.ppcaOptions(y)
 		opt.Tracer = tr
 		opt.Interrupt = intr
-		res, err := cfg.runWithResume(opt, func(opt ppca.Options) (*ppca.Result, error) {
-			return ppca.FitLocal(y, opt)
-		})
-		if err != nil {
-			return nil, err
-		}
-		return attachTrace(fromPPCA(cfg.Algorithm, cfg.Seed, res), col), nil
-
-	case SPCAMapReduce:
-		opt := cfg.ppcaOptions(y)
-		opt.Tracer = tr
-		opt.Interrupt = intr
-		res, err := cfg.runWithResume(opt, func(opt ppca.Options) (*ppca.Result, error) {
+		res, err := driver.Restart(opt.Options, cfg.Resume, func(d driver.Options) (*ppca.Result, error) {
+			opt.Options = d
+			if cfg.Algorithm == LocalPPCA {
+				return ppca.FitLocal(y, opt)
+			}
 			cl, err := cfg.newCluster(intr)
 			if err != nil {
 				return nil, err
 			}
-			return ppca.FitMapReduce(cfg.mapredEngine(cl), rows, y.C, opt)
-		})
-		if err != nil {
-			return nil, err
-		}
-		return attachTrace(fromPPCA(cfg.Algorithm, cfg.Seed, res), col), nil
-
-	case SPCASpark:
-		opt := cfg.ppcaOptions(y)
-		opt.Tracer = tr
-		opt.Interrupt = intr
-		res, err := cfg.runWithResume(opt, func(opt ppca.Options) (*ppca.Result, error) {
-			cl, err := cfg.newCluster(intr)
-			if err != nil {
-				return nil, err
+			if cfg.Algorithm == SPCAMapReduce {
+				return ppca.FitMapReduce(cfg.mapredEngine(cl), rows, y.C, opt)
 			}
 			return ppca.FitSpark(cfg.rddContext(cl), rows, y.C, opt)
 		})
@@ -573,30 +553,18 @@ func Fit(y *Sparse, cfg Config) (*Result, error) {
 		}
 		return attachTrace(fromPPCA(cfg.Algorithm, cfg.Seed, res), col), nil
 
-	case RSVDMapReduce:
+	case RSVDMapReduce, RSVDSpark:
 		opt := cfg.rsvdOptions(y)
 		opt.Tracer = tr
 		opt.Interrupt = intr
-		res, err := cfg.runSketchWithResume(opt, func(opt rsvd.Options) (*rsvd.Result, error) {
+		res, err := driver.Restart(opt.Options, cfg.Resume, func(d driver.Options) (*rsvd.Result, error) {
+			opt.Options = d
 			cl, err := cfg.newCluster(intr)
 			if err != nil {
 				return nil, err
 			}
-			return rsvd.FitMapReduce(cfg.mapredEngine(cl), rows, y.C, opt)
-		})
-		if err != nil {
-			return nil, err
-		}
-		return attachTrace(fromRSVD(cfg.Algorithm, cfg.Seed, res), col), nil
-
-	case RSVDSpark:
-		opt := cfg.rsvdOptions(y)
-		opt.Tracer = tr
-		opt.Interrupt = intr
-		res, err := cfg.runSketchWithResume(opt, func(opt rsvd.Options) (*rsvd.Result, error) {
-			cl, err := cfg.newCluster(intr)
-			if err != nil {
-				return nil, err
+			if cfg.Algorithm == RSVDMapReduce {
+				return rsvd.FitMapReduce(cfg.mapredEngine(cl), rows, y.C, opt)
 			}
 			return rsvd.FitSpark(cfg.sketchRDDContext(cl), rows, y.C, opt)
 		})
@@ -626,7 +594,7 @@ func Fit(y *Sparse, cfg Config) (*Result, error) {
 		opt.Tracer = tr
 		res, err := ssvd.FitMapReduce(cfg.mapredEngine(cl), rows, y.C, opt)
 		if err != nil {
-			return nil, normalizeInterrupt(err)
+			return nil, driver.NormalizeInterrupt(err)
 		}
 		out := &Result{
 			Model: Model{
@@ -661,7 +629,7 @@ func Fit(y *Sparse, cfg Config) (*Result, error) {
 		opt.Tracer = tr
 		res, err := covpca.FitSpark(cfg.rddContext(cl), rows, y.C, opt)
 		if err != nil {
-			return nil, normalizeInterrupt(err)
+			return nil, driver.NormalizeInterrupt(err)
 		}
 		return attachTrace(&Result{
 			Model: Model{
@@ -690,7 +658,7 @@ func Fit(y *Sparse, cfg Config) (*Result, error) {
 		opt.Tracer = tr
 		res, err := svdbidiag.FitMapReduce(cfg.mapredEngine(cl), rows, y.C, opt)
 		if err != nil {
-			return nil, normalizeInterrupt(err)
+			return nil, driver.NormalizeInterrupt(err)
 		}
 		return attachTrace(&Result{
 			Model: Model{
@@ -783,161 +751,6 @@ func (c Config) sketchRDDContext(cl *cluster.Cluster) *rdd.Context {
 	return ctx
 }
 
-// runWithResume executes one PPCA fit attempt per driver incarnation,
-// restarting after injected driver crashes. With checkpointing enabled the
-// next incarnation resumes from the latest snapshot (or from scratch when the
-// crash predates the first write); the wasted simulated time between the
-// snapshot and the crash is charged to the new incarnation's recovery
-// metrics. Without checkpointing a driver crash is fatal, as it is for a
-// stock Hadoop/Spark driver.
-func (c Config) runWithResume(opt ppca.Options, run func(ppca.Options) (*ppca.Result, error)) (*ppca.Result, error) {
-	// A deterministic plan crashes at most once per scheduled incarnation,
-	// so this bound is never hit by a plan Fit can survive; it only guards
-	// against a runaway loop.
-	const maxRestarts = 64
-	var quarantined int64
-	if c.Resume && opt.Checkpoint.Enabled() {
-		// Explicit continuation of an earlier aborted run: start attempt 0
-		// from the latest valid snapshot. An empty directory (nothing was
-		// ever checkpointed) falls back to a fresh run.
-		snap, report, lerr := checkpoint.LatestReport(opt.Checkpoint.Dir)
-		quarantined += noteQuarantined(opt.Tracer, report)
-		switch {
-		case lerr == nil:
-			opt.Resume = snap
-		case errors.Is(lerr, checkpoint.ErrNoCheckpoint):
-		default:
-			return nil, fmt.Errorf("spca: resuming from checkpoint: %w", lerr)
-		}
-	}
-	for attempt := 0; ; attempt++ {
-		opt.Incarnation = attempt
-		// Spans from a resumed incarnation land on their own lane so crashed
-		// and resumed work stay distinguishable in exported traces.
-		opt.Tracer.SetLane(attempt)
-		res, err := run(opt)
-		err = normalizeInterrupt(err)
-		var crash *cluster.DriverCrashError
-		if err == nil || !errors.As(err, &crash) {
-			if err == nil {
-				// Snapshot generations quarantined during resume scans are
-				// detected corruptions: they join the data-plane counter,
-				// out of band of the simulated clock (exactly like
-				// DriverRestarts), so the model and SimSeconds stay
-				// bit-identical to an uninterrupted run.
-				res.Metrics.CorruptPayloads += quarantined
-			}
-			return res, err
-		}
-		if !opt.Checkpoint.Enabled() {
-			return nil, err
-		}
-		if attempt >= maxRestarts {
-			return nil, fmt.Errorf("spca: driver crashed %d times, giving up: %w", attempt+1, err)
-		}
-		opt.Resume = nil
-		opt.RecoveredSeconds = crash.SimSeconds // scratch restart wastes the whole incarnation
-		snap, report, lerr := checkpoint.LatestReport(opt.Checkpoint.Dir)
-		quarantined += noteQuarantined(opt.Tracer, report)
-		switch {
-		case lerr == nil:
-			opt.Resume = snap
-			opt.RecoveredSeconds = 0
-			if waste := crash.SimSeconds - snap.Metrics.SimSeconds; waste > 0 {
-				opt.RecoveredSeconds = waste
-			}
-		case errors.Is(lerr, checkpoint.ErrNoCheckpoint):
-			// Crash before the first snapshot: restart from scratch.
-		default:
-			return nil, fmt.Errorf("spca: resuming after driver crash: %w", lerr)
-		}
-	}
-}
-
-// normalizeInterrupt gives every interrupt observed by a fit the same shape.
-// Interrupts caught inside the guarded iteration loops already arrive as a
-// resumable *AbortError; one caught by a setup-phase job or action (mean,
-// Frobenius norm, data distribution) unwinds as a plainly wrapped sentinel,
-// so it is folded into an *AbortError with zero completed iterations here.
-// Non-interrupt errors pass through untouched.
-func normalizeInterrupt(err error) error {
-	if err == nil || !cluster.IsInterrupt(err) {
-		return err
-	}
-	var ab *cluster.AbortError
-	if errors.As(err, &ab) {
-		return err
-	}
-	return &cluster.AbortError{Iter: 0, Cause: err}
-}
-
-// noteQuarantined emits one trace event per snapshot generation a resume
-// scan quarantined and returns how many there were, so the resume loops can
-// fold the count into the final Metrics.
-func noteQuarantined(tr *trace.Tracer, report *checkpoint.ScanReport) int64 {
-	for _, q := range report.Quarantined {
-		var iter int64
-		fmt.Sscanf(q.Name, "ckpt-%d.spck", &iter)
-		tr.Event("snapshot-quarantined", trace.I("iter", iter), trace.I("bytes", q.Bytes))
-	}
-	return int64(len(report.Quarantined))
-}
-
-// runSketchWithResume is runWithResume for the randomized-sketch family:
-// one rsvd fit attempt per driver incarnation, resuming from the latest
-// round-granularity snapshot after an injected driver crash.
-func (c Config) runSketchWithResume(opt rsvd.Options, run func(rsvd.Options) (*rsvd.Result, error)) (*rsvd.Result, error) {
-	const maxRestarts = 64
-	var quarantined int64
-	if c.Resume && opt.Checkpoint.Enabled() {
-		// Explicit continuation of an earlier aborted run (see runWithResume).
-		snap, report, lerr := checkpoint.LatestReport(opt.Checkpoint.Dir)
-		quarantined += noteQuarantined(opt.Tracer, report)
-		switch {
-		case lerr == nil:
-			opt.Resume = snap
-		case errors.Is(lerr, checkpoint.ErrNoCheckpoint):
-		default:
-			return nil, fmt.Errorf("spca: resuming from checkpoint: %w", lerr)
-		}
-	}
-	for attempt := 0; ; attempt++ {
-		opt.Incarnation = attempt
-		opt.Tracer.SetLane(attempt)
-		res, err := run(opt)
-		err = normalizeInterrupt(err)
-		var crash *cluster.DriverCrashError
-		if err == nil || !errors.As(err, &crash) {
-			if err == nil {
-				res.Metrics.CorruptPayloads += quarantined
-			}
-			return res, err
-		}
-		if !opt.Checkpoint.Enabled() {
-			return nil, err
-		}
-		if attempt >= maxRestarts {
-			return nil, fmt.Errorf("spca: driver crashed %d times, giving up: %w", attempt+1, err)
-		}
-		opt.Resume = nil
-		opt.RecoveredSeconds = crash.SimSeconds // scratch restart wastes the whole incarnation
-		snap, report, lerr := checkpoint.LatestReport(opt.Checkpoint.Dir)
-		quarantined += noteQuarantined(opt.Tracer, report)
-		switch {
-		case lerr == nil:
-			opt.Resume = snap
-			opt.RecoveredSeconds = 0
-			if waste := crash.SimSeconds - snap.Metrics.SimSeconds; waste > 0 {
-				opt.RecoveredSeconds = waste
-			}
-		case errors.Is(lerr, checkpoint.ErrNoCheckpoint):
-			// Crash before the first snapshot: restart from scratch.
-		default:
-			return nil, fmt.Errorf("spca: resuming after driver crash: %w", lerr)
-		}
-	}
-}
-
 // rsvdOptions maps the user-facing Config onto the sketch-engine options.
 func (c Config) rsvdOptions(y *Sparse) rsvd.Options {
 	opt := rsvd.DefaultOptions(c.Components)
@@ -953,7 +766,7 @@ func (c Config) rsvdOptions(y *Sparse) rsvd.Options {
 		opt.TargetAccuracy = c.TargetAccuracy
 		opt.IdealError = ppca.IdealError(y, c.Components, c.ppcaBaseOptions())
 	}
-	opt.Checkpoint = rsvd.CheckpointSpec{Interval: c.Checkpoint.Interval, Dir: c.Checkpoint.Dir, Keep: c.Checkpoint.Keep}
+	opt.Checkpoint = c.Checkpoint
 	opt.Faults = c.Faults
 	return opt
 }
@@ -1103,7 +916,8 @@ func FitStreamFileConfig(path string, cfg Config) (*Result, error) {
 	opt.TargetAccuracy = cfg.TargetAccuracy
 	opt.Tracer = tr
 	opt.Interrupt = cluster.NewInterrupt(cfg.Context, cfg.StallTimeout)
-	res, err := cfg.runWithResume(opt, func(opt ppca.Options) (*ppca.Result, error) {
+	res, err := driver.Restart(opt.Options, cfg.Resume, func(d driver.Options) (*ppca.Result, error) {
+		opt.Options = d
 		return ppca.FitStream(src, opt)
 	})
 	if err != nil {

@@ -2,6 +2,7 @@ package spca
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"math"
@@ -9,6 +10,7 @@ import (
 	"testing"
 
 	"spca/internal/matrix"
+	"spca/internal/trace"
 )
 
 // traceAlgorithms lists every algorithm the trace subsystem covers.
@@ -95,6 +97,74 @@ func TestTraceGoldenFingerprints(t *testing.T) {
 		if want := golden[alg]; first != want {
 			t.Errorf("%s: trace fingerprint %#x, golden %#x", alg, first, want)
 		}
+	}
+
+	// The durability paths, on one EM and one sketch engine: a driver crash
+	// after iteration 2 resumed from its per-iteration snapshot, and a cancel
+	// at boundary 2 with Interval 3, which forces the out-of-interval final
+	// flush. These pin the order of the driver-crash, driver-restore,
+	// checkpoint, final-checkpoint and abort events, not just determinism.
+	crash := func(cfg *Config) {
+		cfg.Tol = -1
+		cfg.Faults = &FaultPlan{DriverCrashIters: []int{2}}
+		cfg.Checkpoint = CheckpointSpec{Interval: 1, Dir: t.TempDir()}
+	}
+	flush := func(cfg *Config) {
+		cfg.Tol = -1
+		cfg.Checkpoint = CheckpointSpec{Interval: 3, Dir: t.TempDir()}
+	}
+	durable := []struct {
+		alg           Algorithm
+		crash, cancel uint64
+	}{
+		{SPCASpark, 0xdb6187b407f39a71, 0x4f6e7b404c5e1cdb},
+		{RSVDMapReduce, 0x421e1f83dfa8ee16, 0xd5f7bcfef18f465d},
+	}
+	for _, g := range durable {
+		if got := fitTraced(t, g.alg, crash).Trace.Fingerprint(); got != g.crash {
+			t.Errorf("%s crash at 2: trace fingerprint %#x, golden %#x", g.alg, got, g.crash)
+		}
+		tr, ab := canceledTrace(t, g.alg, 2, flush)
+		if ab.Iter != 2 || !ab.Checkpointed || len(tr.FindEvents("final-checkpoint")) != 1 {
+			t.Errorf("%s cancel at 2: abort %+v with %d final-checkpoint events, want iter 2 flushed once",
+				g.alg, ab, len(tr.FindEvents("final-checkpoint")))
+		}
+		if got := tr.Fingerprint(); got != g.cancel {
+			t.Errorf("%s cancel at 2: trace fingerprint %#x, golden %#x", g.alg, got, g.cancel)
+		}
+	}
+}
+
+// canceledTrace is fitTraced for a fit canceled at the boundary after
+// iteration n. The aborted Fit returns no Result, so the trace is collected
+// by the observer that cancels it; the typed abort is returned alongside.
+func canceledTrace(t *testing.T, alg Algorithm, n int, mutate func(*Config)) (*Trace, *AbortError) {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	obs := &cancelCollector{Collector: trace.NewCollector(), n: n, cancel: cancel}
+	cfg := Config{Algorithm: alg, Components: 3, MaxIter: 3, Context: ctx, Observer: obs}
+	mutate(&cfg)
+	_, err := Fit(smallDataset(t), cfg)
+	var ab *AbortError
+	if !errors.As(err, &ab) {
+		t.Fatalf("%s: want *AbortError, got %v", alg, err)
+	}
+	return obs.Trace(), ab
+}
+
+// cancelCollector collects every span, event and iteration, and cancels
+// the fit's context once iteration n is recorded.
+type cancelCollector struct {
+	*trace.Collector
+	n      int
+	cancel context.CancelFunc
+}
+
+func (c *cancelCollector) IterationDone(it TraceIteration) {
+	c.Collector.IterationDone(it)
+	if it.Iter == c.n {
+		c.cancel()
 	}
 }
 
