@@ -2,9 +2,15 @@
 
 GO ?= go
 
-.PHONY: check vet build test race serve-smoke chaos corrupt-smoke fuzz-smoke trace-smoke bench bench-kernels bench-json bench-smoke bench-compare bench-compare-smoke experiments
+.PHONY: check fmt vet build test race serve-smoke chaos corrupt-smoke fuzz-smoke trace-smoke bench bench-kernels bench-json bench-smoke bench-compare bench-compare-smoke experiments
 
-check: vet build test race serve-smoke chaos corrupt-smoke fuzz-smoke trace-smoke bench-smoke bench-compare-smoke
+check: fmt vet build test race serve-smoke chaos corrupt-smoke fuzz-smoke trace-smoke bench-smoke bench-compare-smoke
+
+# Every tracked Go file must be gofmt-clean. The benchmark's build directory
+# .bench_build/ is ignored by git, and excluded here as well.
+fmt:
+	@files=$$(git ls-files '*.go' ':!:.bench_build/**' | xargs gofmt -l) || exit 1; \
+	if [ -n "$$files" ]; then echo "gofmt needed:"; echo "$$files"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -68,9 +74,10 @@ bench-kernels:
 # Machine-readable benchmark baseline: in-place kernels, steady-state mapper
 # allocations, the end-to-end fits (still named *Pooled so they pair with
 # earlier baselines), the sketch engines' fit paths, and the serving layer,
-# written to $(BENCH_JSON) for committing and diffing against earlier
-# BENCH_*.json files.
-BENCH_JSON ?= BENCH_10.json
+# written to $(BENCH_JSON) for diffing against the committed BENCH_*.json
+# files. The default is an ignored scratch file, so a plain run never
+# overwrites a committed baseline; name a BENCH_<n>.json to record one.
+BENCH_JSON ?= .bench-json.json
 bench-json:
 	{ $(GO) test ./internal/matrix -run '^$$' -bench BenchmarkKernelsInPlace -benchmem -benchtime 20x; \
 	  $(GO) test ./internal/ppca -run '^$$' -bench 'BenchmarkSteady|Pooled|BenchmarkFitStream' -benchmem -benchtime 10x; \

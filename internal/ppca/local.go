@@ -3,6 +3,7 @@ package ppca
 import (
 	"fmt"
 
+	"spca/internal/cluster"
 	"spca/internal/driver"
 	"spca/internal/matrix"
 	"spca/internal/parallel"
@@ -42,13 +43,16 @@ func FitLocal(y *matrix.Sparse, opt Options) (*Result, error) {
 		return nil, err
 	}
 	if opt.Resume == nil && opt.SmartGuess {
-		if err := smartGuessLocal(y, opt, em); err != nil {
+		if err := smartGuess(y.R, y.C, y.Row, opt, em, nil); err != nil {
 			return nil, fmt.Errorf("ppca: smart guess: %w", err)
 		}
 	}
 
 	// Pass scratch allocated once and recycled every iteration.
-	return em.fit(run, &localEngine{y: y, scr: newLocalScratch(y.C, em.d), sample: sampleIdx(y.R, opt.sampleRows(), opt.Seed)})
+	return em.fit(run, &localEngine{
+		y: y, scr: newLocalScratch(y.C, em.d),
+		sample: sampleMatrix(y.R, y.C, opt.sampleRows(), opt.Seed, y.Row),
+	})
 }
 
 // localEngine adapts the single-machine passes to the shared guarded EM
@@ -57,7 +61,7 @@ func FitLocal(y *matrix.Sparse, opt Options) (*Result, error) {
 type localEngine struct {
 	y      *matrix.Sparse
 	scr    *localScratch
-	sample []int
+	sample *matrix.Sparse
 }
 
 func (e *localEngine) prepared(*emDriver) {}
@@ -68,101 +72,69 @@ func (e *localEngine) solved(*emDriver, *matrix.Dense) {}
 func (e *localEngine) ss3(em *emDriver, cNew *matrix.Dense) (float64, error) {
 	return localSS3(e.y, em, cNew, e.scr), nil
 }
-func (e *localEngine) reconErr(em *emDriver) float64 { return em.reconError(e.y, e.sample) }
+func (e *localEngine) reconErr(em *emDriver) float64 { return em.reconError(e.sample) }
 
-// localScratch is FitLocal's per-fit reusable pass state: the job sums, the
-// per-block latent rows, the per-block ss3 terms, and per-worker xi/ct
-// substitution buffers for the ss3 sweep.
+// localScratch is FitLocal's per-fit reusable pass state: the pass's partial
+// and job sums, the per-block latent rows, the per-block ss3 terms, and one
+// row scratch per worker for the ss3 sweep.
 type localScratch struct {
+	p     *partial
 	sums  jobSums
 	xis   *matrix.Dense
 	terms []float64
-	work  [][]float64 // per worker: xi then ct, each length d
+	work  []rowScratch
 }
 
 func newLocalScratch(dims, d int) *localScratch {
 	return &localScratch{
+		p:     newPartial(d, dims),
 		sums:  newJobSums(dims, d),
 		xis:   matrix.NewDense(latentBlock, d),
 		terms: make([]float64, latentBlock),
 	}
 }
 
-// ensureWorkers grows the per-worker buffers to the pool's current width.
-// Called on the driver before the parallel sweep, so it never races.
+// ensureWorkers grows the per-worker row scratch to the pool's current
+// width. Called on the driver before the parallel sweep, so it never races.
 func (s *localScratch) ensureWorkers(d int) {
-	w := parallel.Workers()
-	for len(s.work) < w {
-		s.work = append(s.work, nil)
-	}
-	for i := 0; i < w; i++ {
-		if len(s.work[i]) < 2*d {
-			s.work[i] = make([]float64, 2*d)
-		}
+	for len(s.work) < parallel.Workers() {
+		s.work = append(s.work, newRowScratch(d))
 	}
 }
 
 // localPass is the consolidated YtX+XtX pass (one scan over the rows).
 func localPass(y *matrix.Sparse, em *emDriver, scr *localScratch) jobSums {
-	sums := scr.sums
-	sums.ytx.Zero()
-	sums.xtx.Zero()
-	for i := range sums.sumX {
-		sums.sumX[i] = 0
-	}
+	p := scr.p
+	p.reset()
 	xis := scr.xis // fully overwritten block by block
 	for base := 0; base < y.R; base += latentBlock {
-		end := base + latentBlock
-		if end > y.R {
-			end = y.R
-		}
+		end := min(base+latentBlock, y.R)
 		parallel.For(end-base, 16, func(lo, hi int) {
 			for t := lo; t < hi; t++ {
-				computeLatentRow(y.Row(base+t), em, xis.Row(t))
+				latentRow(y.Row(base+t), em, true, xis.Row(t))
 			}
 		})
 		for t := 0; t < end-base; t++ {
-			row := y.Row(base + t)
-			xi := xis.Row(t)
-			for k, j := range row.Indices {
-				matrix.AXPY(row.Values[k], xi, sums.ytx.Row(j))
-			}
-			matrix.OuterAdd(sums.xtx, xi, xi)
-			matrix.AXPY(1, xi, sums.sumX)
+			p.add(y.Row(base+t), xis.Row(t))
 		}
 	}
-	return sums
+	return p.into(scr.sums)
 }
 
 // localSS3 recomputes X row by row and accumulates Σ Xi_c·(Cᵀ·Yiᵀ) with the
 // associativity trick of §4.1: multiply Cᵀ with the sparse Yiᵀ first.
 func localSS3(y *matrix.Sparse, em *emDriver, c *matrix.Dense, scr *localScratch) float64 {
-	d := em.d
 	var ss3 float64
-	// Per-row terms Xi_c·(Cᵀ·Yiᵀ) fill in parallel per block; the final sum
-	// runs over rows in their original order, bit-identical to a plain loop.
-	scr.ensureWorkers(d)
+	// Per-row terms fill in parallel per block; the final sum runs over rows
+	// in their original order, bit-identical to a plain loop.
+	scr.ensureWorkers(em.d)
 	terms := scr.terms
-	ss3Row := func(t int, row matrix.SparseVector, xi, ct []float64) {
-		computeLatentRow(row, em, xi)
-		for k := range ct {
-			ct[k] = 0
-		}
-		for k, j := range row.Indices {
-			matrix.AXPY(row.Values[k], c.Row(j), ct)
-		}
-		terms[t] = matrix.Dot(xi, ct)
-	}
 	for base := 0; base < y.R; base += latentBlock {
-		end := base + latentBlock
-		if end > y.R {
-			end = y.R
-		}
+		end := min(base+latentBlock, y.R)
 		parallel.ForWorker(end-base, 16, func(w, lo, hi int) {
-			sub := scr.work[w]
-			xi, ct := sub[:d], sub[d:2*d]
+			s := &scr.work[w]
 			for t := lo; t < hi; t++ {
-				ss3Row(t, y.Row(base+t), xi, ct)
+				terms[t], _ = s.ss3Term(s.latent(y.Row(base+t), em, true), c, true)
 			}
 		})
 		for t := 0; t < end-base; t++ {
@@ -172,32 +144,27 @@ func localSS3(y *matrix.Sparse, em *emDriver, c *matrix.Dense, scr *localScratch
 	return ss3
 }
 
-// computeLatentRow fills xi with the centered latent row
-// Xi_c = Yi·CM - Xm, touching only the row's non-zero entries.
-func computeLatentRow(row matrix.SparseVector, em *emDriver, xi []float64) {
-	for k := range xi {
-		xi[k] = -em.xm[k]
-	}
-	for k, j := range row.Indices {
-		matrix.AXPY(row.Values[k], em.cm.Row(j), xi)
-	}
-}
-
-// smartGuessLocal seeds em with the result of a fit on a row sample.
-func smartGuessLocal(y *matrix.Sparse, opt Options, em *emDriver) error {
-	n := smartGuessSize(opt, y.R)
-	if n >= y.R {
+// smartGuess seeds em with the result of a local fit on a row sample
+// (sPCA-SG, §5.2); row(i) returns input row i of n. On a simulated cluster
+// the sample fit runs on the driver, charged ~5 iterations of 2·nnz·d on one
+// core (it is small by construction).
+func smartGuess(n, dims int, row func(int) matrix.SparseVector, opt Options, em *emDriver, cl *cluster.Cluster) error {
+	want := smartGuessSize(opt, n)
+	if want >= n {
 		return nil // nothing to gain
 	}
-	sub := sampleSparseRows(y, n, opt.Seed+0x5A)
+	sample := sampleMatrix(n, dims, want, opt.Seed+0x5A, row)
 	subOpt := opt
 	subOpt.SmartGuess = false
 	subOpt.TargetAccuracy = 0
 	subOpt.IdealError = 0
 	subOpt.MaxIter = 5
-	res, err := FitLocal(sub, subOpt)
+	res, err := FitLocal(sample, subOpt)
 	if err != nil {
 		return err
+	}
+	if cl != nil {
+		cl.AddDriverCompute(int64(subOpt.MaxIter) * 2 * int64(sample.NNZ()) * int64(opt.Components))
 	}
 	em.c = res.Components
 	em.ss = res.SS
@@ -219,15 +186,4 @@ func smartGuessSize(opt Options, n int) int {
 		sz = n
 	}
 	return sz
-}
-
-// sampleSparseRows builds a CSR matrix from a deterministic sample of rows.
-func sampleSparseRows(y *matrix.Sparse, n int, seed uint64) *matrix.Sparse {
-	idx := sampleIdx(y.R, n, seed)
-	b := matrix.NewSparseBuilder(y.C)
-	for _, i := range idx {
-		row := y.Row(i)
-		b.AddRow(row.Indices, row.Values)
-	}
-	return b.Build()
 }

@@ -335,21 +335,37 @@ func sampleIdx(n, want int, seed uint64) []int {
 	return idx
 }
 
-// reconError computes the paper's accuracy metric on the given rows of y:
-// e = ||Yr - reconstruction||₁ / ||Yr||₁, reconstructing each sampled row as
+// sampleMatrix copies a deterministic sample of want of n rows, in row
+// order, into a CSR matrix; row(i) returns row i.
+func sampleMatrix(n, dims, want int, seed uint64, row func(int) matrix.SparseVector) *matrix.Sparse {
+	b := matrix.NewSparseBuilder(dims)
+	for _, i := range sampleIdx(n, want, seed) {
+		r := row(i)
+		b.AddRow(r.Indices, r.Values)
+	}
+	return b.Build()
+}
+
+// rowOf returns the row accessor of engine records.
+func rowOf(rows []matrix.SparseVector) func(int) matrix.SparseVector {
+	return func(i int) matrix.SparseVector { return rows[i] }
+}
+
+// reconError computes the paper's accuracy metric on the sampled rows:
+// e = ||Yr - reconstruction||₁ / ||Yr||₁, reconstructing each row as
 // Xi_c·Cᵀ + Ym on driver scratch, without materializing any large matrix.
-func (em *emDriver) reconError(y *matrix.Sparse, rows []int) float64 {
+func (em *emDriver) reconError(sample *matrix.Sparse) float64 {
 	xi, tNum, tDen := em.errXi, em.errNum, em.errDen
 	var num, den float64
-	for _, i := range rows {
-		row := y.Row(i)
+	for i := 0; i < sample.R; i++ {
+		row := sample.Row(i)
 		// Xi_c = Yi·CM - Xm
-		computeLatentRow(row, em, xi)
+		latentRow(row, em, true, xi)
 		// Reconstruction ŷ = Xi_c·Cᵀ + Ym, compared column by column; the
 		// per-column terms fill in parallel and accumulate in ascending j,
 		// matching the sequential evaluation bit for bit.
 		matrix.ReconTerms(row, em.mean, em.c, xi, tNum, tDen)
-		for j := 0; j < y.C; j++ {
+		for j := 0; j < sample.C; j++ {
 			num += tNum[j]
 			den += tDen[j]
 		}

@@ -75,7 +75,7 @@ func TestReconstructionErrorNonNegative(t *testing.T) {
 		if err := em.prepare(); err != nil {
 			return false
 		}
-		e := em.reconError(y, sampleIdx(n, 8, uint64(seed)))
+		e := em.reconError(sampleMatrix(n, dims, 8, uint64(seed), y.Row))
 		return e >= 0 && !math.IsNaN(e)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
@@ -136,7 +136,7 @@ func TestSS3OrderInvariance(t *testing.T) {
 		xi := make([]float64, d)
 		for i := 0; i < y.R; i++ {
 			row := y.Row(i)
-			computeLatentRow(row, em, xi)
+			latentRow(row, em, true, xi)
 			for k, j := range row.Indices {
 				direct += matrix.Dot(xi, c.Row(j)) * row.Values[k]
 			}

@@ -26,32 +26,31 @@ func benchDriver(b *testing.B, n, dims, d int) (*matrix.Sparse, *emDriver) {
 }
 
 // BenchmarkSteadyYtxMapperMap measures one row through the consolidated
-// YtX/XtX/ΣX mapper on warm scratch. allocs/op must be ~0.
+// YtX/XtX/ΣX mapper on a warm partial. allocs/op must be ~0.
 func BenchmarkSteadyYtxMapperMap(b *testing.B) {
 	y, em := benchDriver(b, 512, 128, 10)
-	scr := newYtxTaskScratch(em.d)
-	m := &ytxMapper{em: em, meanProp: true, d: em.d, scr: scr}
+	p := newPartial(em.d, y.C)
+	m := &ytxMapper{em: em, meanProp: true, p: p}
 	emit := nopEmitter[int, []float64]{}
-	for i := 0; i < y.R; i++ { // warm-up: size freelist + map buckets
+	for i := 0; i < y.R; i++ { // warm-up: claim every row block
 		m.Map(y.Row(i), emit)
 	}
-	scr.reset()
+	p.reset()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if i%y.R == 0 {
-			scr.reset()
+			p.reset()
 		}
 		m.Map(y.Row(i%y.R), emit)
 	}
 }
 
 // BenchmarkSteadySS3MapperMap measures one row through the associative ss3
-// mapper on warm scratch. allocs/op must be ~0.
+// mapper on a warm partial. allocs/op must be ~0.
 func BenchmarkSteadySS3MapperMap(b *testing.B) {
 	y, em := benchDriver(b, 512, 128, 10)
-	scr := newSS3TaskScratch(em.d)
-	m := &ss3Mapper{em: em, c: em.c, meanProp: true, assoc: true, d: em.d, scr: scr}
+	m := &ss3Mapper{em: em, c: em.c, meanProp: true, assoc: true, p: newPartial(em.d, y.C)}
 	emit := nopEmitter[int, float64]{}
 	for i := 0; i < y.R; i++ {
 		m.Map(y.Row(i), emit)

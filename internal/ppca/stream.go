@@ -54,15 +54,8 @@ func FitStream(src matrix.RowSource, opt Options) (*Result, error) {
 	}
 	matrix.VecScale(1/count, mean)
 
-	var msum float64
-	for _, mv := range mean {
-		msum += mv * mv
-	}
+	msum := matrix.Dot(mean, mean)
 	sampleWant := sampleIdx(n, opt.sampleRows(), opt.Seed)
-	sampleSet := make(map[int]int, len(sampleWant))
-	for k, i := range sampleWant {
-		sampleSet[i] = k
-	}
 	sampleBuilder := matrix.NewSparseBuilder(dims)
 	nextSample := 0
 	ss1 := msum * count
@@ -73,7 +66,7 @@ func FitStream(src matrix.RowSource, opt Options) (*Result, error) {
 			ss1 += d*d - mean[j]*mean[j]
 		}
 		if nextSample < len(sampleWant) && sampleWant[nextSample] == i {
-			sampleBuilder.AddRow(append([]int(nil), row.Indices...), append([]float64(nil), row.Values...))
+			sampleBuilder.AddRow(row.Indices, row.Values) // AddRow copies
 			nextSample++
 		}
 		return nil
@@ -81,10 +74,6 @@ func FitStream(src matrix.RowSource, opt Options) (*Result, error) {
 		return nil, err
 	}
 	sample := sampleBuilder.Build()
-	sampleRows := make([]int, sample.R)
-	for i := range sampleRows {
-		sampleRows[i] = i
-	}
 
 	// On resume pass 0 above is re-run (the sample capture needs a scan
 	// regardless, and its mean/ss1 are bit-identical to the snapshot's).
@@ -93,13 +82,10 @@ func FitStream(src matrix.RowSource, opt Options) (*Result, error) {
 		return nil, err
 	}
 	em := newEMDriver(opt, n, dims, mean, ss1)
-	d := em.d
-	// The pass sums are hoisted out of the iteration loop and zeroed in place
-	// each iteration.
+	// The pass partial and sums are hoisted out of the iteration loop and
+	// reset in place each iteration.
 	return em.fit(run, &streamEngine{
-		src: src, sums: newJobSums(dims, d),
-		sample: sample, sampleRows: sampleRows,
-		xi: make([]float64, d), ct: make([]float64, d),
+		src: src, p: newPartial(em.d, dims), sums: newJobSums(dims, em.d), sample: sample,
 	})
 }
 
@@ -107,52 +93,35 @@ func FitStream(src matrix.RowSource, opt Options) (*Result, error) {
 // step. Like the local engine it has no simulated cluster; the error metric
 // runs on the row sample captured during pass 0.
 type streamEngine struct {
-	src        matrix.RowSource
-	sums       jobSums
-	sample     *matrix.Sparse
-	sampleRows []int
-	xi, ct     []float64
+	src    matrix.RowSource
+	p      *partial
+	sums   jobSums
+	sample *matrix.Sparse
 }
 
 func (e *streamEngine) prepared(*emDriver) {}
 
 func (e *streamEngine) pass(em *emDriver) (jobSums, error) {
 	// Consolidated YtX/XtX/ΣX in one sequential scan.
-	sums := e.sums
-	sums.ytx.Zero()
-	sums.xtx.Zero()
-	for k := range sums.sumX {
-		sums.sumX[k] = 0
-	}
-	xi := e.xi
+	p := e.p
+	p.reset()
 	if err := e.src.Scan(func(i int, row matrix.SparseVector) error {
-		computeLatentRow(row, em, xi)
-		for k, j := range row.Indices {
-			matrix.AXPY(row.Values[k], xi, sums.ytx.Row(j))
-		}
-		matrix.OuterAdd(sums.xtx, xi, xi)
-		matrix.AXPY(1, xi, sums.sumX)
+		p.add(p.latent(row, em, true), p.xi)
 		return nil
 	}); err != nil {
 		return jobSums{}, err
 	}
-	return sums, nil
+	return p.into(e.sums), nil
 }
 
 func (e *streamEngine) solved(*emDriver, *matrix.Dense) {}
 
 func (e *streamEngine) ss3(em *emDriver, cNew *matrix.Dense) (float64, error) {
 	var ss3 float64
-	xi, ct := e.xi, e.ct
+	p := e.p
 	if err := e.src.Scan(func(i int, row matrix.SparseVector) error {
-		computeLatentRow(row, em, xi)
-		for k := range ct {
-			ct[k] = 0
-		}
-		for k, j := range row.Indices {
-			matrix.AXPY(row.Values[k], cNew.Row(j), ct)
-		}
-		ss3 += matrix.Dot(xi, ct)
+		t, _ := p.ss3Term(p.latent(row, em, true), cNew, true)
+		ss3 += t
 		return nil
 	}); err != nil {
 		return 0, err
@@ -160,6 +129,4 @@ func (e *streamEngine) ss3(em *emDriver, cNew *matrix.Dense) (float64, error) {
 	return ss3, nil
 }
 
-func (e *streamEngine) reconErr(em *emDriver) float64 {
-	return em.reconError(e.sample, e.sampleRows)
-}
+func (e *streamEngine) reconErr(em *emDriver) float64 { return em.reconError(e.sample) }
