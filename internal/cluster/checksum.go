@@ -77,6 +77,3 @@ func (d *PayloadDigest) Sum() uint64 {
 	h = (h ^ (h >> 27)) * 0x94D049BB133111EB
 	return h ^ (h >> 31)
 }
-
-// Reset clears the digest for reuse across attempts.
-func (d *PayloadDigest) Reset() { d.sum, d.n = 0, 0 }

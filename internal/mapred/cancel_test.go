@@ -103,8 +103,8 @@ func TestRunEntryPollPreservesJobSeq(t *testing.T) {
 	}
 }
 
-// TestRunDenseCanceledMidMap is TestRunCanceledMidMap on the flat-slab
-// DenseSpec fast path, which has its own runDense poll sites.
+// TestRunDenseCanceledMidMap is TestRunCanceledMidMap on a DenseSpec job,
+// whose shuffle goes through the slab store.
 func TestRunDenseCanceledMidMap(t *testing.T) {
 	base := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -130,8 +130,8 @@ func TestRunDenseCanceledMidMap(t *testing.T) {
 	waitGoroutines(t, base)
 }
 
-// TestRunDenseEntryPollPreservesJobSeq is the fault-cursor invariant on the
-// DenseSpec path.
+// TestRunDenseEntryPollPreservesJobSeq is the fault-cursor invariant for a
+// DenseSpec job.
 func TestRunDenseEntryPollPreservesJobSeq(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

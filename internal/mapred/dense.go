@@ -1,46 +1,30 @@
-// The flat-slab shuffle fast path. Every hot sPCA job — column means, the
-// Frobenius norm, the consolidated YtX/XtX/ΣX pass, ss3, and the rsvd
-// projection and Bᵀ jobs — shuffles a small dense integer key range whose
-// values are flat float64 vectors. For that shape the generic map-based
-// emitter, the post-hoc digest walks, and (dominant of all) the
-// fmt.Sprint-based key sort are pure overhead: runDense replaces them with
-// pooled per-task slabs ([]float64 rows plus an offset table), incremental
-// byte/digest accounting at emit time, and an allocation-free key
-// comparator that reproduces the generic path's string order exactly.
+// The slab store. Every hot sPCA job — column means, the Frobenius norm, the
+// consolidated YtX/XtX/ΣX pass, ss3, and the rsvd projection and Bᵀ jobs —
+// shuffles a small dense integer key range whose values are flat float64
+// vectors. For that shape the map store's per-key maps and slices are pure
+// overhead: the slab store keeps each map task's output in a pooled slab
+// ([]float64 rows plus an offset table) and gathers a key's values straight
+// from the slabs.
 //
-// The fast path is an optimization, not a semantic fork: results, simulated
-// -time charges, trace spans, and fault/corruption behavior are bit-identical
-// to the generic path (dense_test.go pins metrics equality under fault plans;
-// the golden fingerprint suites pin end-to-end model identity).
+// The store changes the layout, not the job: Run's lifecycle — attempts,
+// fault draws, checksums, charges and trace spans — is the same for both
+// stores, and dense_test.go pins results and metrics equal to the map
+// store's under fault plans.
 package mapred
 
 import (
-	"bytes"
 	"fmt"
-	"sort"
-	"strconv"
-	"sync"
-	"sync/atomic"
 
 	"spca/internal/cluster"
-	"spca/internal/trace"
 )
 
-// DenseSpec opts a job into the flat-slab shuffle fast path. It applies to
-// jobs whose keys form a dense integer interval [MinKey, MinKey+Keys) and
-// whose mappers emit each key at most once per task — always true for the
-// stateful in-mapper combiners (§4.1), which flush one value per key from
-// Cleanup. With a Combine, duplicate in-task emits merge in place; without
-// one they panic (a naive mapper that needs per-emit boxing should not
-// declare a spec).
-//
-// Accounting parity with the generic path holds by construction: payload
-// bytes and the cluster.PayloadDigest are maintained incrementally at first
-// emit, which is sound because the digest combines entries by wrapping
-// addition (order-independent) and a Combine merge never changes a value's
-// modeled wire size — the merged value keeps the stored length, enforced at
-// merge time. The consume side re-walks the slab, mirroring the generic
-// path's commit/verify handshake bit for bit.
+// DenseSpec selects the slab store for a job. It applies to jobs whose keys
+// form a dense integer interval [MinKey, MinKey+Keys) and whose mappers emit
+// each key at most once per task — always true for the stateful in-mapper
+// combiners (§4.1), which flush one value per key from Cleanup. With a
+// Combine, duplicate in-task emits merge in place (the merged value must
+// keep the stored length); without one they panic (a naive mapper that
+// needs per-emit boxing should not declare a spec).
 //
 // Lifetime contract: values handed to Reduce (and results that alias them,
 // e.g. a Reduce returning vs[0]) point into pooled slabs and stay valid only
@@ -94,8 +78,6 @@ type denseSlab struct {
 	n       []int32   // per slot: logical row length
 	touched []int32   // touched slots in first-touch order
 	total   int       // float capacity if every slot were touched (growth bound)
-	bytes   int64     // modeled wire size, maintained at first emit
-	dig     cluster.PayloadDigest
 }
 
 // prepare readies the slab for a fresh Run under spec. Same-spec reuse (the
@@ -125,8 +107,6 @@ func (s *denseSlab) prepare(spec *DenseSpec) {
 	for i := range s.off {
 		s.off[i] = -1
 	}
-	s.bytes = 0
-	s.dig.Reset()
 }
 
 // reset rewinds the slab for a retry of a failed attempt (or the next Run's
@@ -138,8 +118,6 @@ func (s *denseSlab) reset() {
 	}
 	s.touched = s.touched[:0]
 	s.data = s.data[:0]
-	s.bytes = 0
-	s.dig.Reset()
 }
 
 // claim reserves a width-long row for slot and returns it for the first
@@ -237,8 +215,7 @@ type denseCodec[V any] struct {
 	// view reconstructs the value from a stored logical row.
 	view func(row []float64) V
 	// merge folds a duplicate emit into the stored row via the job's
-	// Combine, keeping the stored length (so the incremental digest and byte
-	// accounting stay valid).
+	// Combine, keeping the stored length.
 	merge func(dst []float64, v V, combine func(a, b V) V)
 }
 
@@ -268,25 +245,20 @@ var scalarCodec = denseCodec[float64]{
 	},
 }
 
-// denseEmitter is the fast path's Emitter: emits land in the task's slab,
-// with bytes and digest folded in at first emit. Steady state (warm slab,
-// in-range keys) performs zero allocations per emit.
+// denseEmitter is the slab store's Emitter: emits land in the task's slab.
+// Steady state (warm slab, in-range keys) performs zero allocations per emit.
 type denseEmitter[V any] struct {
+	opsCounter
 	name    string
 	slab    *denseSlab
 	combine func(a, b V) V
 	cd      denseCodec[V]
-	kb      func(int) int64
-	vb      func(V) int64
-	ops     int64
 }
 
-func (em *denseEmitter[V]) AddOps(n int64) { em.ops += n }
-
-// reset rewinds a failed attempt so the retry reuses the slab in place.
+// reset rewinds the slab and the ops count for a fresh attempt.
 func (em *denseEmitter[V]) reset() {
 	em.slab.reset()
-	em.ops = 0
+	em.n = 0
 }
 
 func (em *denseEmitter[V]) Emit(k int, v V) {
@@ -310,394 +282,81 @@ func (em *denseEmitter[V]) Emit(k int, v V) {
 		panic(fmt.Sprintf("mapred: job %q emitted a width-%d value for key %d; DenseSpec allows %d",
 			em.name, w, k, maxW))
 	}
-	row := s.claim(slot, w)
-	em.cd.store(row, v)
+	em.cd.store(s.claim(slot, w), v)
 	s.n[slot] = int32(w)
-	kb, vb := em.kb(k), em.vb(em.cd.view(row))
-	s.bytes += kb + vb
-	s.dig.Add(kb, vb)
 }
 
-// slabPayload recomputes a slab's modeled wire size and digest by walking
-// its touched slots — the consume-side verification mirroring payloadSize on
-// the generic path. Walk order is first-touch order, which is fine: the
-// digest is order-independent by construction.
-func slabPayload[V any](s *denseSlab, kbf func(int) int64, vbf func(V) int64, cd denseCodec[V]) (int64, uint64) {
+// slabStore is the store of a DenseSpec job: one pooled slab per map task.
+type slabStore[V any] struct {
+	e     *Engine
+	spec  *DenseSpec
+	cd    denseCodec[V]
+	slabs []*denseSlab
+	ems   []denseEmitter[V]
+}
+
+// newSlabStore checks out splits slabs for spec from the engine's pool.
+func newSlabStore[V any](e *Engine, name string, spec *DenseSpec, cd denseCodec[V], combine func(a, b V) V, splits int) (*slabStore[V], error) {
+	if spec.Keys <= 0 || spec.Width <= 0 {
+		return nil, fmt.Errorf("mapred: job %q has an invalid DenseSpec (Keys=%d, Width=%d)",
+			name, spec.Keys, spec.Width)
+	}
+	s := &slabStore[V]{e: e, spec: spec, cd: cd, slabs: e.slabsFor(spec, splits), ems: make([]denseEmitter[V], splits)}
+	for t := range s.ems {
+		s.ems[t] = denseEmitter[V]{name: name, slab: s.slabs[t], combine: combine, cd: cd}
+	}
+	return s, nil
+}
+
+func (s *slabStore[V]) emitter(t int) (Emitter[int, V], *opsCounter) {
+	em := &s.ems[t]
+	em.reset()
+	return em, &em.opsCounter
+}
+
+// payload walks the slab's touched slots in first-touch order; the digest
+// is order-independent, so this stamps what the map store's walk would.
+func (s *slabStore[V]) payload(t int, kbf func(int) int64, vbf func(V) int64) (int64, uint64) {
 	var total int64
 	var dig cluster.PayloadDigest
-	for _, slot := range s.touched {
+	slab := s.slabs[t]
+	for _, slot := range slab.touched {
 		kb := kbf(int(slot) + s.spec.MinKey)
-		vb := vbf(cd.view(s.row(int(slot))))
+		vb := vbf(s.cd.view(slab.row(int(slot))))
 		total += kb + vb
 		dig.Add(kb, vb)
 	}
 	return total, dig.Sum()
 }
 
-// denseKeyLess orders int keys exactly as the generic path's fmt.Sprint
-// string sort does, without allocating: strconv formats both keys into stack
-// buffers and bytes.Compare orders them. Reduce-task partitioning derives
-// from this order, so under a FaultPlan the per-(task, attempt) fault draws
-// — and hence every recovery charge — only match the generic path if the
-// order matches exactly.
-func denseKeyLess(a, b int) bool {
-	var ab, bb [20]byte
-	as := strconv.AppendInt(ab[:0], int64(a), 10)
-	bs := strconv.AppendInt(bb[:0], int64(b), 10)
-	return bytes.Compare(as, bs) < 0
-}
-
-// runDense is Run's flat-slab fast path. Control flow, phase accounting,
-// trace spans, and every fault/corruption decision mirror the generic path
-// exactly — the differential tests pin Metrics equality — while the shuffle
-// state lives in pooled slabs instead of maps.
-func runDense[I, V any](e *Engine, job *Job[I, int, V, V], input []I, cd denseCodec[V]) (map[int]V, error) {
-	spec := job.Dense
-	if spec.Keys <= 0 || spec.Width <= 0 {
-		return nil, fmt.Errorf("mapred: job %q has an invalid DenseSpec (Keys=%d, Width=%d)",
-			job.Name, spec.Keys, spec.Width)
-	}
-	// Entry poll, before the job draws its sequence number: an interrupted
-	// run must not advance the fault cursor for a job it never starts.
-	if err := e.Cluster.Interrupted(); err != nil {
-		return nil, fmt.Errorf("mapred: job %q: %w", job.Name, err)
-	}
-	splits := e.NumSplits(len(input))
-	plan, seq := e.plan()
-	mapPhase := fmt.Sprintf("%s#%d/map", job.Name, seq)
-	maxAtt := plan.Attempts(e.MaxAttempts)
-	kbf, vbf := job.sizeFns()
-	rbf := job.resultFn()
-
-	tr := e.Cluster.Tracer()
-	if tr != nil {
-		tr.Begin(job.Name, trace.KindJob,
-			trace.I("seq", int64(seq)), trace.I("splits", int64(splits)))
-	}
-
-	// ---- Map phase ----
-	type taskOut struct {
-		ops    int64
-		att    int    // 1-based attempt that committed this output
-		bytes  int64  // modeled wire size of the output
-		digest uint64 // checksum stamped by the committing attempt
-	}
-	outs := make([]taskOut, splits)
-	mapFaults := make([]taskFaults, splits)
-	var inputBytes int64
-	if job.InputBytes != nil {
-		for _, rec := range input {
-			inputBytes += job.InputBytes(rec)
-		}
-	}
-	slabs := e.slabsFor(spec, splits)
-	defer e.putSlabs(spec, slabs)
-
-	// Worker-pool execution: a bounded set of workers pulls task indices from
-	// an atomic counter instead of spawning one goroutine per task, and the
-	// per-task emitters live in one batch allocation. Fault draws are keyed by
-	// (phase, task, attempt), so dynamic task-to-worker assignment cannot
-	// change any simulated-time charge.
-	ems := make([]denseEmitter[V], splits)
-	var wg sync.WaitGroup
-	workers := e.Cluster.TotalCores()
-	if splits < workers {
-		workers = splits
-	}
-	var nextTask atomic.Int64
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				task := int(nextTask.Add(1)) - 1
-				if task >= splits {
-					return
-				}
-				lo := task * len(input) / splits
-				hi := (task + 1) * len(input) / splits
-				tf := &mapFaults[task]
-				em := &ems[task]
-				*em = denseEmitter[V]{
-					name: job.Name, slab: slabs[task], combine: job.Combine,
-					cd: cd, kb: kbf, vb: vbf,
-				}
-				committed := false
-				for att := 1; att <= maxAtt && !committed; att++ {
-					if att > 1 {
-						em.reset() // retries rewind the slab in place
-					}
-					m := job.NewMapper(task)
-					for i := lo; i < hi; i++ {
-						m.Map(input[i], em)
-					}
-					m.Cleanup(em)
-					if plan.AttemptFails(mapPhase, task, att) {
-						tf.failed++
-						tf.wasted += em.ops
-						continue
-					}
-					outs[task] = taskOut{
-						ops: em.ops, att: att,
-						bytes: em.slab.bytes, digest: em.slab.dig.Sum(),
-					}
-					tf.chargeStraggler(plan, mapPhase, task, att, em.ops)
-					committed = true
-				}
-				if !committed {
-					tf.exhausted = true
-				}
-			}
-		}()
-	}
-	wg.Wait()
-
-	// Node-loss semantics, identical to the generic path: completed map
-	// outputs on a lost node are charged as re-executed.
-	if plan.Enabled() {
-		nodes := e.Cluster.Config().Nodes
-		for n := 0; n < nodes; n++ {
-			if !plan.NodeLost(mapPhase, n) {
-				continue
-			}
-			for t := n; t < splits; t += nodes {
-				if mapFaults[t].exhausted {
-					continue
-				}
-				mapFaults[t].failed++
-				mapFaults[t].wasted += outs[t].ops
-			}
-		}
-	}
-
-	var mapOps int64
-	mapStats := cluster.PhaseStats{
-		Name:    job.Name + "/map",
-		Tasks:   int64(splits),
-		Records: int64(len(input)),
-	}
-	sumFaults(&mapStats, mapFaults)
-	for t := range outs {
-		mapOps += outs[t].ops
-	}
-	for t := range mapFaults {
-		if mapFaults[t].exhausted {
-			mapStats.ComputeOps = mapOps
-			e.Cluster.RunPhase(mapStats)
-			if tr != nil {
-				tr.End(trace.I("failed", 1))
-			}
-			return nil, fmt.Errorf("%w: job %q map task %d (%d attempts)",
-				ErrTaskFailed, job.Name, t, maxAtt)
-		}
-	}
-
-	// ---- Shuffle: verify each slab's checksum and collect the key set ----
-	var shuffleBytes int64
-	seen := make([]bool, spec.Keys)
-	nKeys := 0
-	for t := range outs {
-		o := &outs[t]
-		tb, sum := slabPayload(slabs[t], kbf, vbf, cd)
-		if tb != o.bytes || sum != o.digest {
-			mapStats.ComputeOps = mapOps
-			mapStats.CorruptPayloads++
-			e.Cluster.RunPhase(mapStats)
-			if tr != nil {
-				tr.End(trace.I("failed", 1))
-			}
-			return nil, fmt.Errorf("%w: job %q map task %d shuffle payload",
-				ErrCorruptPayload, job.Name, t)
-		}
-		if !chargeCorruptFetches(&mapStats, plan, mapPhase, t, o.att, maxAtt, o.ops, tb) {
-			mapStats.ComputeOps = mapOps
-			e.Cluster.RunPhase(mapStats)
-			if tr != nil {
-				tr.End(trace.I("failed", 1))
-			}
-			return nil, fmt.Errorf("%w: job %q map task %d payload corrupt after %d re-fetches",
-				ErrCorruptPayload, job.Name, t, maxAtt)
-		}
-		shuffleBytes += tb
-		for _, slot := range slabs[t].touched {
+func (s *slabStore[V]) keys() []int {
+	seen := make([]bool, s.spec.Keys)
+	n := 0
+	for _, slab := range s.slabs {
+		for _, slot := range slab.touched {
 			if !seen[slot] {
 				seen[slot] = true
-				nKeys++
+				n++
 			}
 		}
 	}
-	mapStats.ComputeOps = mapOps
-	mapStats.ShuffleBytes = shuffleBytes
-	mapStats.DiskBytes = inputBytes + shuffleBytes
-	e.Cluster.RunPhase(mapStats)
-
-	// Boundary poll between the fully charged map phase and the reduce phase,
-	// mirroring the generic path: metrics and trace stay consistent because
-	// the map charge above committed before the poll.
-	if err := e.Cluster.Interrupted(); err != nil {
-		if tr != nil {
-			tr.End(trace.I("failed", 1))
-		}
-		return nil, fmt.Errorf("mapred: job %q: %w", job.Name, err)
-	}
-
-	// ---- Reduce phase ----
-	reducers := e.Reducers
-	if reducers <= 0 {
-		reducers = e.Cluster.TotalCores()
-	}
-	keys := make([]int, 0, nKeys)
+	keys := make([]int, 0, n)
 	for slot, ok := range seen {
 		if ok {
-			keys = append(keys, spec.MinKey+slot)
+			keys = append(keys, s.spec.MinKey+slot)
 		}
 	}
-	sort.Slice(keys, func(i, j int) bool { return denseKeyLess(keys[i], keys[j]) })
-
-	redTasks := reducers
-	if len(keys) < redTasks {
-		redTasks = len(keys)
-	}
-	if redTasks == 0 {
-		redTasks = 1
-	}
-	redPhase := fmt.Sprintf("%s#%d/reduce", job.Name, seq)
-	result := make(map[int]V, len(keys))
-	var resMu sync.Mutex
-	var redOps, outBytes int64
-	type redOut struct {
-		att    int
-		ops    int64
-		bytes  int64
-		digest uint64
-	}
-	redOuts := make([]redOut, redTasks)
-	redFaults := make([]taskFaults, redTasks)
-	redOcs := make([]opsCounter, redTasks)
-	// One gather buffer per reduce task, carved from a single arena.
-	valsArena := make([]V, redTasks*len(slabs))
-	var redWg sync.WaitGroup
-	slots := reducers
-	if tc := e.Cluster.TotalCores(); tc < slots {
-		slots = tc
-	}
-	if redTasks < slots {
-		slots = redTasks
-	}
-	var nextRed atomic.Int64
-	for w := 0; w < slots; w++ {
-		redWg.Add(1)
-		go func() {
-			defer redWg.Done()
-			for {
-				task := int(nextRed.Add(1)) - 1
-				if task >= redTasks {
-					return
-				}
-				lo := task * len(keys) / redTasks
-				hi := (task + 1) * len(keys) / redTasks
-				taskKeys := keys[lo:hi]
-				tf := &redFaults[task]
-				// Per-key value gather, in map-task order (the same order the
-				// generic shuffle builds its groups in), reused across keys.
-				vals := valsArena[task*len(slabs) : task*len(slabs) : (task+1)*len(slabs)]
-				committed := false
-				for att := 1; att <= maxAtt && !committed; att++ {
-					oc := &redOcs[task]
-					oc.n = 0
-					var taskBytes int64
-					var dig cluster.PayloadDigest
-					partial := make(map[int]V, len(taskKeys))
-					for _, k := range taskKeys {
-						slot := k - spec.MinKey
-						vals = vals[:0]
-						for _, s := range slabs {
-							if row := s.row(slot); row != nil {
-								vals = append(vals, cd.view(row))
-							}
-						}
-						r := job.Reduce(k, vals, oc)
-						kb, rb := kbf(k), rbf(r)
-						taskBytes += rb
-						dig.Add(kb, rb)
-						partial[k] = r
-					}
-					if plan.AttemptFails(redPhase, task, att) {
-						tf.failed++
-						tf.wasted += oc.n
-						continue
-					}
-					tf.chargeStraggler(plan, redPhase, task, att, oc.n)
-					resMu.Lock()
-					for k, r := range partial {
-						result[k] = r
-					}
-					redOps += oc.n
-					outBytes += taskBytes
-					resMu.Unlock()
-					redOuts[task] = redOut{att: att, ops: oc.n, bytes: taskBytes, digest: dig.Sum()}
-					committed = true
-				}
-				if !committed {
-					tf.exhausted = true
-				}
-			}
-		}()
-	}
-	redWg.Wait()
-	redStats := cluster.PhaseStats{
-		Name:              job.Name + "/reduce",
-		ComputeOps:        redOps,
-		DiskBytes:         outBytes,
-		Tasks:             int64(redTasks),
-		MaterializedBytes: outBytes,
-	}
-	sumFaults(&redStats, redFaults)
-	for t := range redFaults {
-		if redFaults[t].exhausted {
-			redStats.DiskBytes = 0 // aborted job commits no output
-			redStats.MaterializedBytes = 0
-			e.Cluster.RunPhase(redStats)
-			if tr != nil {
-				tr.End(trace.I("failed", 1))
-			}
-			return nil, fmt.Errorf("%w: job %q reduce task %d (%d attempts)",
-				ErrTaskFailed, job.Name, t, maxAtt)
-		}
-	}
-	// Driver-consume verification of the reduce part files, mirroring the
-	// generic path.
-	for t := 0; t < redTasks; t++ {
-		lo := t * len(keys) / redTasks
-		hi := (t + 1) * len(keys) / redTasks
-		var tb int64
-		var dig cluster.PayloadDigest
-		for _, k := range keys[lo:hi] {
-			kb, rb := kbf(k), rbf(result[k])
-			tb += rb
-			dig.Add(kb, rb)
-		}
-		if tb != redOuts[t].bytes || dig.Sum() != redOuts[t].digest {
-			redStats.CorruptPayloads++
-			e.Cluster.RunPhase(redStats)
-			if tr != nil {
-				tr.End(trace.I("failed", 1))
-			}
-			return nil, fmt.Errorf("%w: job %q reduce task %d output",
-				ErrCorruptPayload, job.Name, t)
-		}
-		if !chargeCorruptFetches(&redStats, plan, redPhase, t, redOuts[t].att, maxAtt, redOuts[t].ops, tb) {
-			e.Cluster.RunPhase(redStats)
-			if tr != nil {
-				tr.End(trace.I("failed", 1))
-			}
-			return nil, fmt.Errorf("%w: job %q reduce task %d output corrupt after %d re-fetches",
-				ErrCorruptPayload, job.Name, t, maxAtt)
-		}
-	}
-	e.Cluster.RunPhase(redStats)
-	if tr != nil {
-		tr.End(trace.I("reducers", int64(redTasks)), trace.I("shuffle_bytes", shuffleBytes))
-	}
-	return result, nil
+	return keys
 }
+
+func (s *slabStore[V]) values(k int, buf []V) []V {
+	slot := k - s.spec.MinKey
+	for _, slab := range s.slabs {
+		if row := slab.row(slot); row != nil {
+			buf = append(buf, s.cd.view(row))
+		}
+	}
+	return buf
+}
+
+func (s *slabStore[V]) release() { s.e.putSlabs(s.spec, s.slabs) }

@@ -91,10 +91,10 @@ func denseTestPlans() map[string]*cluster.FaultPlan {
 	}
 }
 
-// TestDenseMatchesGenericVec pins the tentpole invariant: for every fault
-// plan, the flat-slab fast path must produce bit-identical results AND
+// TestDenseMatchesGenericVec pins the slab store to the map store: for every
+// fault plan, a DenseSpec job must produce bit-identical results AND
 // bit-identical cluster metrics (every simulated-time charge, every recovery
-// and corruption counter) to the generic map-based shuffle.
+// and corruption counter) to the same job with Dense = nil.
 func TestDenseMatchesGenericVec(t *testing.T) {
 	input := make([]int, 300)
 	for i := range input {
@@ -103,34 +103,35 @@ func TestDenseMatchesGenericVec(t *testing.T) {
 	for name, plan := range denseTestPlans() {
 		t.Run(name, func(t *testing.T) {
 			gen := testEngine()
-			gen.DisableDense = true
 			gen.Faults = plan
 			fast := testEngine()
 			fast.Faults = plan
+			genJob := denseVecJob(37, 4)
+			genJob.Dense = nil
 
-			wantRes, wantErr := Run(gen, denseVecJob(37, 4), input)
+			wantRes, wantErr := Run(gen, genJob, input)
 			gotRes, gotErr := Run(fast, denseVecJob(37, 4), input)
 			if (wantErr == nil) != (gotErr == nil) {
-				t.Fatalf("error mismatch: generic %v, dense %v", wantErr, gotErr)
+				t.Fatalf("error mismatch: map store %v, slab store %v", wantErr, gotErr)
 			}
 			if wantErr == nil {
 				if len(gotRes) != len(wantRes) {
-					t.Fatalf("key count: generic %d, dense %d", len(wantRes), len(gotRes))
+					t.Fatalf("key count: map store %d, slab store %d", len(wantRes), len(gotRes))
 				}
 				for k, wv := range wantRes {
 					gv, ok := gotRes[k]
 					if !ok || len(gv) != len(wv) {
-						t.Fatalf("key %d: generic %v, dense %v", k, wv, gv)
+						t.Fatalf("key %d: map store %v, slab store %v", k, wv, gv)
 					}
 					for i := range wv {
 						if gv[i] != wv[i] {
-							t.Fatalf("key %d[%d]: generic %v, dense %v (not bit-identical)", k, i, wv[i], gv[i])
+							t.Fatalf("key %d[%d]: map store %v, slab store %v (not bit-identical)", k, i, wv[i], gv[i])
 						}
 					}
 				}
 			}
 			if wm, gm := gen.Cluster.Metrics(), fast.Cluster.Metrics(); wm != gm {
-				t.Fatalf("metrics diverge:\n generic %+v\n dense   %+v", wm, gm)
+				t.Fatalf("metrics diverge:\n map store  %+v\n slab store %+v", wm, gm)
 			}
 		})
 	}
@@ -145,28 +146,29 @@ func TestDenseMatchesGenericScalar(t *testing.T) {
 	for name, plan := range denseTestPlans() {
 		t.Run(name, func(t *testing.T) {
 			gen := testEngine()
-			gen.DisableDense = true
 			gen.Faults = plan
 			fast := testEngine()
 			fast.Faults = plan
+			genJob := denseScalarJob(101)
+			genJob.Dense = nil
 
-			wantRes, wantErr := Run(gen, denseScalarJob(101), input)
+			wantRes, wantErr := Run(gen, genJob, input)
 			gotRes, gotErr := Run(fast, denseScalarJob(101), input)
 			if (wantErr == nil) != (gotErr == nil) {
-				t.Fatalf("error mismatch: generic %v, dense %v", wantErr, gotErr)
+				t.Fatalf("error mismatch: map store %v, slab store %v", wantErr, gotErr)
 			}
 			if wantErr == nil {
 				if len(gotRes) != len(wantRes) {
-					t.Fatalf("key count: generic %d, dense %d", len(wantRes), len(gotRes))
+					t.Fatalf("key count: map store %d, slab store %d", len(wantRes), len(gotRes))
 				}
 				for k, wv := range wantRes {
 					if gv := gotRes[k]; gv != wv {
-						t.Fatalf("key %d: generic %v, dense %v", k, wv, gv)
+						t.Fatalf("key %d: map store %v, slab store %v", k, wv, gv)
 					}
 				}
 			}
 			if wm, gm := gen.Cluster.Metrics(), fast.Cluster.Metrics(); wm != gm {
-				t.Fatalf("metrics diverge:\n generic %+v\n dense   %+v", wm, gm)
+				t.Fatalf("metrics diverge:\n map store  %+v\n slab store %+v", wm, gm)
 			}
 		})
 	}
@@ -183,12 +185,13 @@ func TestDenseFailedAttemptReset(t *testing.T) {
 	}
 	plan := &cluster.FaultPlan{Seed: 23, TaskFailureRate: 0.3, MaxAttempts: 8}
 	gen := testEngine()
-	gen.DisableDense = true
 	gen.Faults = plan
 	fast := testEngine()
 	fast.Faults = plan
+	genJob := denseVecJob(11, 3)
+	genJob.Dense = nil
 
-	wantRes, err := Run(gen, denseVecJob(11, 3), input)
+	wantRes, err := Run(gen, genJob, input)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,12 +207,12 @@ func TestDenseFailedAttemptReset(t *testing.T) {
 		gv := gotRes[k]
 		for i := range wv {
 			if gv[i] != wv[i] {
-				t.Fatalf("key %d[%d]: generic %v, dense %v after retries", k, i, wv[i], gv[i])
+				t.Fatalf("key %d[%d]: map store %v, slab store %v after retries", k, i, wv[i], gv[i])
 			}
 		}
 	}
 	if wm := gen.Cluster.Metrics(); wm != m {
-		t.Fatalf("metrics diverge under retries:\n generic %+v\n dense   %+v", wm, m)
+		t.Fatalf("metrics diverge under retries:\n map store  %+v\n slab store %+v", wm, m)
 	}
 }
 
@@ -291,8 +294,6 @@ func TestDenseEmitterZeroAllocs(t *testing.T) {
 			return a
 		},
 		cd: vecCodec,
-		kb: BytesOfInt,
-		vb: BytesOfVec,
 	}
 	v := make([]float64, d)
 	wide := make([]float64, d*d)
@@ -311,9 +312,9 @@ func TestDenseEmitterZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestDenseKeyLessMatchesSprintOrder pins the reduce partitioner: dense key
-// order must reproduce the generic path's fmt.Sprint string order exactly,
-// or fault plans would draw different per-task coordinates.
+// TestDenseKeyLessMatchesSprintOrder pins the reduce partitioner: int key
+// order must reproduce the fmt.Sprint string order exactly, or fault plans
+// would draw different per-task coordinates.
 func TestDenseKeyLessMatchesSprintOrder(t *testing.T) {
 	keys := []int{-1000, -101, -11, -5, -2, -1, 0, 1, 2, 5, 9, 10, 11, 19, 99, 100, 101, 999, 1000}
 	for _, a := range keys {
@@ -340,9 +341,77 @@ func TestDensePanics(t *testing.T) {
 	spec := &DenseSpec{MinKey: 0, Keys: 4, Width: 2}
 	slab := new(denseSlab)
 	slab.prepare(spec)
-	em := &denseEmitter[[]float64]{name: "guard", slab: slab, cd: vecCodec, kb: BytesOfInt, vb: BytesOfVec}
+	em := &denseEmitter[[]float64]{name: "guard", slab: slab, cd: vecCodec}
 	mustPanic("out-of-range", func() { em.Emit(9, []float64{1, 2}) })
 	mustPanic("over-wide", func() { em.Emit(0, []float64{1, 2, 3}) })
 	em.Emit(1, []float64{1, 2})
 	mustPanic("dup-no-combine", func() { em.Emit(1, []float64{3, 4}) })
+}
+
+// orderMapper emits, from Cleanup, one value per key for its task, falling
+// as the task index grows, so task order is not value order.
+type orderMapper struct{ task, keys int }
+
+func (m *orderMapper) Map(int, Emitter[int, float64]) {}
+
+func (m *orderMapper) Cleanup(out Emitter[int, float64]) {
+	for k := 0; k < m.keys; k++ {
+		out.Emit(k, float64(-10*m.task-k))
+	}
+}
+
+// TestReduceValueOrder pins the order of the values Reduce receives on both
+// stores: map-task order, then emission order. The map store's job emits
+// each key several times per task with no Combine; the slab store's job
+// emits each key once per task. Values fall in that order, so a store that
+// sorted them, or gathered tasks in another order, would fail.
+func TestReduceValueOrder(t *testing.T) {
+	const splits, keys = 4, 3
+	input := make([]int, 12) // three records per map task
+	for i := range input {
+		input[i] = i
+	}
+	copyValues := func(_ int, vs []float64, _ Ops) []float64 { return append([]float64(nil), vs...) }
+	mapJob := Job[int, int, float64, []float64]{
+		Name: "order-map",
+		NewMapper: func(int) Mapper[int, int, float64] {
+			return MapperFunc[int, int, float64](func(rec int, out Emitter[int, float64]) {
+				out.Emit(rec%keys, float64(-10*rec))
+				out.Emit(rec%keys, float64(-10*rec-1))
+			})
+		},
+		Reduce: copyValues,
+	}
+	slabJob := Job[int, int, float64, []float64]{
+		Name:      "order-slab",
+		NewMapper: func(task int) Mapper[int, int, float64] { return &orderMapper{task: task, keys: keys} },
+		Reduce:    copyValues,
+		Dense:     &DenseSpec{MinKey: 0, Keys: keys, Width: 1},
+	}
+	want := map[string]map[int][]float64{"order-map": {}, "order-slab": {}}
+	for _, rec := range input { // records ascend through the tasks' splits
+		k := rec % keys
+		want["order-map"][k] = append(want["order-map"][k], float64(-10*rec), float64(-10*rec-1))
+	}
+	for task := 0; task < splits; task++ {
+		for k := 0; k < keys; k++ {
+			want["order-slab"][k] = append(want["order-slab"][k], float64(-10*task-k))
+		}
+	}
+	for _, plan := range []*cluster.FaultPlan{nil, {Seed: 29, TaskFailureRate: 0.3, MaxAttempts: 12}} {
+		for _, job := range []Job[int, int, float64, []float64]{mapJob, slabJob} {
+			e := testEngine()
+			e.Splits = splits
+			e.Faults = plan
+			got, err := Run(e, job, input)
+			if err != nil {
+				t.Fatalf("%s: %v", job.Name, err)
+			}
+			for k, wv := range want[job.Name] {
+				if fmt.Sprint(got[k]) != fmt.Sprint(wv) {
+					t.Errorf("%s (faults %v): key %d got values %v, want %v", job.Name, plan != nil, k, got[k], wv)
+				}
+			}
+		}
+	}
 }

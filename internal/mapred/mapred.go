@@ -23,10 +23,13 @@
 package mapred
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
+	"sync/atomic"
 
 	"spca/internal/cluster"
 	"spca/internal/trace"
@@ -74,10 +77,9 @@ type Job[I any, K comparable, V any, R any] struct {
 	ValueBytes  func(V) int64
 	ResultBytes func(R) int64
 
-	// Dense opts the job into the flat-slab shuffle fast path (see
-	// DenseSpec). It only takes effect for jobs keyed by int whose value and
-	// result types are []float64 (or float64); any other instantiation runs
-	// the generic path regardless.
+	// Dense selects the slab store for the job's shuffle (see DenseSpec). It
+	// only takes effect for jobs keyed by int whose values are []float64 or
+	// float64; any other instantiation uses the map store regardless.
 	Dense *DenseSpec
 }
 
@@ -106,9 +108,6 @@ type Engine struct {
 	// MaxAttempts bounds retries per task (default 4, like Hadoop). A
 	// FaultPlan's own MaxAttempts takes precedence when set.
 	MaxAttempts int
-	// DisableDense forces jobs carrying a DenseSpec through the generic
-	// map-based shuffle — the A/B switch of the differential tests.
-	DisableDense bool
 
 	mu     sync.Mutex
 	jobSeq int64
@@ -175,27 +174,84 @@ func (e *Engine) plan() (*cluster.FaultPlan, int64) {
 	return e.Faults, seq
 }
 
-type emitter[K comparable, V any] struct {
-	pairs map[K][]V      // non-combiner path: values per key in emission order
-	vals  map[K]V        // combiner path: one merged value per key, no slice boxing
-	merge func(a, b V) V // nil: append values
-	ops   int64
+// store holds one job's map output in a layout of its own: the map store
+// for any job, the slab store for a DenseSpec job. Run owns the rest of the
+// job lifecycle and asks the store only for what depends on the layout.
+type store[K comparable, V any] interface {
+	// emitter returns map task t's Emitter, emptied for a fresh attempt (a
+	// retry rewinds the failed attempt's output), and the counter its AddOps
+	// charges, reset to zero.
+	emitter(t int) (Emitter[K, V], *opsCounter)
+	// payload walks task t's output: its modeled wire size and its
+	// order-independent checksum.
+	payload(t int, kb func(K) int64, vb func(V) int64) (int64, uint64)
+	// keys returns every key some task emitted, in no particular order.
+	keys() []K
+	// values returns k's values in map-task order, then emission order. It
+	// may gather them into buf, which has room for one value per map task;
+	// reduce tasks call it concurrently, each with its own buf.
+	values(k K, buf []V) []V
+	// release hands pooled storage back once the job's results are dead.
+	release()
 }
 
-func newEmitter[K comparable, V any](merge func(a, b V) V) *emitter[K, V] {
-	em := &emitter[K, V]{merge: merge}
-	if merge != nil {
-		em.vals = make(map[K]V)
-	} else {
-		em.pairs = make(map[K][]V)
+// newStore picks the job's store: the slab store for a DenseSpec job keyed
+// by int with []float64 or float64 values, the map store otherwise.
+func newStore[I any, K comparable, V, R any](e *Engine, job *Job[I, K, V, R], splits int) (store[K, V], error) {
+	var slab any
+	var err error
+	if job.Dense != nil {
+		switch j := any(job).(type) {
+		case *Job[I, int, []float64, R]:
+			slab, err = newSlabStore(e, j.Name, j.Dense, vecCodec, j.Combine, splits)
+		case *Job[I, int, float64, R]:
+			slab, err = newSlabStore(e, j.Name, j.Dense, scalarCodec, j.Combine, splits)
+		}
 	}
-	return em
+	if err != nil {
+		return nil, err
+	}
+	if st, ok := slab.(store[K, V]); ok {
+		return st, nil
+	}
+	return newMapStore[K, V](job.Combine, splits), nil
 }
 
-func (em *emitter[K, V]) Emit(k K, v V) {
+// opsCounter counts the arithmetic a task charges; emitters embed it.
+type opsCounter struct{ n int64 }
+
+func (o *opsCounter) AddOps(n int64) { o.n += n }
+
+// mapStore keeps each map task's output in Go maps, so it takes any key and
+// value type.
+type mapStore[K comparable, V any] struct {
+	tasks   []mapEmitter[K, V]
+	grouped map[K][]V // every task's values per key, built once by keys
+}
+
+type mapEmitter[K comparable, V any] struct {
+	opsCounter
+	pairs map[K][]V      // no Combine: values per key in emission order
+	vals  map[K]V        // Combine: one merged value per key, no slice boxing
+	merge func(a, b V) V // nil: append values
+}
+
+func newMapStore[K comparable, V any](combine func(a, b V) V, splits int) *mapStore[K, V] {
+	s := &mapStore[K, V]{tasks: make([]mapEmitter[K, V], splits)}
+	for t := range s.tasks {
+		em := &s.tasks[t]
+		em.merge = combine
+		if combine != nil {
+			em.vals = make(map[K]V)
+		} else {
+			em.pairs = make(map[K][]V)
+		}
+	}
+	return s
+}
+
+func (em *mapEmitter[K, V]) Emit(k K, v V) {
 	if em.merge != nil {
-		// Combiner path: keep a single merged value per key, rather than
-		// allocating a one-element slice per key just to box it.
 		if cur, ok := em.vals[k]; ok {
 			em.vals[k] = em.merge(cur, v)
 			return
@@ -206,53 +262,167 @@ func (em *emitter[K, V]) Emit(k K, v V) {
 	em.pairs[k] = append(em.pairs[k], v)
 }
 
-// reset clears a failed attempt's output so the retry can reuse the emitter's
-// maps instead of reallocating them.
-func (em *emitter[K, V]) reset() {
+func (s *mapStore[K, V]) emitter(t int) (Emitter[K, V], *opsCounter) {
+	em := &s.tasks[t]
 	clear(em.pairs)
 	clear(em.vals)
-	em.ops = 0
+	em.n = 0
+	return em, &em.opsCounter
 }
 
-func (em *emitter[K, V]) AddOps(n int64) { em.ops += n }
+func (s *mapStore[K, V]) payload(t int, kbf func(K) int64, vbf func(V) int64) (int64, uint64) {
+	var total int64
+	var dig cluster.PayloadDigest
+	for k, vs := range s.tasks[t].pairs {
+		kb := kbf(k)
+		for _, v := range vs {
+			vb := vbf(v)
+			total += kb + vb
+			dig.Add(kb, vb)
+		}
+	}
+	for k, v := range s.tasks[t].vals {
+		kb, vb := kbf(k), vbf(v)
+		total += kb + vb
+		dig.Add(kb, vb)
+	}
+	return total, dig.Sum()
+}
 
-type opsCounter struct{ n int64 }
+func (s *mapStore[K, V]) keys() []K {
+	s.grouped = make(map[K][]V)
+	for t := range s.tasks {
+		for k, vs := range s.tasks[t].pairs {
+			s.grouped[k] = append(s.grouped[k], vs...)
+		}
+		for k, v := range s.tasks[t].vals {
+			s.grouped[k] = append(s.grouped[k], v)
+		}
+	}
+	keys := make([]K, 0, len(s.grouped))
+	for k := range s.grouped {
+		keys = append(keys, k)
+	}
+	return keys
+}
 
-func (o *opsCounter) AddOps(n int64) { o.n += n }
+func (s *mapStore[K, V]) values(k K, _ []V) []V { return s.grouped[k] }
 
-// taskFaults is the per-task fault accounting of one phase.
-type taskFaults struct {
+func (s *mapStore[K, V]) release() {}
+
+// taskRecord is one task's bookkeeping across its attempts: the fault
+// accounting of its phase, and the stamp of the attempt that committed.
+type taskRecord struct {
 	failed       int64 // failed attempts (including node-loss re-runs)
 	wasted       int64 // ops spent by failed attempts and backup copies
 	spec         int64 // speculative backup copies launched
 	stragglerOps int64 // extra serial op-time of an unmitigated straggler
 	exhausted    bool  // every attempt failed: terminal task failure
+
+	att    int    // 1-based attempt that committed the task's output
+	ops    int64  // ops the committing attempt charged
+	bytes  int64  // modeled wire size of the committed output
+	digest uint64 // checksum stamped at commit, re-verified at consume
+}
+
+// attempts runs a task's attempts until one survives the plan's failure
+// draw, at most maxAtt of them. run executes one attempt and returns the ops
+// it charged; walk stamps the committed output with its size and digest. A
+// lost attempt's work was really spent, so it is charged as wasted; its
+// output is discarded.
+func (rec *taskRecord) attempts(plan *cluster.FaultPlan, phase string, task, maxAtt int,
+	run func() int64, walk func(task int) (int64, uint64)) {
+	for att := 1; att <= maxAtt; att++ {
+		ops := run()
+		if plan.AttemptFails(phase, task, att) {
+			rec.failed++
+			rec.wasted += ops
+			continue
+		}
+		rec.att, rec.ops = att, ops
+		rec.bytes, rec.digest = walk(task)
+		rec.chargeStraggler(plan, phase, task, att, ops)
+		return
+	}
+	rec.exhausted = true
 }
 
 // chargeStraggler applies the plan's straggler decision to a committing
 // attempt that cost ops: with speculative execution the engine launches a
 // backup copy (duplicated work, no tail latency); without it the slow
 // attempt's extra serial time delays the phase.
-func (tf *taskFaults) chargeStraggler(plan *cluster.FaultPlan, phase string, task, att int, ops int64) {
+func (rec *taskRecord) chargeStraggler(plan *cluster.FaultPlan, phase string, task, att int, ops int64) {
 	if !plan.Straggles(phase, task, att) {
 		return
 	}
 	if plan.SpeculativeExecution {
-		tf.spec++
-		tf.wasted += ops
+		rec.spec++
+		rec.wasted += ops
 		return
 	}
-	tf.stragglerOps += int64(float64(ops) * (plan.SlowFactor() - 1))
+	rec.stragglerOps += int64(float64(ops) * (plan.SlowFactor() - 1))
 }
 
-// sum folds per-task fault accounting into phase stats.
-func sumFaults(stats *cluster.PhaseStats, faults []taskFaults) {
-	for i := range faults {
-		stats.FailedAttempts += faults[i].failed
-		stats.RecomputedOps += faults[i].wasted
-		stats.SpeculativeTasks += faults[i].spec
-		stats.StragglerOps += faults[i].stragglerOps
+// tally folds a phase's task records into its stats — the fault accounting
+// and the committed ops — and returns the committed bytes and the first task
+// that exhausted its attempts (-1 if none did).
+func tally(stats *cluster.PhaseStats, recs []taskRecord) (bytes int64, exhausted int) {
+	exhausted = -1
+	for t := range recs {
+		rec := &recs[t]
+		stats.FailedAttempts += rec.failed
+		stats.RecomputedOps += rec.wasted
+		stats.SpeculativeTasks += rec.spec
+		stats.StragglerOps += rec.stragglerOps
+		stats.ComputeOps += rec.ops
+		bytes += rec.bytes
+		if rec.exhausted && exhausted < 0 {
+			exhausted = t
+		}
 	}
+	return bytes, exhausted
+}
+
+// consume verifies each committed payload of a phase as its reader does: it
+// re-runs the walk that stamped the payload at commit and compares. A mismatch means
+// the output was damaged between commit and consume — a real integrity
+// violation, not an injected one. Then the plan decides whether the payload
+// arrives corrupted; each detected corruption re-executes the producing
+// attempt and re-ships the payload, up to maxAtt re-fetches. what names
+// task t's payload in the error that ends the job.
+func consume(stats *cluster.PhaseStats, plan *cluster.FaultPlan, phase string, maxAtt int, recs []taskRecord,
+	walk func(t int) (int64, uint64), what func(t int) string) error {
+	for t := range recs {
+		rec := &recs[t]
+		if bytes, digest := walk(t); bytes != rec.bytes || digest != rec.digest {
+			stats.CorruptPayloads++
+			return fmt.Errorf("%w: %s", ErrCorruptPayload, what(t))
+		}
+		if !chargeCorruptFetches(stats, plan, phase, t, rec.att, maxAtt, rec.ops, rec.bytes) {
+			return fmt.Errorf("%w: %s corrupt after %d re-fetches", ErrCorruptPayload, what(t), maxAtt)
+		}
+	}
+	return nil
+}
+
+// chargeCorruptFetches applies the plan's payload-corruption decisions to one
+// committed task payload: each corrupted fetch re-executes the producing
+// attempt (ops re-charged) and re-ships the payload (bytes re-charged),
+// bounded by maxAtt re-fetches. It returns false when every re-fetch came
+// back corrupted — the terminal, unrecoverable case.
+func chargeCorruptFetches(stats *cluster.PhaseStats, plan *cluster.FaultPlan, phase string, task, att, maxAtt int, ops, bytes int64) bool {
+	if plan == nil || plan.CorruptionRate <= 0 {
+		return true
+	}
+	for re := 0; re < maxAtt; re++ {
+		if !plan.PayloadCorrupt(phase, task, att+re) {
+			return true
+		}
+		stats.CorruptPayloads++
+		stats.ReverifyBytes += bytes
+		stats.RecomputedOps += ops
+	}
+	return false
 }
 
 // sizeFns resolves the job's optional key/value size callbacks once per Run,
@@ -277,48 +447,60 @@ func (job *Job[I, K, V, R]) resultFn() func(R) int64 {
 	return job.ResultBytes
 }
 
-// payloadSize walks one task's map output, returning its total modeled wire
-// size and its order-independent checksum. The producing attempt stamps the
-// digest at commit time; the shuffle recomputes it at consume time and the
-// two must match — the simulated equivalent of checksumming a payload before
-// and after it crosses the wire.
-func payloadSize[K comparable, V any](kbf func(K) int64, vbf func(V) int64, pairs map[K][]V, vals map[K]V) (int64, uint64) {
+// partPayload walks one reduce task's part file: the modeled size of its
+// results and the checksum over their (key, result) sizes.
+func partPayload[K comparable, R any](kbf func(K) int64, rbf func(R) int64, keys []K, rs []R) (int64, uint64) {
 	var total int64
 	var dig cluster.PayloadDigest
-	for k, vs := range pairs {
-		kb := kbf(k)
-		for _, v := range vs {
-			vb := vbf(v)
-			total += kb + vb
-			dig.Add(kb, vb)
-		}
-	}
-	for k, v := range vals {
-		kb, vb := kbf(k), vbf(v)
-		total += kb + vb
-		dig.Add(kb, vb)
+	for i, k := range keys {
+		rb := rbf(rs[i])
+		total += rb
+		dig.Add(kbf(k), rb)
 	}
 	return total, dig.Sum()
 }
 
-// chargeCorruptFetches applies the plan's payload-corruption decisions to one
-// committed task payload: each corrupted fetch re-executes the producing
-// attempt (ops re-charged) and re-ships the payload (bytes re-charged),
-// bounded by maxAtt re-fetches. It returns false when every re-fetch came
-// back corrupted — the terminal, unrecoverable case.
-func chargeCorruptFetches(stats *cluster.PhaseStats, plan *cluster.FaultPlan, phase string, task, att, maxAtt int, ops, bytes int64) bool {
-	if plan == nil || plan.CorruptionRate <= 0 {
-		return true
+// runTasks runs fn for every task in [0, n) on at most workers goroutines,
+// each claiming the next task from a shared counter. Fault draws are keyed
+// by (phase, task, attempt), so which worker runs a task changes no charge.
+func runTasks(n, workers int, fn func(task int)) {
+	workers = min(workers, n)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for t := int(next.Add(1)) - 1; t < n; t = int(next.Add(1)) - 1 {
+				fn(t)
+			}
+		}()
 	}
-	for re := 0; re < maxAtt; re++ {
-		if !plan.PayloadCorrupt(phase, task, att+re) {
-			return true
-		}
-		stats.CorruptPayloads++
-		stats.ReverifyBytes += bytes
-		stats.RecomputedOps += ops
+	wg.Wait()
+}
+
+// sortKeys puts keys in the order the reduce partitioner splits: the string
+// order of fmt.Sprint, so runs are deterministic regardless of map
+// iteration. Int keys (every job's keys but the string-keyed tests') are
+// compared by denseKeyLess, which reproduces that order without formatting.
+func sortKeys[K comparable](keys []K) {
+	if ints, ok := any(keys).([]int); ok {
+		sort.Slice(ints, func(i, j int) bool { return denseKeyLess(ints[i], ints[j]) })
+		return
 	}
-	return false
+	sort.Slice(keys, func(i, j int) bool { return fmt.Sprint(keys[i]) < fmt.Sprint(keys[j]) })
+}
+
+// denseKeyLess orders int keys exactly as fmt.Sprint's string order does,
+// without allocating: strconv formats both keys into stack buffers and
+// bytes.Compare orders them. Reduce-task partitioning derives from this
+// order, so under a FaultPlan the per-(task, attempt) fault draws — and
+// hence every recovery charge — depend on it.
+func denseKeyLess(a, b int) bool {
+	var ab, bb [20]byte
+	as := strconv.AppendInt(ab[:0], int64(a), 10)
+	bs := strconv.AppendInt(bb[:0], int64(b), 10)
+	return bytes.Compare(as, bs) < 0
 }
 
 // Run executes the job over the input records and returns the reduce output
@@ -331,27 +513,17 @@ func Run[I any, K comparable, V any, R any](e *Engine, job Job[I, K, V, R], inpu
 	if job.NewMapper == nil || job.Reduce == nil {
 		return nil, fmt.Errorf("mapred: job %q missing mapper or reducer", job.Name)
 	}
-	// Flat-slab fast path: a whole-job type assertion dispatches the hot
-	// (int, []float64) and (int, float64) shapes without any per-emit boxing;
-	// every other instantiation falls through to the generic shuffle below.
-	if job.Dense != nil && !e.DisableDense {
-		if dj, ok := any(&job).(*Job[I, int, []float64, []float64]); ok {
-			out, err := runDense(e, dj, input, vecCodec)
-			res, _ := any(out).(map[K]R)
-			return res, err
-		}
-		if dj, ok := any(&job).(*Job[I, int, float64, float64]); ok {
-			out, err := runDense(e, dj, input, scalarCodec)
-			res, _ := any(out).(map[K]R)
-			return res, err
-		}
+	splits := e.NumSplits(len(input))
+	st, err := newStore(e, &job, splits)
+	if err != nil {
+		return nil, err
 	}
+	defer st.release()
 	// Entry poll, before the job draws its sequence number: an interrupted
 	// run must not advance the fault cursor for a job it never starts.
 	if err := e.Cluster.Interrupted(); err != nil {
 		return nil, fmt.Errorf("mapred: job %q: %w", job.Name, err)
 	}
-	splits := e.NumSplits(len(input))
 	plan, seq := e.plan()
 	mapPhase := fmt.Sprintf("%s#%d/map", job.Name, seq)
 	maxAtt := plan.Attempts(e.MaxAttempts)
@@ -359,71 +531,44 @@ func Run[I any, K comparable, V any, R any](e *Engine, job Job[I, K, V, R], inpu
 	rbf := job.resultFn()
 
 	// Job span: wraps the map and reduce phase charges so they nest under
-	// one node per submitted job in the trace.
+	// one node per submitted job in the trace. fail charges the phase a
+	// failing job reached (if any), closes the span and returns err.
 	tr := e.Cluster.Tracer()
 	if tr != nil {
 		tr.Begin(job.Name, trace.KindJob,
 			trace.I("seq", int64(seq)), trace.I("splits", int64(splits)))
 	}
+	fail := func(stats *cluster.PhaseStats, err error) (map[K]R, error) {
+		if stats != nil {
+			e.Cluster.RunPhase(*stats)
+		}
+		if tr != nil {
+			tr.End(trace.I("failed", 1))
+		}
+		return nil, err
+	}
 
 	// ---- Map phase ----
-	type taskOut struct {
-		pairs  map[K][]V
-		vals   map[K]V
-		ops    int64
-		att    int    // 1-based attempt that committed this output
-		bytes  int64  // modeled wire size of the output
-		digest uint64 // checksum stamped by the committing attempt
-	}
-	outs := make([]taskOut, splits)
-	mapFaults := make([]taskFaults, splits)
 	var inputBytes int64
 	if job.InputBytes != nil {
-		for _, rec := range input {
-			inputBytes += job.InputBytes(rec)
+		for _, r := range input {
+			inputBytes += job.InputBytes(r)
 		}
 	}
-
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, e.Cluster.TotalCores())
-	for t := 0; t < splits; t++ {
-		lo := t * len(input) / splits
-		hi := (t + 1) * len(input) / splits
-		wg.Add(1)
-		go func(task, lo, hi int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			tf := &mapFaults[task]
-			em := newEmitter[K, V](job.Combine)
-			for att := 1; att <= maxAtt; att++ {
-				if att > 1 {
-					em.reset() // retries reuse the failed attempt's maps
-				}
-				m := job.NewMapper(task)
-				for i := lo; i < hi; i++ {
-					m.Map(input[i], em)
-				}
-				m.Cleanup(em)
-				if plan.AttemptFails(mapPhase, task, att) {
-					// Attempt lost: the cluster really spent the cycles, but
-					// the output is discarded and the task retries.
-					tf.failed++
-					tf.wasted += em.ops
-					continue
-				}
-				outs[task].pairs = em.pairs
-				outs[task].vals = em.vals
-				outs[task].ops = em.ops
-				outs[task].att = att
-				outs[task].bytes, outs[task].digest = payloadSize(kbf, vbf, em.pairs, em.vals)
-				tf.chargeStraggler(plan, mapPhase, task, att, em.ops)
-				return
+	mapRecs := make([]taskRecord, splits)
+	mapWalk := func(t int) (int64, uint64) { return st.payload(t, kbf, vbf) }
+	runTasks(splits, e.Cluster.TotalCores(), func(t int) {
+		split := input[t*len(input)/splits : (t+1)*len(input)/splits]
+		mapRecs[t].attempts(plan, mapPhase, t, maxAtt, func() int64 {
+			em, ops := st.emitter(t)
+			m := job.NewMapper(t)
+			for _, r := range split {
+				m.Map(r, em)
 			}
-			tf.exhausted = true
-		}(t, lo, hi)
-	}
-	wg.Wait()
+			m.Cleanup(em)
+			return ops.n
+		}, mapWalk)
+	})
 
 	// Hadoop node-loss semantics: map output lives on the mapper's local
 	// disk until the shuffle reads it, so losing a node loses the completed
@@ -437,81 +582,31 @@ func Run[I any, K comparable, V any, R any](e *Engine, job Job[I, K, V, R], inpu
 				continue
 			}
 			for t := n; t < splits; t += nodes {
-				if mapFaults[t].exhausted {
-					continue
+				if rec := &mapRecs[t]; !rec.exhausted {
+					rec.failed++
+					rec.wasted += rec.ops
 				}
-				mapFaults[t].failed++
-				mapFaults[t].wasted += outs[t].ops
 			}
 		}
 	}
 
-	var mapOps int64
 	mapStats := cluster.PhaseStats{
 		Name:    job.Name + "/map",
 		Tasks:   int64(splits),
 		Records: int64(len(input)),
 	}
-	sumFaults(&mapStats, mapFaults)
-	for t := range outs {
-		mapOps += outs[t].ops
+	shuffleBytes, lost := tally(&mapStats, mapRecs)
+	if lost >= 0 {
+		// Charge the work the failed job still performed, then surface the
+		// terminal failure (no shuffle happens for an aborted job).
+		return fail(&mapStats, fmt.Errorf("%w: job %q map task %d (%d attempts)",
+			ErrTaskFailed, job.Name, lost, maxAtt))
 	}
-	for t := range mapFaults {
-		if mapFaults[t].exhausted {
-			// Charge the work the failed job still performed, then surface
-			// the terminal failure (no shuffle happens for an aborted job).
-			mapStats.ComputeOps = mapOps
-			e.Cluster.RunPhase(mapStats)
-			if tr != nil {
-				tr.End(trace.I("failed", 1))
-			}
-			return nil, fmt.Errorf("%w: job %q map task %d (%d attempts)",
-				ErrTaskFailed, job.Name, t, maxAtt)
-		}
+	// ---- Shuffle: the reducers fetch and verify each task's payload ----
+	if err := consume(&mapStats, plan, mapPhase, maxAtt, mapRecs, mapWalk,
+		func(t int) string { return fmt.Sprintf("job %q map task %d shuffle payload", job.Name, t) }); err != nil {
+		return fail(&mapStats, err)
 	}
-
-	// ---- Shuffle: verify each task's payload checksum, group map output by
-	// key, counting bytes ----
-	var shuffleBytes int64
-	grouped := make(map[K][]V)
-	for t := range outs {
-		o := &outs[t]
-		// Consume-side verification: recompute the digest the committing
-		// attempt stamped. A mismatch means the output was damaged between
-		// commit and shuffle — a real integrity violation, not an injected
-		// one — and fails the job with the typed sentinel.
-		tb, sum := payloadSize(kbf, vbf, o.pairs, o.vals)
-		if tb != o.bytes || sum != o.digest {
-			mapStats.ComputeOps = mapOps
-			mapStats.CorruptPayloads++
-			e.Cluster.RunPhase(mapStats)
-			if tr != nil {
-				tr.End(trace.I("failed", 1))
-			}
-			return nil, fmt.Errorf("%w: job %q map task %d shuffle payload",
-				ErrCorruptPayload, job.Name, t)
-		}
-		// Injected corruption: the plan decides whether this payload arrives
-		// corrupted; each detected corruption re-executes the mapper and
-		// re-ships the payload, up to maxAtt re-fetches.
-		if !chargeCorruptFetches(&mapStats, plan, mapPhase, t, o.att, maxAtt, o.ops, tb) {
-			mapStats.ComputeOps = mapOps
-			e.Cluster.RunPhase(mapStats)
-			if tr != nil {
-				tr.End(trace.I("failed", 1))
-			}
-			return nil, fmt.Errorf("%w: job %q map task %d payload corrupt after %d re-fetches",
-				ErrCorruptPayload, job.Name, t, maxAtt)
-		}
-		shuffleBytes += tb
-		for k, vs := range o.pairs {
-			grouped[k] = append(grouped[k], vs...)
-		}
-		for k, v := range o.vals {
-			grouped[k] = append(grouped[k], v)
-		}
-	}
-	mapStats.ComputeOps = mapOps
 	mapStats.ShuffleBytes = shuffleBytes
 	// Hadoop spills map output to local disk and reads the input split from
 	// HDFS.
@@ -522,157 +617,68 @@ func Run[I any, K comparable, V any, R any](e *Engine, job Job[I, K, V, R], inpu
 	// fully charged, so metrics and trace stay consistent; the reduce phase
 	// never starts and the job unwinds with the typed interrupt sentinel.
 	if err := e.Cluster.Interrupted(); err != nil {
-		if tr != nil {
-			tr.End(trace.I("failed", 1))
-		}
-		return nil, fmt.Errorf("mapred: job %q: %w", job.Name, err)
+		return fail(nil, fmt.Errorf("mapred: job %q: %w", job.Name, err))
 	}
 
 	// ---- Reduce phase ----
-	reducers := e.Reducers
-	if reducers <= 0 {
-		reducers = e.Cluster.TotalCores()
-	}
-	keys := make([]K, 0, len(grouped))
-	for k := range grouped {
-		keys = append(keys, k)
-	}
-	// Stable key order so runs are deterministic regardless of map iteration.
-	sort.Slice(keys, func(i, j int) bool {
-		return fmt.Sprint(keys[i]) < fmt.Sprint(keys[j])
-	})
-
 	// Keys are partitioned into the configured number of reduce tasks (like
 	// Hadoop's partitioner), so Engine.Reducers governs scheduling, not just
 	// the charged task overhead. Task concurrency is bounded by the reduce
 	// slots and the cluster's cores, whichever is smaller.
-	redTasks := reducers
-	if len(keys) < redTasks {
-		redTasks = len(keys)
+	reducers := e.Reducers
+	if reducers <= 0 {
+		reducers = e.Cluster.TotalCores()
 	}
-	if redTasks == 0 {
-		redTasks = 1
-	}
+	keys := st.keys()
+	sortKeys(keys)
+	redTasks := max(min(reducers, len(keys)), 1)
+	part := func(t int) (lo, hi int) { return t * len(keys) / redTasks, (t + 1) * len(keys) / redTasks }
 	redPhase := fmt.Sprintf("%s#%d/reduce", job.Name, seq)
-	result := make(map[K]R, len(keys))
-	var resMu sync.Mutex
-	var redOps, outBytes int64
-	// Per-task commit records: the committing attempt, its modeled output
-	// size and ops (for corrupt-fetch re-execution charges), and the checksum
-	// it stamped over its part file.
-	type redOut struct {
-		att    int
-		ops    int64
-		bytes  int64
-		digest uint64
+	redRecs := make([]taskRecord, redTasks)
+	ocs := make([]opsCounter, redTasks)
+	rs := make([]R, len(keys)) // results in key order; a retry overwrites its range
+	partWalk := func(t int) (int64, uint64) {
+		lo, hi := part(t)
+		return partPayload(kbf, rbf, keys[lo:hi], rs[lo:hi])
 	}
-	redOuts := make([]redOut, redTasks)
-	redFaults := make([]taskFaults, redTasks)
-	var redWg sync.WaitGroup
-	slots := reducers
-	if tc := e.Cluster.TotalCores(); tc < slots {
-		slots = tc
-	}
-	redSem := make(chan struct{}, slots)
-	for t := 0; t < redTasks; t++ {
-		lo := t * len(keys) / redTasks
-		hi := (t + 1) * len(keys) / redTasks
-		redWg.Add(1)
-		go func(task int, taskKeys []K) {
-			defer redWg.Done()
-			redSem <- struct{}{}
-			defer func() { <-redSem }()
-			tf := &redFaults[task]
-			for att := 1; att <= maxAtt; att++ {
-				oc := &opsCounter{}
-				var taskBytes int64
-				var dig cluster.PayloadDigest
-				partial := make(map[K]R, len(taskKeys))
-				for _, k := range taskKeys {
-					r := job.Reduce(k, grouped[k], oc)
-					kb, rb := kbf(k), rbf(r)
-					taskBytes += rb
-					dig.Add(kb, rb)
-					partial[k] = r
-				}
-				if plan.AttemptFails(redPhase, task, att) {
-					tf.failed++
-					tf.wasted += oc.n
-					continue
-				}
-				tf.chargeStraggler(plan, redPhase, task, att, oc.n)
-				resMu.Lock()
-				for k, r := range partial {
-					result[k] = r
-				}
-				redOps += oc.n
-				outBytes += taskBytes
-				resMu.Unlock()
-				redOuts[task] = redOut{att: att, ops: oc.n, bytes: taskBytes, digest: dig.Sum()}
-				return
+	gather := make([]V, redTasks*splits)
+	runTasks(redTasks, min(reducers, e.Cluster.TotalCores()), func(t int) {
+		lo, hi := part(t)
+		oc, buf := &ocs[t], gather[t*splits:t*splits:(t+1)*splits]
+		redRecs[t].attempts(plan, redPhase, t, maxAtt, func() int64 {
+			oc.n = 0
+			for i := lo; i < hi; i++ {
+				rs[i] = job.Reduce(keys[i], st.values(keys[i], buf), oc)
 			}
-			tf.exhausted = true
-		}(t, keys[lo:hi])
+			return oc.n
+		}, partWalk)
+	})
+	redStats := cluster.PhaseStats{Name: job.Name + "/reduce", Tasks: int64(redTasks)}
+	outBytes, lost := tally(&redStats, redRecs)
+	if lost >= 0 {
+		// An aborted job commits no output.
+		return fail(&redStats, fmt.Errorf("%w: job %q reduce task %d (%d attempts)",
+			ErrTaskFailed, job.Name, lost, maxAtt))
 	}
-	redWg.Wait()
-	redStats := cluster.PhaseStats{
-		Name:       job.Name + "/reduce",
-		ComputeOps: redOps,
-		DiskBytes:  outBytes, // reducers write results to HDFS
-		Tasks:      int64(redTasks),
-		// Job output is inter-job intermediate data: the next job (or the
-		// driver) reads it back. This is the paper's intermediate-data
-		// metric.
-		MaterializedBytes: outBytes,
-	}
-	sumFaults(&redStats, redFaults)
-	for t := range redFaults {
-		if redFaults[t].exhausted {
-			redStats.DiskBytes = 0 // aborted job commits no output
-			redStats.MaterializedBytes = 0
-			e.Cluster.RunPhase(redStats)
-			if tr != nil {
-				tr.End(trace.I("failed", 1))
-			}
-			return nil, fmt.Errorf("%w: job %q reduce task %d (%d attempts)",
-				ErrTaskFailed, job.Name, t, maxAtt)
-		}
-	}
+	// Reducers write results to HDFS. Job output is inter-job intermediate
+	// data: the next job (or the driver) reads it back. This is the paper's
+	// intermediate-data metric.
+	redStats.DiskBytes = outBytes
+	redStats.MaterializedBytes = outBytes
 	// The driver consumes the reduce part files: re-verify each task's
-	// checksum against the committed results, then apply the plan's
-	// corruption decisions (a corrupted part file re-runs its reduce task and
-	// is re-read).
-	for t := 0; t < redTasks; t++ {
-		lo := t * len(keys) / redTasks
-		hi := (t + 1) * len(keys) / redTasks
-		var tb int64
-		var dig cluster.PayloadDigest
-		for _, k := range keys[lo:hi] {
-			kb, rb := kbf(k), rbf(result[k])
-			tb += rb
-			dig.Add(kb, rb)
-		}
-		if tb != redOuts[t].bytes || dig.Sum() != redOuts[t].digest {
-			redStats.CorruptPayloads++
-			e.Cluster.RunPhase(redStats)
-			if tr != nil {
-				tr.End(trace.I("failed", 1))
-			}
-			return nil, fmt.Errorf("%w: job %q reduce task %d output",
-				ErrCorruptPayload, job.Name, t)
-		}
-		if !chargeCorruptFetches(&redStats, plan, redPhase, t, redOuts[t].att, maxAtt, redOuts[t].ops, tb) {
-			e.Cluster.RunPhase(redStats)
-			if tr != nil {
-				tr.End(trace.I("failed", 1))
-			}
-			return nil, fmt.Errorf("%w: job %q reduce task %d output corrupt after %d re-fetches",
-				ErrCorruptPayload, job.Name, t, maxAtt)
-		}
+	// checksum, then apply the plan's corruption decisions (a corrupted part
+	// file re-runs its reduce task and is re-read).
+	if err := consume(&redStats, plan, redPhase, maxAtt, redRecs, partWalk,
+		func(t int) string { return fmt.Sprintf("job %q reduce task %d output", job.Name, t) }); err != nil {
+		return fail(&redStats, err)
 	}
 	e.Cluster.RunPhase(redStats)
 	if tr != nil {
 		tr.End(trace.I("reducers", int64(redTasks)), trace.I("shuffle_bytes", shuffleBytes))
+	}
+	result := make(map[K]R, len(keys))
+	for i, k := range keys {
+		result[k] = rs[i]
 	}
 	return result, nil
 }

@@ -69,59 +69,7 @@ type Runner interface {
 // closure. Chunking, scheduling, and the bit-reproducibility contract are
 // identical to For; the only difference is that the inline fast path performs
 // no allocation at the call site.
-func ForRunner(n, grain int, r Runner) {
-	if n <= 0 {
-		return
-	}
-	if grain < 1 {
-		grain = 1
-	}
-	workers := Workers()
-	if sequential.Load() || workers == 1 || n <= grain {
-		r.Run(0, n)
-		return
-	}
-	chunk := (n + workers*chunksPerWorker - 1) / (workers * chunksPerWorker)
-	if chunk < grain {
-		chunk = grain
-	}
-	chunks := (n + chunk - 1) / chunk
-	if chunks <= 1 {
-		r.Run(0, n)
-		return
-	}
-	if chunks < workers {
-		workers = chunks
-	}
-	var next atomic.Int64
-	run := func() {
-		for {
-			if aborted() {
-				return
-			}
-			c := int(next.Add(1)) - 1
-			if c >= chunks {
-				return
-			}
-			lo := c * chunk
-			hi := lo + chunk
-			if hi > n {
-				hi = n
-			}
-			r.Run(lo, hi)
-		}
-	}
-	var wg sync.WaitGroup
-	wg.Add(workers - 1)
-	for i := 1; i < workers; i++ {
-		go func() {
-			defer wg.Done()
-			run()
-		}()
-	}
-	run()
-	wg.Wait()
-}
+func ForRunner(n, grain int, r Runner) { forChunks(n, grain, runnerBody{r}) }
 
 // For splits [0, n) into contiguous chunks of at least grain indices and runs
 // fn(lo, hi) once per chunk, possibly concurrently. fn must only write state
@@ -133,7 +81,38 @@ func ForRunner(n, grain int, r Runner) {
 // Pick grain so a chunk amortizes scheduling: tens of microseconds of work.
 // Note the closure itself still escapes (see Runner); allocation-sensitive
 // callers use ForRunner.
-func For(n, grain int, fn func(lo, hi int)) {
+func For(n, grain int, fn func(lo, hi int)) { ForRunner(n, grain, funcRunner(fn)) }
+
+// funcRunner adapts For's closure to a Runner. A func value is one pointer,
+// so the conversion allocates nothing.
+type funcRunner func(lo, hi int)
+
+func (f funcRunner) Run(lo, hi int) { f(lo, hi) }
+
+// ForWorker is For with the executing worker's index (0 <= w < Workers())
+// passed to fn, so fn can index per-worker scratch without synchronization.
+// The same bit-reproducibility contract as For applies; in particular the
+// values fn computes must not depend on which worker ran the chunk, which
+// holds whenever per-worker scratch is fully initialized before it is read.
+func ForWorker(n, grain int, fn func(worker, lo, hi int)) { forChunks(n, grain, workerBody(fn)) }
+
+// body is a chunk body as the claim loop calls it: run(w, lo, hi) on worker
+// w. Its two adapters below are a func value or hold one interface, so
+// passing them by value allocates nothing on the inline path.
+type body interface{ run(w, lo, hi int) }
+
+type runnerBody struct{ r Runner }
+
+func (b runnerBody) run(_, lo, hi int) { b.r.Run(lo, hi) }
+
+type workerBody func(w, lo, hi int)
+
+func (f workerBody) run(w, lo, hi int) { f(w, lo, hi) }
+
+// forChunks is the one chunk-claim loop behind For, ForRunner and ForWorker.
+// The chunk size depends only on n, grain and Workers(), so a run's chunk
+// boundaries never depend on scheduling.
+func forChunks[B body](n, grain int, b B) {
 	if n <= 0 {
 		return
 	}
@@ -142,47 +121,44 @@ func For(n, grain int, fn func(lo, hi int)) {
 	}
 	workers := Workers()
 	if sequential.Load() || workers == 1 || n <= grain {
-		fn(0, n)
+		b.run(0, 0, n)
 		return
 	}
-	chunk := (n + workers*chunksPerWorker - 1) / (workers * chunksPerWorker)
-	if chunk < grain {
-		chunk = grain
-	}
+	chunk := max((n+workers*chunksPerWorker-1)/(workers*chunksPerWorker), grain)
 	chunks := (n + chunk - 1) / chunk
 	if chunks <= 1 {
-		fn(0, n)
+		b.run(0, 0, n)
 		return
 	}
-	if chunks < workers {
-		workers = chunks
-	}
-	var next atomic.Int64
-	run := func() {
-		for {
-			if aborted() {
-				return
-			}
-			c := int(next.Add(1)) - 1
-			if c >= chunks {
-				return
-			}
-			lo := c * chunk
-			hi := lo + chunk
-			if hi > n {
-				hi = n
-			}
-			fn(lo, hi)
-		}
-	}
-	var wg sync.WaitGroup
-	wg.Add(workers - 1)
-	for i := 1; i < workers; i++ {
+	c := &claims[B]{b: b, n: n, chunk: chunk, chunks: chunks}
+	workers = min(workers, chunks)
+	c.wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
 		go func() {
-			defer wg.Done()
-			run()
+			defer c.wg.Done()
+			c.loop(w)
 		}()
 	}
-	run()
-	wg.Wait()
+	c.loop(0)
+	c.wg.Wait()
+}
+
+// claims is one parallel forChunks run: its workers claim chunks in order
+// from next until none remain or the abort flag trips.
+type claims[B body] struct {
+	b                B
+	n, chunk, chunks int
+	next             atomic.Int64
+	wg               sync.WaitGroup
+}
+
+func (c *claims[B]) loop(w int) {
+	for !aborted() {
+		i := int(c.next.Add(1)) - 1
+		if i >= c.chunks {
+			return
+		}
+		lo := i * c.chunk
+		c.b.run(w, lo, min(lo+c.chunk, c.n))
+	}
 }

@@ -86,3 +86,48 @@ func TestWorkersOverride(t *testing.T) {
 		t.Fatalf("Workers() = %d with override cleared", Workers())
 	}
 }
+
+func TestForWorkerMatchesForAndBoundsWorkerIndex(t *testing.T) {
+	defer SetWorkers(0)
+	for _, workers := range []int{1, 3} {
+		SetWorkers(workers)
+		n := 1000
+		got := make([]int, n)
+		ForWorker(n, 10, func(w, lo, hi int) {
+			if w < 0 || w >= workers {
+				t.Errorf("worker index %d out of [0,%d)", w, workers)
+			}
+			for i := lo; i < hi; i++ {
+				got[i] = i * i
+			}
+		})
+		for i := range got {
+			if got[i] != i*i {
+				t.Fatalf("workers=%d: got[%d] = %d, want %d", workers, i, got[i], i*i)
+			}
+		}
+	}
+}
+
+type nopRunner struct{ sink []int }
+
+func (r *nopRunner) Run(lo, hi int) { r.sink[lo] = hi }
+
+// TestForRunnerDispatchAllocs gates the multi-core path of the chunk-claim
+// loop: a chunked dispatch allocates the run's shared state once, plus one
+// closure per goroutine beyond the caller's, so w workers cost at most w
+// allocations (the loop before it made 4 at two workers and 6 at four).
+func TestForRunnerDispatchAllocs(t *testing.T) {
+	defer SetWorkers(0)
+	r := &nopRunner{sink: make([]int, 4096)}
+	for _, workers := range []int{1, 2, 4} {
+		SetWorkers(workers)
+		want := float64(workers)
+		if workers == 1 {
+			want = 0 // inline
+		}
+		if got := testing.AllocsPerRun(100, func() { ForRunner(len(r.sink), 1, r) }); got > want {
+			t.Errorf("workers=%d: ForRunner dispatch made %v allocations, want at most %v", workers, got, want)
+		}
+	}
+}
