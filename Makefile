@@ -24,11 +24,12 @@ test:
 # The two distributed engines run real goroutines; keep them race-clean,
 # along with the kernel worker pool, the EM and sketch engines that fan out
 # across both platforms, the Mahout and SVD-bidiagonalization baselines whose
-# jobs run through mapred's map store, the iterative driver (final-flush
-# retry) and the cluster (interrupt watchdog).
+# jobs run through mapred's map store, the MLlib baseline's rdd jobs, the
+# accuracy metric (its error terms fill through the pool), the iterative
+# driver (final-flush retry) and the cluster (interrupt watchdog).
 race:
 	$(GO) test -race ./internal/rdd ./internal/mapred ./internal/parallel ./internal/ppca ./internal/rsvd ./internal/serve \
-		./internal/ssvd ./internal/svdbidiag ./internal/driver ./internal/cluster
+		./internal/ssvd ./internal/svdbidiag ./internal/covpca ./internal/accuracy ./internal/driver ./internal/cluster
 
 # Serving-layer smoke: registry round-trip, both wire protocols, the
 # zero-allocation gate on the binary hot path, and the graceful drain.

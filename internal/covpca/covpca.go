@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 
+	"spca/internal/accuracy"
 	"spca/internal/cluster"
 	"spca/internal/mapred"
 	"spca/internal/matrix"
@@ -24,8 +25,6 @@ import (
 type Options struct {
 	// Components is d, the number of principal components.
 	Components int
-	// SampleRows bounds the error-metric sample (default 256).
-	SampleRows int
 	// Seed drives the error-metric row sample (the algorithm itself is
 	// deterministic).
 	Seed uint64
@@ -36,7 +35,7 @@ type Options struct {
 
 // DefaultOptions mirrors the paper's MLlib-PCA configuration.
 func DefaultOptions(d int) Options {
-	return Options{Components: d, SampleRows: 256, Seed: 42}
+	return Options{Components: d, Seed: 42}
 }
 
 // Result is the output of a covariance-eigendecomposition PCA.
@@ -164,12 +163,10 @@ func FitSpark(ctx *rdd.Context, rows []matrix.SparseVector, dims int, opt Option
 	// components without the cubic wall-clock in this process.
 	comps, vals := topEigenSym(cov, opt.Components, opt.Seed)
 
-	ymat := sparseFromRows(rows, dims)
-	sample := sampleIdx(n, opt.sampleRows(), opt.Seed)
 	res := &Result{
 		Components:  comps,
 		Eigenvalues: vals,
-		Err:         reconstructionError(ymat, mean, comps, sample),
+		Err:         accuracy.Draw(rows, dims, accuracy.Seed(opt.Seed)).Err(mean, comps, comps),
 	}
 	res.Metrics = cl.Metrics()
 	res.Phases = cluster.Summarize(cl.PhaseLog(), cl.Config())
@@ -186,65 +183,4 @@ func topEigenSym(a *matrix.Dense, k int, seed uint64) (*matrix.Dense, []float64)
 	steps := 3*k + 20
 	u, s, _ := matrix.LanczosSVD(matrix.DenseOp{M: a}, k, steps, matrix.NewRNG(seed+0xE16))
 	return u, s
-}
-
-func (o Options) sampleRows() int {
-	if o.SampleRows <= 0 {
-		return 256
-	}
-	return o.SampleRows
-}
-
-// reconstructionError matches the metric used by the other algorithms.
-func reconstructionError(y *matrix.Sparse, mean []float64, w *matrix.Dense, rows []int) float64 {
-	var num, den float64
-	k := w.C
-	xi := make([]float64, k)
-	wm := w.MulVecT(mean)
-	tNum := make([]float64, y.C)
-	tDen := make([]float64, y.C)
-	for _, i := range rows {
-		row := y.Row(i)
-		for t := range xi {
-			xi[t] = -wm[t]
-		}
-		for t, j := range row.Indices {
-			matrix.AXPY(row.Values[t], w.Row(j), xi)
-		}
-		matrix.ReconTerms(row, mean, w, xi, tNum, tDen)
-		for j := 0; j < y.C; j++ {
-			num += tNum[j]
-			den += tDen[j]
-		}
-	}
-	if den == 0 {
-		return 0
-	}
-	return num / den
-}
-
-func sampleIdx(n, want int, seed uint64) []int {
-	if want >= n {
-		idx := make([]int, n)
-		for i := range idx {
-			idx[i] = i
-		}
-		return idx
-	}
-	perm := matrix.NewRNG(seed + 0xACC).Perm(n)
-	idx := perm[:want]
-	for i := 1; i < len(idx); i++ {
-		for j := i; j > 0 && idx[j] < idx[j-1]; j-- {
-			idx[j], idx[j-1] = idx[j-1], idx[j]
-		}
-	}
-	return idx
-}
-
-func sparseFromRows(rows []matrix.SparseVector, dims int) *matrix.Sparse {
-	b := matrix.NewSparseBuilder(dims)
-	for _, r := range rows {
-		b.AddRow(r.Indices, r.Values)
-	}
-	return b.Build()
 }

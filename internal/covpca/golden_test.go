@@ -28,21 +28,29 @@ func fingerprint(res *Result) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// Pre-refactor fingerprint; when empty the test prints the observed hash so
-// it can be pinned.
-var goldenHash = "1b0d8bf60de53686"
+// Pre-refactor fingerprints by input row count; a missing entry makes the
+// test print the observed hash so it can be pinned. The 400-row fit has more
+// rows than the error metric's 256-row sample, so its Err pins which rows
+// the sample draws.
+var goldenHashes = map[int]string{
+	150: "1b0d8bf60de53686",
+	400: "d5e911d1c04c2e9a",
+}
 
 func TestGoldenFitBitIdentical(t *testing.T) {
-	_, rows := plantedData(150, 40, 3, 41)
-	res, err := FitSpark(testCtx(), rows, 40, DefaultOptions(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := fingerprint(res)
-	if goldenHash == "" {
-		t.Fatalf("no golden hash; captured %s", got)
-	}
-	if got != goldenHash {
-		t.Fatalf("fit changed: fingerprint %s, golden %s", got, goldenHash)
+	for _, n := range []int{150, 400} {
+		_, rows := plantedData(n, 40, 3, 41)
+		res, err := FitSpark(testCtx(), rows, 40, DefaultOptions(3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := fingerprint(res)
+		want, ok := goldenHashes[n]
+		if !ok {
+			t.Fatalf("no golden hash for %d rows; captured %s", n, got)
+		}
+		if got != want {
+			t.Fatalf("%d-row fit changed: fingerprint %s, golden %s", n, got, want)
+		}
 	}
 }

@@ -11,6 +11,7 @@ package dataset
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"spca/internal/matrix"
 )
@@ -157,7 +158,7 @@ func genBagOfWords(s Spec, minWords, maxWords int, zipfExp float64) *matrix.Spar
 		for c := range present {
 			idx = append(idx, c)
 		}
-		sortInts(idx)
+		slices.Sort(idx)
 		vals := make([]float64, len(idx))
 		for j := range vals {
 			vals[j] = 1
@@ -258,14 +259,5 @@ func Describe(m *matrix.Sparse) Stats {
 		NNZ:       m.NNZ(),
 		Density:   m.Density(),
 		SizeBytes: m.SizeBytes(),
-	}
-}
-
-func sortInts(a []int) {
-	// Insertion sort: word lists are tiny (<= a few hundred entries).
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
 	}
 }

@@ -4,9 +4,9 @@ import (
 	"fmt"
 
 	"spca"
+	"spca/internal/accuracy"
 	"spca/internal/cluster"
 	"spca/internal/dataset"
-	"spca/internal/ppca"
 )
 
 // Frontier places the randomized-sketch engines on the accuracy/cost
@@ -28,9 +28,7 @@ func (r Runner) Frontier() (*Table, error) {
 	// The house accuracy yardstick: the sampled reconstruction error of the
 	// exact rank-d truncation, shared by every engine's TargetAccuracy
 	// machinery.
-	iopt := ppca.DefaultOptions(d)
-	iopt.Seed = p.Seed
-	ideal := ppca.IdealError(y, d, iopt)
+	ideal := accuracy.Ideal(y, d, p.Seed)
 
 	entries := []struct {
 		alg    spca.Algorithm
@@ -60,13 +58,7 @@ func (r Runner) Frontier() (*Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("frontier %s: %w", e.alg, err)
 		}
-		acc := 0.0
-		if res.Err > 0 {
-			acc = ideal / res.Err
-			if acc > 1 {
-				acc = 1
-			}
-		}
+		acc := accuracy.Of(ideal, res.Err)
 		m := res.Metrics
 		t.Rows = append(t.Rows, []string{
 			string(e.alg),

@@ -288,11 +288,12 @@ func (em *denseEmitter[V]) Emit(k int, v V) {
 
 // slabStore is the store of a DenseSpec job: one pooled slab per map task.
 type slabStore[V any] struct {
-	e     *Engine
-	spec  *DenseSpec
-	cd    denseCodec[V]
-	slabs []*denseSlab
-	ems   []denseEmitter[V]
+	e      *Engine
+	spec   *DenseSpec
+	cd     denseCodec[V]
+	slabs  []*denseSlab
+	ems    []denseEmitter[V]
+	gather []V // per reduce task, room for one value per map task
 }
 
 // newSlabStore checks out splits slabs for spec from the engine's pool.
@@ -349,8 +350,12 @@ func (s *slabStore[V]) keys() []int {
 	return keys
 }
 
-func (s *slabStore[V]) values(k int, buf []V) []V {
-	slot := k - s.spec.MinKey
+func (s *slabStore[V]) reducers(n int) { s.gather = make([]V, n*len(s.slabs)) }
+
+// values gathers k's values into reduce task r's part of the gather buffer.
+func (s *slabStore[V]) values(r, k int) []V {
+	slot, sp := k-s.spec.MinKey, len(s.slabs)
+	buf := s.gather[r*sp : r*sp : (r+1)*sp]
 	for _, slab := range s.slabs {
 		if row := slab.row(slot); row != nil {
 			buf = append(buf, s.cd.view(row))

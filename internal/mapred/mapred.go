@@ -187,10 +187,11 @@ type store[K comparable, V any] interface {
 	payload(t int, kb func(K) int64, vb func(V) int64) (int64, uint64)
 	// keys returns every key some task emitted, in no particular order.
 	keys() []K
-	// values returns k's values in map-task order, then emission order. It
-	// may gather them into buf, which has room for one value per map task;
-	// reduce tasks call it concurrently, each with its own buf.
-	values(k K, buf []V) []V
+	// reducers readies values for n concurrent reduce tasks.
+	reducers(n int)
+	// values returns k's values, in map-task order then emission order, to
+	// reduce task r. Reduce tasks call it concurrently.
+	values(r int, k K) []V
 	// release hands pooled storage back once the job's results are dead.
 	release()
 }
@@ -306,7 +307,9 @@ func (s *mapStore[K, V]) keys() []K {
 	return keys
 }
 
-func (s *mapStore[K, V]) values(k K, _ []V) []V { return s.grouped[k] }
+func (s *mapStore[K, V]) reducers(int) {}
+
+func (s *mapStore[K, V]) values(_ int, k K) []V { return s.grouped[k] }
 
 func (s *mapStore[K, V]) release() {}
 
@@ -641,14 +644,14 @@ func Run[I any, K comparable, V any, R any](e *Engine, job Job[I, K, V, R], inpu
 		lo, hi := part(t)
 		return partPayload(kbf, rbf, keys[lo:hi], rs[lo:hi])
 	}
-	gather := make([]V, redTasks*splits)
+	st.reducers(redTasks)
 	runTasks(redTasks, min(reducers, e.Cluster.TotalCores()), func(t int) {
 		lo, hi := part(t)
-		oc, buf := &ocs[t], gather[t*splits:t*splits:(t+1)*splits]
+		oc := &ocs[t]
 		redRecs[t].attempts(plan, redPhase, t, maxAtt, func() int64 {
 			oc.n = 0
 			for i := lo; i < hi; i++ {
-				rs[i] = job.Reduce(keys[i], st.values(keys[i], buf), oc)
+				rs[i] = job.Reduce(keys[i], st.values(t, keys[i]), oc)
 			}
 			return oc.n
 		}, partWalk)

@@ -137,15 +137,6 @@ func BenchmarkFrobeniusSimple(b *testing.B) {
 	}
 }
 
-func BenchmarkIdealError(b *testing.B) {
-	y, _ := benchData(b, 2000, 500)
-	opt := DefaultOptions(10)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = IdealError(y, 10, opt)
-	}
-}
-
 func BenchmarkFitMissing(b *testing.B) {
 	holed, _ := lowRankDenseWithHoles(200, 50, 4, 0.2, 1)
 	opt := DefaultOptions(4)

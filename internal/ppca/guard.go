@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 
+	"spca/internal/accuracy"
 	"spca/internal/checkpoint"
 	"spca/internal/driver"
 	"spca/internal/matrix"
@@ -51,8 +52,6 @@ type emEngine interface {
 	solved(em *emDriver, cNew *matrix.Dense)
 	// ss3 runs the variance pass with the new C.
 	ss3(em *emDriver, cNew *matrix.Dense) (float64, error)
-	// reconErr computes the sampled reconstruction error of the current model.
-	reconErr(em *emDriver) float64
 }
 
 // emStep is one guarded EM iteration behind the shared iterative driver
@@ -60,12 +59,13 @@ type emEngine interface {
 // checkpoints, and the driver-crash injection around it. Each iteration runs
 // prepare → pass → update → ss3 → finishVariance, then the numerical guards
 // (a non-finite scan of the model state, divergence detection with rollback
-// to the best snapshot) and the history entry.
+// to the best snapshot) and the history entry, graded on sample.
 type emStep struct {
-	em  *emDriver
-	eng emEngine
-	run *driver.Run
-	res *Result
+	em     *emDriver
+	eng    emEngine
+	sample *accuracy.Sample
+	run    *driver.Run
+	res    *Result
 }
 
 // Done applies the STOP_CONDITION of §5.1 to the completed history.
@@ -95,11 +95,13 @@ func (s *emStep) Step(iter int) error {
 		return err
 	}
 
-	e := eng.reconErr(em)
+	// Each sampled row's latent Xi_c = (Yi - Ym)·CM is reconstructed as
+	// Xi_c·Cᵀ + Ym.
+	e := s.sample.Err(em.mean, em.cm, em.c)
 	stat := IterationStat{
 		Iter:         iter,
 		Err:          e,
-		Accuracy:     opt.accuracyOf(e),
+		Accuracy:     accuracy.Of(opt.IdealError, e),
 		SS:           em.ss,
 		SimSeconds:   s.run.SimSeconds(),
 		Ridge:        em.lastRidge,
@@ -130,13 +132,14 @@ func (s *emStep) Snapshot(iter int) *checkpoint.Snapshot {
 	return s.em.buildSnapshot(iter, s.res)
 }
 
-// fit runs the EM iterations on the shared driver and assembles the result.
-func (em *emDriver) fit(run *driver.Run, eng emEngine) (*Result, error) {
+// fit runs the EM iterations on the shared driver, grading each on sample,
+// and assembles the result.
+func (em *emDriver) fit(run *driver.Run, eng emEngine, sample *accuracy.Sample) (*Result, error) {
 	res := &Result{Mean: em.mean}
 	if snap := em.opt.Resume; snap != nil {
 		em.restore(snap, res)
 	}
-	if err := run.Loop(&emStep{em: em, eng: eng, run: run, res: res}, em.opt.MaxIter, "iteration", "iter"); err != nil {
+	if err := run.Loop(&emStep{em: em, eng: eng, sample: sample, run: run, res: res}, em.opt.MaxIter, "iteration", "iter"); err != nil {
 		return nil, err
 	}
 	res.Components = em.c

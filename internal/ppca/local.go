@@ -3,6 +3,7 @@ package ppca
 import (
 	"fmt"
 
+	"spca/internal/accuracy"
 	"spca/internal/cluster"
 	"spca/internal/driver"
 	"spca/internal/matrix"
@@ -48,20 +49,17 @@ func FitLocal(y *matrix.Sparse, opt Options) (*Result, error) {
 		}
 	}
 
+	sample := accuracy.New(accuracy.Copy(y.R, y.C, accuracy.SampleRows, accuracy.Seed(opt.Seed), y.Row))
 	// Pass scratch allocated once and recycled every iteration.
-	return em.fit(run, &localEngine{
-		y: y, scr: newLocalScratch(y.C, em.d),
-		sample: sampleMatrix(y.R, y.C, opt.sampleRows(), opt.Seed, y.Row),
-	})
+	return em.fit(run, &localEngine{y: y, scr: newLocalScratch(y.C, em.d)}, sample)
 }
 
 // localEngine adapts the single-machine passes to the shared guarded EM
 // step. There is no simulated cluster, so the broadcast/compute charge hooks
 // are no-ops and History.SimSeconds stays zero.
 type localEngine struct {
-	y      *matrix.Sparse
-	scr    *localScratch
-	sample *matrix.Sparse
+	y   *matrix.Sparse
+	scr *localScratch
 }
 
 func (e *localEngine) prepared(*emDriver) {}
@@ -72,7 +70,6 @@ func (e *localEngine) solved(*emDriver, *matrix.Dense) {}
 func (e *localEngine) ss3(em *emDriver, cNew *matrix.Dense) (float64, error) {
 	return localSS3(e.y, em, cNew, e.scr), nil
 }
-func (e *localEngine) reconErr(em *emDriver) float64 { return em.reconError(e.sample) }
 
 // localScratch is FitLocal's per-fit reusable pass state: the pass's partial
 // and job sums, the per-block latent rows, the per-block ss3 terms, and one
@@ -153,7 +150,7 @@ func smartGuess(n, dims int, row func(int) matrix.SparseVector, opt Options, em 
 	if want >= n {
 		return nil // nothing to gain
 	}
-	sample := sampleMatrix(n, dims, want, opt.Seed+0x5A, row)
+	sample := accuracy.Copy(n, dims, want, accuracy.Seed(opt.Seed+0x5A), row)
 	subOpt := opt
 	subOpt.SmartGuess = false
 	subOpt.TargetAccuracy = 0

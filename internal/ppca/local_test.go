@@ -1,9 +1,9 @@
 package ppca
 
 import (
-	"math"
 	"testing"
 
+	"spca/internal/accuracy"
 	"spca/internal/dataset"
 	"spca/internal/matrix"
 )
@@ -109,7 +109,7 @@ func TestFitLocalTargetAccuracyStop(t *testing.T) {
 	opt := DefaultOptions(3)
 	opt.MaxIter = 50
 	opt.Tol = 0
-	opt.IdealError = IdealError(y, 3, opt)
+	opt.IdealError = accuracy.Ideal(y, 3, opt.Seed)
 	opt.TargetAccuracy = 0.95
 	res, err := FitLocal(y, opt)
 	if err != nil {
@@ -150,7 +150,7 @@ func TestSmartGuessConvergesFaster(t *testing.T) {
 func TestIdealErrorBeatsEMError(t *testing.T) {
 	y := lowRankSparse(150, 40, 3, 9)
 	opt := DefaultOptions(3)
-	ideal := IdealError(y, 3, opt)
+	ideal := accuracy.Ideal(y, 3, opt.Seed)
 	if ideal <= 0 || ideal >= 1 {
 		t.Fatalf("ideal error %v out of range", ideal)
 	}
@@ -163,22 +163,6 @@ func TestIdealErrorBeatsEMError(t *testing.T) {
 	// for the sampled metric).
 	if ideal > res.History[len(res.History)-1].Err+0.02 {
 		t.Fatalf("ideal %v worse than EM %v", ideal, res.History[len(res.History)-1].Err)
-	}
-}
-
-func TestAccuracyOfClamping(t *testing.T) {
-	o := Options{IdealError: 0.1}
-	if a := o.accuracyOf(0.1); math.Abs(a-1) > 1e-12 {
-		t.Fatalf("accuracy at ideal error = %v", a)
-	}
-	if a := o.accuracyOf(0.05); a != 1 {
-		t.Fatalf("better-than-ideal should clamp to 1: %v", a)
-	}
-	if a := o.accuracyOf(0.2); math.Abs(a-0.5) > 1e-12 {
-		t.Fatalf("accuracy at double the ideal error = %v, want 0.5", a)
-	}
-	if a := (Options{}).accuracyOf(0.5); a != 0 {
-		t.Fatal("accuracy without ideal error should be 0")
 	}
 }
 
@@ -196,21 +180,5 @@ func TestSmartGuessSize(t *testing.T) {
 	o.SmartGuessRows = 77
 	if got := smartGuessSize(o, 1000); got != 77 {
 		t.Fatalf("explicit: %d", got)
-	}
-}
-
-func TestSampleIdx(t *testing.T) {
-	idx := sampleIdx(10, 100, 1)
-	if len(idx) != 10 {
-		t.Fatalf("want all rows, got %d", len(idx))
-	}
-	idx = sampleIdx(1000, 50, 1)
-	if len(idx) != 50 {
-		t.Fatalf("want 50, got %d", len(idx))
-	}
-	for i := 1; i < len(idx); i++ {
-		if idx[i] <= idx[i-1] {
-			t.Fatal("sample not sorted/unique")
-		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 
+	"spca/internal/accuracy"
 	"spca/internal/cluster"
 	"spca/internal/driver"
 	"spca/internal/mapred"
@@ -79,8 +80,7 @@ func FitMapReduce(eng *mapred.Engine, rows []matrix.SparseVector, dims int, opt 
 		},
 		ss3Spec: &mapred.DenseSpec{MinKey: keySS3, Keys: 1, Width: 1},
 		sums:    newJobSums(dims, em.d),
-		sample:  sampleMatrix(len(rows), dims, opt.sampleRows(), opt.Seed, rowOf(rows)),
-	})
+	}, accuracy.Draw(rows, dims, accuracy.Seed(opt.Seed)))
 }
 
 // mrEngine adapts the MapReduce jobs to the shared guarded EM step.
@@ -92,7 +92,6 @@ type mrEngine struct {
 	parts            []*partial // per map task
 	ytxSpec, ss3Spec *mapred.DenseSpec
 	sums             jobSums
-	sample           *matrix.Sparse
 }
 
 func (e *mrEngine) prepared(em *emDriver) {
@@ -117,8 +116,6 @@ func (e *mrEngine) solved(em *emDriver, cNew *matrix.Dense) {
 func (e *mrEngine) ss3(em *emDriver, cNew *matrix.Dense) (float64, error) {
 	return ss3Job(e, em, cNew)
 }
-
-func (e *mrEngine) reconErr(em *emDriver) float64 { return em.reconError(e.sample) }
 
 // broadcast charges shipping driver state to every worker node.
 func broadcast(cl *cluster.Cluster, name string, bytes int64) {

@@ -39,11 +39,8 @@ type Options struct {
 	TargetAccuracy float64
 	// IdealError is the reconstruction error of an exact rank-d PCA on the
 	// same sampled rows, used to convert errors into "% of ideal accuracy".
-	// Compute it with IdealError(); zero disables accuracy reporting.
+	// Compute it with accuracy.Ideal; zero disables accuracy reporting.
 	IdealError float64
-	// SampleRows bounds how many rows the error metric touches (§5: the
-	// error is measured on a random subset of rows). Zero means 256.
-	SampleRows int
 	// Seed makes the random initialization reproducible.
 	Seed uint64
 
@@ -88,7 +85,6 @@ func DefaultOptions(d int) Options {
 		Components:           d,
 		MaxIter:              10,
 		Tol:                  1e-3,
-		SampleRows:           256,
 		Seed:                 42,
 		MeanPropagation:      true,
 		MinimizeIntermediate: true,
@@ -112,13 +108,6 @@ func (o Options) validate(n, dims int) error {
 		return errors.New("ppca: MaxIter must be positive")
 	}
 	return nil
-}
-
-func (o Options) sampleRows() int {
-	if o.SampleRows <= 0 {
-		return 256
-	}
-	return o.SampleRows
 }
 
 // IterationStat records the state after one EM iteration.
@@ -184,9 +173,6 @@ type emDriver struct {
 	ctc     *matrix.Dense // d x d: CᵀC for the ss2 trace
 	ctym    []float64     // d: Cᵀ·Ym
 	spdWS   matrix.SPDWorkspace
-	errXi   []float64 // d: latent position scratch for the error metric
-	errNum  []float64 // dims
-	errDen  []float64 // dims
 
 	// Numerical-guard state (see guard.go). ridgeLevel is the standing ridge
 	// escalation from divergence rollbacks; lastRidge and iterRidgeRetries
@@ -229,9 +215,6 @@ func newEMDriver(opt Options, n, dims int, mean []float64, ss1 float64) *emDrive
 		invWork: matrix.NewDense(d, 2*d),
 		ctc:     matrix.NewDense(d, d),
 		ctym:    make([]float64, d),
-		errXi:   make([]float64, d),
-		errNum:  make([]float64, dims),
-		errDen:  make([]float64, dims),
 	}
 }
 
@@ -320,110 +303,9 @@ func (em *emDriver) finishVariance(ss3Raw float64) {
 	em.ss = ss
 }
 
-// sampleIdx returns the deterministic row sample used by the error metric.
-func sampleIdx(n, want int, seed uint64) []int {
-	if want >= n {
-		idx := make([]int, n)
-		for i := range idx {
-			idx[i] = i
-		}
-		return idx
-	}
-	perm := matrix.NewRNG(seed + 0xACC).Perm(n)
-	idx := perm[:want]
-	sortInts(idx)
-	return idx
-}
-
-// sampleMatrix copies a deterministic sample of want of n rows, in row
-// order, into a CSR matrix; row(i) returns row i.
-func sampleMatrix(n, dims, want int, seed uint64, row func(int) matrix.SparseVector) *matrix.Sparse {
-	b := matrix.NewSparseBuilder(dims)
-	for _, i := range sampleIdx(n, want, seed) {
-		r := row(i)
-		b.AddRow(r.Indices, r.Values)
-	}
-	return b.Build()
-}
-
 // rowOf returns the row accessor of engine records.
 func rowOf(rows []matrix.SparseVector) func(int) matrix.SparseVector {
 	return func(i int) matrix.SparseVector { return rows[i] }
-}
-
-// reconError computes the paper's accuracy metric on the sampled rows:
-// e = ||Yr - reconstruction||₁ / ||Yr||₁, reconstructing each row as
-// Xi_c·Cᵀ + Ym on driver scratch, without materializing any large matrix.
-func (em *emDriver) reconError(sample *matrix.Sparse) float64 {
-	xi, tNum, tDen := em.errXi, em.errNum, em.errDen
-	var num, den float64
-	for i := 0; i < sample.R; i++ {
-		row := sample.Row(i)
-		// Xi_c = Yi·CM - Xm
-		latentRow(row, em, true, xi)
-		// Reconstruction ŷ = Xi_c·Cᵀ + Ym, compared column by column; the
-		// per-column terms fill in parallel and accumulate in ascending j,
-		// matching the sequential evaluation bit for bit.
-		matrix.ReconTerms(row, em.mean, em.c, xi, tNum, tDen)
-		for j := 0; j < sample.C; j++ {
-			num += tNum[j]
-			den += tDen[j]
-		}
-	}
-	if den == 0 {
-		return 0
-	}
-	return num / den
-}
-
-// IdealError computes the reconstruction error an exact rank-d PCA achieves
-// on the sampled rows — the "ideal accuracy" baseline of §5. It uses Lanczos
-// on the mean-propagated operator so the input is never densified.
-func IdealError(y *matrix.Sparse, d int, opt Options) float64 {
-	mean := y.ColMeans()
-	steps := 3*d + 10
-	_, _, v := matrix.LanczosSVD(matrix.CenteredOp{M: y, Mean: mean}, d, steps, matrix.NewRNG(opt.Seed+0x1DEA))
-	rows := sampleIdx(y.R, opt.sampleRows(), opt.Seed)
-	// Exact PCA reconstruction: ŷ = ((Yi-Ym)·V)·Vᵀ + Ym.
-	var num, den float64
-	k := v.C
-	xi := make([]float64, k)
-	vm := v.MulVecT(mean) // Ym·V
-	tNum := make([]float64, y.C)
-	tDen := make([]float64, y.C)
-	for _, i := range rows {
-		row := y.Row(i)
-		for t := range xi {
-			xi[t] = -vm[t]
-		}
-		for t, j := range row.Indices {
-			matrix.AXPY(row.Values[t], v.Row(j), xi)
-		}
-		matrix.ReconTerms(row, mean, v, xi, tNum, tDen)
-		for j := 0; j < y.C; j++ {
-			num += tNum[j]
-			den += tDen[j]
-		}
-	}
-	if den == 0 {
-		return 0
-	}
-	return num / den
-}
-
-// accuracyOf converts an error into a fraction of ideal accuracy, defined
-// as IdealError/err: it approaches 1 as the fit's reconstruction error
-// approaches the exact rank-d PCA's, and is well defined for any error
-// scale (the sampled 1-norm error exceeds 1 on very sparse binary data,
-// where reconstructions smear mass across the zero entries).
-func (o Options) accuracyOf(err float64) float64 {
-	if o.IdealError <= 0 {
-		return 0
-	}
-	if err <= o.IdealError {
-		return 1
-	}
-	return o.IdealError / err
 }
 
 // converged applies the STOP_CONDITION of §5.1.
@@ -455,12 +337,4 @@ func denseXC(xi []float64, c *matrix.Dense, xc []float64) {
 			xc[j] = matrix.Dot(xi, c.Row(j))
 		}
 	})
-}
-
-func sortInts(a []int) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
 }

@@ -61,28 +61,6 @@ func TestVarianceAlwaysPositive(t *testing.T) {
 	}
 }
 
-// Property: the reconstruction error metric is non-negative and zero only
-// in degenerate cases.
-func TestReconstructionErrorNonNegative(t *testing.T) {
-	f := func(seed uint16) bool {
-		rng := matrix.NewRNG(uint64(seed) + 555)
-		n, dims, d := 10+int(seed)%15, 4+int(seed)%8, 2
-		y := randomSparseMat(rng, n, dims, 0.5)
-		mean := y.ColMeans()
-		em := newEMDriver(DefaultOptions(d), n, dims, mean, 1)
-		em.c = matrix.NormRnd(rng, dims, d)
-		em.ss = 0.5
-		if err := em.prepare(); err != nil {
-			return false
-		}
-		e := em.reconError(sampleMatrix(n, dims, 8, uint64(seed), y.Row))
-		return e >= 0 && !math.IsNaN(e)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Property: sparse and dense paths of the consolidated pass agree — the
 // localPass sums on a sparse matrix equal brute-force dense computation.
 func TestLocalPassMatchesBruteForce(t *testing.T) {

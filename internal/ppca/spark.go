@@ -3,6 +3,7 @@ package ppca
 import (
 	"fmt"
 
+	"spca/internal/accuracy"
 	"spca/internal/driver"
 	"spca/internal/mapred"
 	"spca/internal/matrix"
@@ -64,23 +65,21 @@ func FitSpark(ctx *rdd.Context, rows []matrix.SparseVector, dims int, opt Option
 	// recycled every iteration.
 	return em.fit(run, &sparkEngine{
 		ctx: ctx, y: y, dims: dims, opt: opt,
-		parts:  newPartials(y.NumPartitions(), em.d, dims),
-		acc:    newPartial(em.d, dims),
-		sums:   newJobSums(dims, em.d),
-		sample: sampleMatrix(len(rows), dims, opt.sampleRows(), opt.Seed, rowOf(rows)),
-	})
+		parts: newPartials(y.NumPartitions(), em.d, dims),
+		acc:   newPartial(em.d, dims),
+		sums:  newJobSums(dims, em.d),
+	}, accuracy.Draw(rows, dims, accuracy.Seed(opt.Seed)))
 }
 
 // sparkEngine adapts the RDD jobs to the shared guarded EM step.
 type sparkEngine struct {
-	ctx    *rdd.Context
-	y      *rdd.RDD[matrix.SparseVector]
-	dims   int
-	opt    Options
-	parts  []*partial // per partition
-	acc    *partial
-	sums   jobSums
-	sample *matrix.Sparse
+	ctx   *rdd.Context
+	y     *rdd.RDD[matrix.SparseVector]
+	dims  int
+	opt   Options
+	parts []*partial // per partition
+	acc   *partial
+	sums  jobSums
 }
 
 func (e *sparkEngine) prepared(em *emDriver) {
@@ -103,8 +102,6 @@ func (e *sparkEngine) solved(em *emDriver, cNew *matrix.Dense) {
 func (e *sparkEngine) ss3(em *emDriver, cNew *matrix.Dense) (float64, error) {
 	return sparkSS3Job(e, em, cNew)
 }
-
-func (e *sparkEngine) reconErr(em *emDriver) float64 { return em.reconError(e.sample) }
 
 func sparkMean(ctx *rdd.Context, y *rdd.RDD[matrix.SparseVector], dims int) ([]float64, error) {
 	agg, err := rdd.Aggregate(y, "meanJob",

@@ -3,6 +3,7 @@ package ppca
 import (
 	"fmt"
 
+	"spca/internal/accuracy"
 	"spca/internal/driver"
 	"spca/internal/matrix"
 	"spca/internal/trace"
@@ -55,7 +56,7 @@ func FitStream(src matrix.RowSource, opt Options) (*Result, error) {
 	matrix.VecScale(1/count, mean)
 
 	msum := matrix.Dot(mean, mean)
-	sampleWant := sampleIdx(n, opt.sampleRows(), opt.Seed)
+	sampleWant := accuracy.Rows(n, accuracy.SampleRows, accuracy.Seed(opt.Seed))
 	sampleBuilder := matrix.NewSparseBuilder(dims)
 	nextSample := 0
 	ss1 := msum * count
@@ -73,7 +74,7 @@ func FitStream(src matrix.RowSource, opt Options) (*Result, error) {
 	}); err != nil {
 		return nil, err
 	}
-	sample := sampleBuilder.Build()
+	sample := accuracy.New(sampleBuilder.Build())
 
 	// On resume pass 0 above is re-run (the sample capture needs a scan
 	// regardless, and its mean/ss1 are bit-identical to the snapshot's).
@@ -84,19 +85,15 @@ func FitStream(src matrix.RowSource, opt Options) (*Result, error) {
 	em := newEMDriver(opt, n, dims, mean, ss1)
 	// The pass partial and sums are hoisted out of the iteration loop and
 	// reset in place each iteration.
-	return em.fit(run, &streamEngine{
-		src: src, p: newPartial(em.d, dims), sums: newJobSums(dims, em.d), sample: sample,
-	})
+	return em.fit(run, &streamEngine{src: src, p: newPartial(em.d, dims), sums: newJobSums(dims, em.d)}, sample)
 }
 
 // streamEngine adapts the two streaming passes to the shared guarded EM
-// step. Like the local engine it has no simulated cluster; the error metric
-// runs on the row sample captured during pass 0.
+// step. Like the local engine it has no simulated cluster.
 type streamEngine struct {
-	src    matrix.RowSource
-	p      *partial
-	sums   jobSums
-	sample *matrix.Sparse
+	src  matrix.RowSource
+	p    *partial
+	sums jobSums
 }
 
 func (e *streamEngine) prepared(*emDriver) {}
@@ -128,5 +125,3 @@ func (e *streamEngine) ss3(em *emDriver, cNew *matrix.Dense) (float64, error) {
 	}
 	return ss3, nil
 }
-
-func (e *streamEngine) reconErr(em *emDriver) float64 { return em.reconError(e.sample) }

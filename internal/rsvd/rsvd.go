@@ -10,10 +10,10 @@
 // Both engines inherit the house invariants from the shared machinery:
 //
 //   - Deterministic seeding: every random draw derives from Options.Seed via
-//     matrix.DeriveSeed with a named stream ("rsvd/omega" per round,
-//     "sample" for the error metric), so no two (stream, round) pairs can
-//     collide and the fitted model is bit-identical across sequential,
-//     parallel, and fault-injected runs.
+//     matrix.DeriveSeed with a named stream ("rsvd/omega" per round, and
+//     accuracy.SketchSeed's "sample" for the error metric), so no two
+//     (stream, round) pairs can collide and the fitted model is
+//     bit-identical across sequential, parallel, and fault-injected runs.
 //   - Zero steady-state allocations in mappers: per-task scratch is sized by
 //     the engine's split/partition count, allocated on the first round, and
 //     recycled through freelists afterwards.
@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"math"
 
+	"spca/internal/accuracy"
 	"spca/internal/checkpoint"
 	"spca/internal/cluster"
 	"spca/internal/driver"
@@ -57,8 +58,6 @@ type Options struct {
 	TargetAccuracy float64
 	// IdealError is the exact rank-d PCA error on the sampled rows.
 	IdealError float64
-	// SampleRows bounds the error-metric sample (default 256).
-	SampleRows int
 	// Seed drives every random draw through matrix.DeriveSeed.
 	Seed uint64
 
@@ -76,16 +75,8 @@ func DefaultOptions(d int) Options {
 		Oversample:      10,
 		PowerIterations: 1,
 		MaxRounds:       1,
-		SampleRows:      256,
 		Seed:            42,
 	}
-}
-
-func (o Options) sampleRows() int {
-	if o.SampleRows <= 0 {
-		return 256
-	}
-	return o.SampleRows
 }
 
 func (o Options) maxRounds() int {
@@ -166,9 +157,7 @@ type sketch struct {
 	n, dims int
 	k       int
 	mean    []float64
-	y       *matrix.Sparse
-	sample  []int
-	recon   *reconScratch
+	sample  *accuracy.Sample
 
 	bestErr  float64
 	bestW    *matrix.Dense
@@ -180,9 +169,7 @@ func newSketch(opt Options, rows []matrix.SparseVector, dims int) *sketch {
 		opt: opt, n: len(rows), dims: dims,
 		res:     &Result{},
 		k:       opt.sketchWidth(len(rows), dims),
-		y:       sparseFromRows(rows, dims),
-		sample:  sampleIdx(len(rows), opt.sampleRows(), opt.Seed),
-		recon:   newReconScratch(dims, opt.Components),
+		sample:  accuracy.Draw(rows, dims, accuracy.SketchSeed(opt.Seed)),
 		bestErr: math.Inf(1),
 	}
 }
@@ -231,14 +218,14 @@ func (s *sketch) Step(round int) error {
 	}
 	// Best-of-rounds on the sampled reconstruction error (§2.3's
 	// accuracy/compute trade, shared with the ssvd baseline's metric).
-	e := s.recon.reconstructionError(s.y, s.mean, w, s.sample)
+	e := s.sample.Err(s.mean, w, w)
 	if e < s.bestErr {
 		s.bestErr = e
 		s.bestW = w
 		s.bestSing = sing
 	}
 	stat := IterationStat{
-		Iter: round, Err: s.bestErr, Accuracy: accuracyOf(s.opt, s.bestErr), SimSeconds: s.run.SimSeconds(),
+		Iter: round, Err: s.bestErr, Accuracy: accuracy.Of(s.opt.IdealError, s.bestErr), SimSeconds: s.run.SimSeconds(),
 	}
 	s.res.History = append(s.res.History, stat)
 	s.opt.Tracer.IterationDone(trace.Iteration{
@@ -267,87 +254,4 @@ func (s *sketch) Snapshot(round int) *checkpoint.Snapshot {
 		}
 	}
 	return snap
-}
-
-// accuracyOf converts an error into a fraction of ideal accuracy
-// (IdealError/err, matching the sPCA metric so traces are comparable).
-func accuracyOf(o Options, err float64) float64 {
-	if o.IdealError <= 0 {
-		return 0
-	}
-	if err <= o.IdealError {
-		return 1
-	}
-	return o.IdealError / err
-}
-
-// sampleIdx draws the sorted error-metric row sample. The "sample" stream of
-// DeriveSeed matches the ssvd baseline's, so both engines grade themselves
-// on the same rows.
-func sampleIdx(n, want int, seed uint64) []int {
-	if want >= n {
-		idx := make([]int, n)
-		for i := range idx {
-			idx[i] = i
-		}
-		return idx
-	}
-	perm := matrix.NewRNG(matrix.DeriveSeed(seed, "sample", 0)).Perm(n)
-	idx := perm[:want]
-	for i := 1; i < len(idx); i++ {
-		for j := i; j > 0 && idx[j] < idx[j-1]; j-- {
-			idx[j], idx[j-1] = idx[j-1], idx[j]
-		}
-	}
-	return idx
-}
-
-// reconScratch holds the error-metric buffers, allocated once per fit and
-// reused by every round's reconstructionError call.
-type reconScratch struct {
-	xi, wm, tNum, tDen []float64
-}
-
-func newReconScratch(dims, d int) *reconScratch {
-	return &reconScratch{
-		xi:   make([]float64, d),
-		wm:   make([]float64, d),
-		tNum: make([]float64, dims),
-		tDen: make([]float64, dims),
-	}
-}
-
-// reconstructionError mirrors the sPCA metric: sampled relative 1-norm of
-// Y - ((Yc·W)·Wᵀ + Ym) for orthonormal W.
-func (rs *reconScratch) reconstructionError(y *matrix.Sparse, mean []float64, w *matrix.Dense, rows []int) float64 {
-	var num, den float64
-	xi := rs.xi[:w.C]
-	wm := w.MulVecTInto(mean, rs.wm[:w.C])
-	tNum, tDen := rs.tNum, rs.tDen
-	for _, i := range rows {
-		row := y.Row(i)
-		for t := range xi {
-			xi[t] = -wm[t]
-		}
-		for t, j := range row.Indices {
-			matrix.AXPY(row.Values[t], w.Row(j), xi)
-		}
-		matrix.ReconTerms(row, mean, w, xi, tNum, tDen)
-		for j := 0; j < y.C; j++ {
-			num += tNum[j]
-			den += tDen[j]
-		}
-	}
-	if den == 0 {
-		return 0
-	}
-	return num / den
-}
-
-func sparseFromRows(rows []matrix.SparseVector, dims int) *matrix.Sparse {
-	b := matrix.NewSparseBuilder(dims)
-	for _, r := range rows {
-		b.AddRow(r.Indices, r.Values)
-	}
-	return b.Build()
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"spca/internal/accuracy"
 	"spca/internal/cluster"
 	"spca/internal/dataset"
 	"spca/internal/mapred"
@@ -76,7 +77,7 @@ func TestRSVDHalkoBound(t *testing.T) {
 	rows := dataset.Rows(y)
 	mean := y.ColMeans()
 	_, _, v := matrix.TopSVD(y.Dense().SubRowVec(mean), d)
-	exact := newReconScratch(y.C, d).reconstructionError(y, mean, v, sampleIdx(y.R, 256, 42))
+	exact := sketchErr(y, mean, v)
 	if exact <= 0 {
 		t.Fatalf("degenerate exact error %v", exact)
 	}
@@ -279,7 +280,13 @@ func TestRSVDTargetAccuracyStops(t *testing.T) {
 func idealErrorFor(y *matrix.Sparse, d int) float64 {
 	mean := y.ColMeans()
 	_, _, v := matrix.TopSVD(y.Dense().SubRowVec(mean), d)
-	return newReconScratch(y.C, d).reconstructionError(y, mean, v, sampleIdx(y.R, 256, 42))
+	return sketchErr(y, mean, v)
+}
+
+// sketchErr grades the orthonormal w on the rows a fit with the default
+// seed is graded on.
+func sketchErr(y *matrix.Sparse, mean []float64, w *matrix.Dense) float64 {
+	return accuracy.Draw(dataset.Rows(y), y.C, accuracy.SketchSeed(42)).Err(mean, w, w)
 }
 
 func TestRSVDOversampleClamped(t *testing.T) {

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 
+	"spca/internal/accuracy"
 	"spca/internal/cluster"
 	"spca/internal/mapred"
 	"spca/internal/matrix"
@@ -41,8 +42,6 @@ type Options struct {
 	TargetAccuracy float64
 	// IdealError is the exact rank-d PCA error on the sampled rows.
 	IdealError float64
-	// SampleRows bounds the error-metric sample (default 256).
-	SampleRows int
 	// Seed drives the random test matrices Ω.
 	Seed uint64
 	// Tracer, when non-nil, receives deterministic spans for the fit, each
@@ -58,7 +57,6 @@ func DefaultOptions(d int) Options {
 		Oversample:      15,
 		PowerIterations: 0,
 		MaxRounds:       10,
-		SampleRows:      256,
 		Seed:            42,
 	}
 }
@@ -120,22 +118,19 @@ func FitMapReduce(eng *mapred.Engine, rows []matrix.SparseVector, dims int, opt 
 		return nil, err
 	}
 
-	sample := sampleIdx(n, opt.sampleRows(), opt.Seed)
-	y := sparseFromRows(rows, dims)
+	sample := accuracy.Draw(rows, dims, accuracy.SketchSeed(opt.Seed))
 	maxRounds := opt.MaxRounds
 	if maxRounds <= 0 {
 		maxRounds = 1
 	}
-	// The indexed-row input and the error-metric buffers are built once per
-	// fit and reused by every projection/Bt job and every round's metric —
-	// the per-round jobs themselves keep Mahout's allocating emission pattern
-	// on purpose (that cost model is what the baseline measures).
+	// The indexed-row input is built once per fit and reused by every
+	// projection/Bt job — the per-round jobs themselves keep Mahout's
+	// allocating emission pattern on purpose (that cost model is what the
+	// baseline measures).
 	indexed := make([]indexedRow, len(rows))
 	for i, r := range rows {
 		indexed[i] = indexedRow{idx: i, row: r}
 	}
-	recon := newReconScratch(dims, opt.Components)
-
 	res := &Result{}
 	bestErr := math.Inf(1)
 	for round := 1; round <= maxRounds; round++ {
@@ -191,13 +186,13 @@ func FitMapReduce(eng *mapred.Engine, rows []matrix.SparseVector, dims int, opt 
 			cl.AddDriverCompute(int64(dims) * int64(k) * int64(k))
 
 			// Keep the best-of-rounds components (§2.3's accuracy/compute trade).
-			e := recon.reconstructionError(y, mean, w, sample)
+			e := sample.Err(mean, w, w)
 			if e < bestErr {
 				bestErr = e
 				res.Components = w
 				res.Singular = s
 			}
-			acc := accuracyOf(opt, bestErr)
+			acc := accuracy.Of(opt.IdealError, bestErr)
 			stat := IterationStat{
 				Iter: round, Err: bestErr, Accuracy: acc, SimSeconds: cl.Metrics().SimSeconds,
 			}
@@ -220,25 +215,6 @@ func FitMapReduce(eng *mapred.Engine, rows []matrix.SparseVector, dims int, opt 
 	res.Metrics = cl.Metrics()
 	res.Phases = cluster.Summarize(cl.PhaseLog(), cl.Config())
 	return res, nil
-}
-
-func (o Options) sampleRows() int {
-	if o.SampleRows <= 0 {
-		return 256
-	}
-	return o.SampleRows
-}
-
-// accuracyOf converts an error into a fraction of ideal accuracy
-// (IdealError/err, matching the sPCA metric so traces are comparable).
-func accuracyOf(o Options, err float64) float64 {
-	if o.IdealError <= 0 {
-		return 0
-	}
-	if err <= o.IdealError {
-		return 1
-	}
-	return o.IdealError / err
 }
 
 func broadcastBytes(cl *cluster.Cluster, name string, bytes int64) {
@@ -428,72 +404,4 @@ func btJob(eng *mapred.Engine, indexed []indexedRow, dims int, mean []float64, q
 	}
 	eng.Cluster.AddDriverCompute(int64(dims) * int64(k))
 	return bt, nil
-}
-
-// reconScratch holds the error-metric buffers, allocated once per fit and
-// reused by every round's reconstructionError call.
-type reconScratch struct {
-	xi, wm, tNum, tDen []float64
-}
-
-func newReconScratch(dims, d int) *reconScratch {
-	return &reconScratch{
-		xi:   make([]float64, d),
-		wm:   make([]float64, d),
-		tNum: make([]float64, dims),
-		tDen: make([]float64, dims),
-	}
-}
-
-// reconstructionError mirrors the sPCA metric: sampled relative 1-norm of
-// Y - ((Yc·W)·Wᵀ + Ym) for orthonormal W.
-func (rs *reconScratch) reconstructionError(y *matrix.Sparse, mean []float64, w *matrix.Dense, rows []int) float64 {
-	var num, den float64
-	xi := rs.xi[:w.C]
-	wm := w.MulVecTInto(mean, rs.wm[:w.C])
-	tNum, tDen := rs.tNum, rs.tDen
-	for _, i := range rows {
-		row := y.Row(i)
-		for t := range xi {
-			xi[t] = -wm[t]
-		}
-		for t, j := range row.Indices {
-			matrix.AXPY(row.Values[t], w.Row(j), xi)
-		}
-		matrix.ReconTerms(row, mean, w, xi, tNum, tDen)
-		for j := 0; j < y.C; j++ {
-			num += tNum[j]
-			den += tDen[j]
-		}
-	}
-	if den == 0 {
-		return 0
-	}
-	return num / den
-}
-
-func sampleIdx(n, want int, seed uint64) []int {
-	if want >= n {
-		idx := make([]int, n)
-		for i := range idx {
-			idx[i] = i
-		}
-		return idx
-	}
-	perm := matrix.NewRNG(matrix.DeriveSeed(seed, "sample", 0)).Perm(n)
-	idx := perm[:want]
-	for i := 1; i < len(idx); i++ {
-		for j := i; j > 0 && idx[j] < idx[j-1]; j-- {
-			idx[j], idx[j-1] = idx[j-1], idx[j]
-		}
-	}
-	return idx
-}
-
-func sparseFromRows(rows []matrix.SparseVector, dims int) *matrix.Sparse {
-	b := matrix.NewSparseBuilder(dims)
-	for _, r := range rows {
-		b.AddRow(r.Indices, r.Values)
-	}
-	return b.Build()
 }

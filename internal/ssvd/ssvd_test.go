@@ -3,6 +3,7 @@ package ssvd
 import (
 	"testing"
 
+	"spca/internal/accuracy"
 	"spca/internal/cluster"
 	"spca/internal/dataset"
 	"spca/internal/mapred"
@@ -124,7 +125,7 @@ func TestSSVDTargetAccuracyStops(t *testing.T) {
 func idealErrorFor(y *matrix.Sparse, d int) float64 {
 	mean := y.ColMeans()
 	_, _, v := matrix.TopSVD(y.Dense().SubRowVec(mean), d)
-	return newReconScratch(y.C, d).reconstructionError(y, mean, v, sampleIdx(y.R, 256, 42))
+	return accuracy.Draw(dataset.Rows(y), y.C, accuracy.SketchSeed(42)).Err(mean, v, v)
 }
 
 func TestSSVDGeneratesMoreShuffleThanItsInput(t *testing.T) {

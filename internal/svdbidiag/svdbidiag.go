@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 
+	"spca/internal/accuracy"
 	"spca/internal/cluster"
 	"spca/internal/mapred"
 	"spca/internal/matrix"
@@ -28,8 +29,6 @@ import (
 type Options struct {
 	// Components is d, the number of principal components to keep.
 	Components int
-	// SampleRows bounds the error-metric sample (default 256).
-	SampleRows int
 	// Seed drives the error-metric row sample.
 	Seed uint64
 	// Tracer, when non-nil, receives fit/job/phase spans for the run.
@@ -39,7 +38,7 @@ type Options struct {
 
 // DefaultOptions returns the standard configuration.
 func DefaultOptions(d int) Options {
-	return Options{Components: d, SampleRows: 256, Seed: 42}
+	return Options{Components: d, Seed: 42}
 }
 
 // Result is the output of FitMapReduce.
@@ -128,11 +127,10 @@ func FitMapReduce(eng *mapred.Engine, rows []matrix.SparseVector, dims int, opt 
 		copy(comps.Row(i), v.Row(i)[:d])
 	}
 
-	y := sparseFromRows(rows, dims)
 	res := &Result{
 		Components: comps,
 		Singular:   s[:d],
-		Err:        reconstructionError(y, mean, comps, sampleIdx(n, opt.sampleRows(), opt.Seed)),
+		Err:        accuracy.Draw(rows, dims, accuracy.Seed(opt.Seed)).Err(mean, comps, comps),
 	}
 	res.Metrics = cl.Metrics()
 	res.Phases = cluster.Summarize(cl.PhaseLog(), cl.Config())
@@ -142,13 +140,6 @@ func FitMapReduce(eng *mapred.Engine, rows []matrix.SparseVector, dims int, opt 
 		tr.IterationDone(trace.Iteration{Iter: 1, Err: res.Err, SimSeconds: res.Metrics.SimSeconds})
 	}
 	return res, nil
-}
-
-func (o Options) sampleRows() int {
-	if o.SampleRows <= 0 {
-		return 256
-	}
-	return o.SampleRows
 }
 
 // meanJob computes column means (same job shape as the other algorithms).
@@ -303,58 +294,4 @@ func stackQR(a, b *matrix.Dense) *matrix.Dense {
 		copy(stacked.Row(a.R+i), b.Row(i))
 	}
 	return matrix.QRR(stacked)
-}
-
-// reconstructionError matches the metric of the other algorithm packages.
-func reconstructionError(y *matrix.Sparse, mean []float64, w *matrix.Dense, rows []int) float64 {
-	var num, den float64
-	k := w.C
-	xi := make([]float64, k)
-	wm := w.MulVecT(mean)
-	tNum := make([]float64, y.C)
-	tDen := make([]float64, y.C)
-	for _, i := range rows {
-		row := y.Row(i)
-		for t := range xi {
-			xi[t] = -wm[t]
-		}
-		for t, j := range row.Indices {
-			matrix.AXPY(row.Values[t], w.Row(j), xi)
-		}
-		matrix.ReconTerms(row, mean, w, xi, tNum, tDen)
-		for j := 0; j < y.C; j++ {
-			num += tNum[j]
-			den += tDen[j]
-		}
-	}
-	if den == 0 {
-		return 0
-	}
-	return num / den
-}
-
-func sampleIdx(n, want int, seed uint64) []int {
-	if want >= n {
-		idx := make([]int, n)
-		for i := range idx {
-			idx[i] = i
-		}
-		return idx
-	}
-	perm := matrix.NewRNG(seed + 0xACC).Perm(n)
-	idx := perm[:want]
-	for i := 1; i < len(idx); i++ {
-		for j := i; j > 0 && idx[j] < idx[j-1]; j-- {
-			idx[j], idx[j-1] = idx[j-1], idx[j]
-		}
-	}
-	return idx
-}
-
-func sparseFromRows(rows []matrix.SparseVector, dims int) *matrix.Sparse {
-	b := matrix.NewSparseBuilder(dims)
-	for _, r := range rows {
-		b.AddRow(r.Indices, r.Values)
-	}
-	return b.Build()
 }

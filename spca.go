@@ -26,6 +26,7 @@ import (
 	"math"
 	"time"
 
+	"spca/internal/accuracy"
 	"spca/internal/checkpoint"
 	"spca/internal/cluster"
 	"spca/internal/covpca"
@@ -589,7 +590,7 @@ func Fit(y *Sparse, cfg Config) (*Result, error) {
 		}
 		if cfg.TargetAccuracy > 0 {
 			opt.TargetAccuracy = cfg.TargetAccuracy
-			opt.IdealError = ppca.IdealError(y, cfg.Components, cfg.ppcaBaseOptions())
+			opt.IdealError = accuracy.Ideal(y, cfg.Components, cfg.Seed)
 		}
 		opt.Tracer = tr
 		res, err := ssvd.FitMapReduce(cfg.mapredEngine(cl), rows, y.C, opt)
@@ -764,7 +765,7 @@ func (c Config) rsvdOptions(y *Sparse) rsvd.Options {
 	}
 	if c.TargetAccuracy > 0 {
 		opt.TargetAccuracy = c.TargetAccuracy
-		opt.IdealError = ppca.IdealError(y, c.Components, c.ppcaBaseOptions())
+		opt.IdealError = accuracy.Ideal(y, c.Components, c.Seed)
 	}
 	opt.Checkpoint = c.Checkpoint
 	opt.Faults = c.Faults
@@ -822,7 +823,7 @@ func (c Config) ppcaOptions(y *Sparse) ppca.Options {
 	opt := c.ppcaBaseOptions()
 	if c.TargetAccuracy > 0 {
 		opt.TargetAccuracy = c.TargetAccuracy
-		opt.IdealError = ppca.IdealError(y, c.Components, opt)
+		opt.IdealError = accuracy.Ideal(y, c.Components, c.Seed)
 	}
 	return opt
 }
@@ -949,9 +950,8 @@ func FitMixture(y *Dense, opt MixtureOptions) (*MixtureResult, error) {
 // sampled subset of y's rows — the baseline for "percentage of ideal
 // accuracy" in the paper's figures.
 func IdealError(y *Sparse, d int, seed uint64) float64 {
-	opt := ppca.DefaultOptions(d)
-	if seed != 0 {
-		opt.Seed = seed
+	if seed == 0 {
+		seed = ppca.DefaultOptions(d).Seed
 	}
-	return ppca.IdealError(y, d, opt)
+	return accuracy.Ideal(y, d, seed)
 }
