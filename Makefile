@@ -25,11 +25,13 @@ test:
 # along with the kernel worker pool, the EM and sketch engines that fan out
 # across both platforms, the Mahout and SVD-bidiagonalization baselines whose
 # jobs run through mapred's map store, the MLlib baseline's rdd jobs, the
-# accuracy metric (its error terms fill through the pool), the iterative
-# driver (final-flush retry) and the cluster (interrupt watchdog).
+# shared column-mean pass, the accuracy metric (its error terms fill through
+# the pool), the iterative driver (final-flush retry) and the cluster
+# (interrupt watchdog).
 race:
 	$(GO) test -race ./internal/rdd ./internal/mapred ./internal/parallel ./internal/ppca ./internal/rsvd ./internal/serve \
-		./internal/ssvd ./internal/svdbidiag ./internal/covpca ./internal/accuracy ./internal/driver ./internal/cluster
+		./internal/ssvd ./internal/svdbidiag ./internal/covpca ./internal/colmean ./internal/accuracy ./internal/driver \
+		./internal/cluster
 
 # Serving-layer smoke: registry round-trip, both wire protocols, the
 # zero-allocation gate on the binary hot path, and the graceful drain.

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"spca/internal/checkpoint"
 )
 
 // cancelAtIter is an Observer that cancels a context the moment iteration
@@ -26,13 +28,13 @@ func (c *cancelAtIter) IterationDone(it TraceIteration) {
 }
 
 // TestChaosCancelEveryBoundary is the cancellation half of the durability
-// contract: for an EM engine and a sketch engine, cancel the run at EVERY
+// contract: for the EM and sketch engines, cancel the run at EVERY
 // iteration boundary (including before the first), assert the typed resumable
 // abort, then Fit again with Resume and require the finished model and
 // simulated clock to be bit-identical to a never-interrupted run.
 func TestChaosCancelEveryBoundary(t *testing.T) {
 	y := GenerateDataset(DatasetSpec{Kind: Tweets, Rows: 400, Cols: 60, Seed: 9})
-	for _, alg := range []Algorithm{SPCAMapReduce, SPCASpark, RSVDMapReduce, RSVDSpark} {
+	for _, alg := range []Algorithm{SPCAMapReduce, SPCASpark, RSVDMapReduce, RSVDSpark, MahoutPCA} {
 		alg := alg
 		t.Run(string(alg), func(t *testing.T) {
 			t.Parallel()
@@ -226,12 +228,41 @@ func TestResumeRequiresCheckpoint(t *testing.T) {
 	}
 }
 
+// TestResumeRejectsAnotherFitsSnapshot: a checkpoint directory written by
+// one algorithm must not be resumed by another. Each pair below shares the
+// data shape, rank, seed and snapshot layout, so only the fit name the
+// snapshot carries tells them apart.
+func TestResumeRejectsAnotherFitsSnapshot(t *testing.T) {
+	y := GenerateDataset(DatasetSpec{Kind: Tweets, Rows: 300, Cols: 50, Seed: 9})
+	for _, pair := range [][2]Algorithm{
+		{RSVDMapReduce, RSVDSpark},
+		{SPCAMapReduce, SPCASpark},
+		{RSVDMapReduce, MahoutPCA},
+	} {
+		dir := t.TempDir()
+		writer := Config{Algorithm: pair[0], Components: 4, MaxIter: 2, Tol: -1,
+			Checkpoint: CheckpointSpec{Interval: 2, Dir: dir}}
+		if _, err := Fit(y, writer); err != nil {
+			t.Fatal(err)
+		}
+		reader := writer
+		reader.Algorithm = pair[1]
+		reader.MaxIter = 4
+		reader.Resume = true
+		_, err := Fit(y, reader)
+		var mm *checkpoint.MismatchError
+		if !errors.As(err, &mm) || mm.Field != "fit" {
+			t.Errorf("%s resumed from %s's snapshot: err %v, want a fit mismatch", pair[1], pair[0], err)
+		}
+	}
+}
+
 // TestLiveContextPreservesGoldenClock: threading a live, never-canceled
 // context (and stall watchdog) through a fit must not change the simulated
 // clock or the model by a single bit relative to a context-free fit.
 func TestLiveContextPreservesGoldenClock(t *testing.T) {
 	y := GenerateDataset(DatasetSpec{Kind: Tweets, Rows: 300, Cols: 50, Seed: 9})
-	for _, alg := range []Algorithm{SPCAMapReduce, SPCASpark, RSVDMapReduce} {
+	for _, alg := range []Algorithm{SPCAMapReduce, SPCASpark, RSVDMapReduce, MahoutPCA} {
 		base := Config{Algorithm: alg, Components: 4, MaxIter: 3, Tol: -1}
 		plain, err := Fit(y, base)
 		if err != nil {

@@ -138,7 +138,7 @@ func TestChaosDriverCrashResume(t *testing.T) {
 		"last-iteration": {5},
 		"three-crashes":  {1, 3, 4},
 	}
-	for _, alg := range []Algorithm{SPCAMapReduce, SPCASpark, LocalPPCA, RSVDMapReduce, RSVDSpark} {
+	for _, alg := range []Algorithm{SPCAMapReduce, SPCASpark, LocalPPCA, RSVDMapReduce, RSVDSpark, MahoutPCA} {
 		alg := alg
 		t.Run(string(alg), func(t *testing.T) {
 			t.Parallel()
@@ -202,7 +202,7 @@ func checkCrashResume(t *testing.T, y *Sparse, base Config, clean *Result, name 
 func TestChaosCombinedTaskAndDriverFaults(t *testing.T) {
 	y := GenerateDataset(DatasetSpec{Kind: Tweets, Rows: 500, Cols: 70, Seed: 9})
 	seed := chaosSeed(t)
-	for _, alg := range []Algorithm{SPCAMapReduce, SPCASpark, RSVDMapReduce, RSVDSpark} {
+	for _, alg := range []Algorithm{SPCAMapReduce, SPCASpark, RSVDMapReduce, RSVDSpark, MahoutPCA} {
 		alg := alg
 		t.Run(string(alg), func(t *testing.T) {
 			t.Parallel()

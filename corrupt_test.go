@@ -23,7 +23,7 @@ func corruptPlan(seed uint64) *FaultPlan {
 func TestCorruptModelsBitIdentical(t *testing.T) {
 	y := GenerateDataset(DatasetSpec{Kind: Tweets, Rows: 600, Cols: 80, Seed: 9})
 	seed := chaosSeed(t)
-	for _, alg := range []Algorithm{SPCAMapReduce, SPCASpark, RSVDMapReduce, RSVDSpark} {
+	for _, alg := range []Algorithm{SPCAMapReduce, SPCASpark, RSVDMapReduce, RSVDSpark, MahoutPCA} {
 		alg := alg
 		t.Run(string(alg), func(t *testing.T) {
 			t.Parallel()
@@ -71,7 +71,7 @@ func TestCorruptModelsBitIdentical(t *testing.T) {
 func TestCorruptWithTaskFaultsBitIdentical(t *testing.T) {
 	y := GenerateDataset(DatasetSpec{Kind: Tweets, Rows: 500, Cols: 70, Seed: 9})
 	seed := chaosSeed(t)
-	for _, alg := range []Algorithm{SPCAMapReduce, SPCASpark, RSVDMapReduce, RSVDSpark} {
+	for _, alg := range []Algorithm{SPCAMapReduce, SPCASpark, RSVDMapReduce, RSVDSpark, MahoutPCA} {
 		alg := alg
 		t.Run(string(alg), func(t *testing.T) {
 			t.Parallel()
@@ -105,7 +105,7 @@ func TestCorruptWithTaskFaultsBitIdentical(t *testing.T) {
 func TestCorruptCombinedPlanResume(t *testing.T) {
 	y := GenerateDataset(DatasetSpec{Kind: Tweets, Rows: 500, Cols: 70, Seed: 9})
 	seed := chaosSeed(t)
-	for _, alg := range []Algorithm{SPCAMapReduce, SPCASpark, RSVDMapReduce, RSVDSpark} {
+	for _, alg := range []Algorithm{SPCAMapReduce, SPCASpark, RSVDMapReduce, RSVDSpark, MahoutPCA} {
 		alg := alg
 		t.Run(string(alg), func(t *testing.T) {
 			t.Parallel()
@@ -169,7 +169,7 @@ func TestCorruptNewestSnapshotResume(t *testing.T) {
 			break
 		}
 	}
-	for _, alg := range []Algorithm{SPCAMapReduce, SPCASpark, RSVDMapReduce, RSVDSpark} {
+	for _, alg := range []Algorithm{SPCAMapReduce, SPCASpark, RSVDMapReduce, RSVDSpark, MahoutPCA} {
 		alg := alg
 		t.Run(string(alg), func(t *testing.T) {
 			t.Parallel()

@@ -9,7 +9,8 @@
 // ridge level, divergence counter, best-model rollback target).
 //
 // The on-disk format is a versioned text container: a "spcackpt <version>"
-// header, named scalar lines using strconv.FormatFloat(v, 'g', -1, 64) —
+// header, a "fit <name>" line naming the fit that wrote it, named scalar
+// lines using strconv.FormatFloat(v, 'g', -1, 64) —
 // which round-trips every float64 exactly, the property the bit-identical
 // resume guarantee rests on — and embedded dmx blocks (the internal/matrix/io
 // dense container) for the component matrices. Snapshots are written
@@ -36,9 +37,10 @@ import (
 
 // Version is the snapshot format version. Readers reject every other version
 // rather than guessing. Version 2 added the FNV-64a checksum trailer and the
-// data-integrity metrics fields; version 1 files (no trailer) are rejected,
-// so every accepted snapshot has passed its checksum.
-const Version = 2
+// data-integrity metrics fields, so every accepted snapshot has passed its
+// checksum. Version 3 added the fit line; a v2 file names no fit, so it is
+// rejected rather than resumed by a fit it may not belong to.
+const Version = 3
 
 // DefaultKeep is the number of snapshot generations Prune retains when the
 // caller does not choose one. Three generations means a resume survives the
@@ -54,8 +56,9 @@ var ErrNoCheckpoint = errors.New("checkpoint: no checkpoint found")
 var ErrBadSnapshot = errors.New("checkpoint: malformed snapshot")
 
 // MismatchError reports a snapshot that parsed fine but belongs to a
-// different run (different data shape, rank, or seed). Resuming from it would
-// silently produce a model of the wrong problem, so Validate refuses.
+// different run (a different fit, data shape, rank, or seed). Resuming from
+// it would silently produce a model of the wrong problem, so Validate
+// refuses.
 type MismatchError struct {
 	Field     string
 	Want, Got string
@@ -93,7 +96,9 @@ type BestState struct {
 type Snapshot struct {
 	Iter int // last completed EM iteration (1-based)
 
-	// Problem identity, checked by Validate before a resume.
+	// Problem identity, checked by Validate before a resume. Fit names the
+	// fit that wrote the snapshot (e.g. "spca-spark", "mahout-pca").
+	Fit        string
 	N, Dims, D int
 	Seed       uint64
 
@@ -157,8 +162,10 @@ func (s *Snapshot) CostBytes() int64 {
 // Validate checks that the snapshot belongs to the run described by the
 // arguments, returning a *MismatchError (or *ErrBadSnapshot-wrapped shape
 // error) if not.
-func (s *Snapshot) Validate(n, dims, d int, seed uint64) error {
+func (s *Snapshot) Validate(fit string, n, dims, d int, seed uint64) error {
 	switch {
+	case s.Fit != fit:
+		return &MismatchError{Field: "fit", Want: strconv.Quote(fit), Got: strconv.Quote(s.Fit)}
 	case s.N != n:
 		return &MismatchError{Field: "row count", Want: strconv.Itoa(n), Got: strconv.Itoa(s.N)}
 	case s.Dims != dims:
@@ -187,6 +194,7 @@ func Write(w io.Writer, s *Snapshot) error {
 	cw := NewTrailerWriter(w)
 	bw := bufio.NewWriter(cw)
 	fmt.Fprintf(bw, "spcackpt %d\n", Version)
+	fmt.Fprintf(bw, "fit %s\n", s.Fit)
 	fmt.Fprintf(bw, "iter %d\n", s.Iter)
 	fmt.Fprintf(bw, "shape %d %d %d\n", s.N, s.Dims, s.D)
 	fmt.Fprintf(bw, "seed %d\n", s.Seed)
@@ -304,6 +312,13 @@ func Read(r io.Reader) (*Snapshot, error) {
 	}
 
 	s := &Snapshot{}
+	if l, err := line("fit"); err != nil {
+		return nil, err
+	} else if name, ok := strings.CutPrefix(l, "fit "); !ok {
+		return nil, fmt.Errorf("%w: bad fit line %q", ErrBadSnapshot, l)
+	} else {
+		s.Fit = name
+	}
 	if l, err := line("iter"); err != nil {
 		return nil, err
 	} else if _, err := fmt.Sscanf(l, "iter %d", &s.Iter); err != nil {

@@ -27,7 +27,7 @@ func sampleSnapshot(iter int) *Snapshot {
 		best.Data[i] = 1 / float64(i+3)
 	}
 	return &Snapshot{
-		Iter: iter, N: 40, Dims: dims, D: d, Seed: 42, FaultEpoch: 17,
+		Iter: iter, Fit: "spca-spark", N: 40, Dims: dims, D: d, Seed: 42, FaultEpoch: 17,
 		SS: 0.1234567890123456789, SS1: 987.654321,
 		RidgeLevel: 1, Rising: 2,
 		Mean: []float64{0.1, -0.25, math.Pi, 0, 1e-300},
@@ -47,22 +47,27 @@ func sampleSnapshot(iter int) *Snapshot {
 	}
 }
 
+// TestRoundTrip also round-trips the empty fit name: a snapshot built
+// without one (a probe, a test) must still read back.
 func TestRoundTrip(t *testing.T) {
-	s := sampleSnapshot(7)
-	var buf bytes.Buffer
-	if err := Write(&buf, s); err != nil {
-		t.Fatalf("Write: %v", err)
-	}
-	if s.Bytes != int64(buf.Len()) {
-		t.Fatalf("Bytes = %d, want %d", s.Bytes, buf.Len())
-	}
-	got, err := Read(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("Read: %v", err)
-	}
-	got.Bytes = s.Bytes // Read does not set Bytes
-	if !reflect.DeepEqual(got, s) {
-		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, s)
+	for _, fit := range []string{"spca-spark", ""} {
+		s := sampleSnapshot(7)
+		s.Fit = fit
+		var buf bytes.Buffer
+		if err := Write(&buf, s); err != nil {
+			t.Fatalf("Write: %v", err)
+		}
+		if s.Bytes != int64(buf.Len()) {
+			t.Fatalf("Bytes = %d, want %d", s.Bytes, buf.Len())
+		}
+		got, err := Read(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatalf("Read(fit %q): %v", fit, err)
+		}
+		got.Bytes = s.Bytes // Read does not set Bytes
+		if !reflect.DeepEqual(got, s) {
+			t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, s)
+		}
 	}
 }
 
@@ -155,16 +160,13 @@ func TestSaveLatest(t *testing.T) {
 	}
 }
 
-// toV1 rewrites a serialized v2 snapshot into the v1 layout: version-1
-// header, no checksum trailer, and the 15-value metrics line (the two
-// data-integrity values did not exist yet). Read must reject the result.
+// toV1 rewrites a serialized v3 snapshot into the v1 layout: version-1
+// header, no fit line, no checksum trailer, and the 15-value metrics line
+// (the two data-integrity values did not exist yet). Read must reject the
+// result.
 func toV1(t testing.TB, text string) string {
 	t.Helper()
-	if len(text) < trailerLen || !strings.HasPrefix(text[len(text)-trailerLen:], "checksum ") {
-		t.Fatal("serialized snapshot has no checksum trailer")
-	}
-	body := text[:len(text)-trailerLen]
-	lines := strings.Split(body, "\n")
+	lines := strings.Split(toV2Body(t, text), "\n")
 	for i, l := range lines {
 		if strings.HasPrefix(l, "metrics ") {
 			f := strings.Fields(l)
@@ -172,6 +174,19 @@ func toV1(t testing.TB, text string) string {
 		}
 	}
 	return strings.Replace(strings.Join(lines, "\n"), "spcackpt 2", "spcackpt 1", 1)
+}
+
+// toV2Body rewrites a serialized v3 snapshot into the body of a v2 one:
+// version-2 header, no fit line, and no checksum trailer.
+func toV2Body(t testing.TB, text string) string {
+	t.Helper()
+	if len(text) < trailerLen || !strings.HasPrefix(text[len(text)-trailerLen:], "checksum ") {
+		t.Fatal("serialized snapshot has no checksum trailer")
+	}
+	body := strings.Replace(text[:len(text)-trailerLen], "spcackpt 3\n", "spcackpt 2\n", 1)
+	hdr, rest, _ := strings.Cut(body, "\n")
+	_, rest, _ = strings.Cut(rest, "\n") // the fit line
+	return hdr + "\n" + rest
 }
 
 // reseal replaces the checksum trailer of a serialized snapshot body with a
@@ -215,11 +230,13 @@ func TestReadRejectsCorruption(t *testing.T) {
 	cases := map[string]string{
 		"empty":           "",
 		"bad header":      "nonsense\n",
-		"bad version":     strings.Replace(text, "spcackpt 2", "spcackpt 99", 1),
+		"bad version":     strings.Replace(text, "spcackpt 3", "spcackpt 99", 1),
 		"truncated":       text[:len(text)/2],
 		"flipped bit":     string(flipped),
 		"missing trailer": text[:len(text)-trailerLen],
 		"v1":              toV1(t, text),
+		// A well-formed, checksummed v2 file names no fit.
+		"v2": reseal(t, toV2Body(t, text)),
 		// Structural damage under a valid checksum exercises the parse
 		// errors directly rather than the trailer check.
 		"resealed truncated": reseal(t, body[:len(body)/2]),
@@ -343,15 +360,19 @@ func TestPrune(t *testing.T) {
 
 func TestValidate(t *testing.T) {
 	s := sampleSnapshot(7)
-	if err := s.Validate(40, 5, 2, 42); err != nil {
+	if err := s.Validate("spca-spark", 40, 5, 2, 42); err != nil {
 		t.Fatalf("Validate(matching) = %v", err)
 	}
 	var mm *MismatchError
-	if err := s.Validate(41, 5, 2, 42); !errors.As(err, &mm) {
+	if err := s.Validate("spca-spark", 41, 5, 2, 42); !errors.As(err, &mm) {
 		t.Fatalf("Validate(wrong n) = %v, want MismatchError", err)
 	}
-	if err := s.Validate(40, 5, 2, 43); !errors.As(err, &mm) {
+	if err := s.Validate("spca-spark", 40, 5, 2, 43); !errors.As(err, &mm) {
 		t.Fatalf("Validate(wrong seed) = %v, want MismatchError", err)
+	}
+	// Same shapes and seed, another fit: the snapshot is not this run's.
+	if err := s.Validate("spca-mapreduce", 40, 5, 2, 42); !errors.As(err, &mm) || mm.Field != "fit" {
+		t.Fatalf("Validate(wrong fit) = %v, want MismatchError on fit", err)
 	}
 }
 

@@ -24,7 +24,7 @@ func FuzzReadSnapshot(f *testing.F) {
 	f.Add(flipped)                         // flipped bit (checksum must catch)
 	f.Add([]byte(toV1(f, string(valid))))  // v1 (no trailer): rejected
 	f.Add(valid[:len(valid)-trailerLen])   // trailer sheared off
-	f.Add([]byte("spcackpt 2\n"))          // header only
+	f.Add([]byte("spcackpt 3\n"))          // header only
 	f.Add([]byte("spcackpt 99\niter 1\n")) // future version
 	f.Add([]byte("nonsense\n"))            // not a snapshot at all
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -1,7 +1,8 @@
 // Package driver is the iterative driver shared by the EM fits of
 // internal/ppca (sPCA, Algorithms 4/5) and the randomized-sketch fits of
-// internal/rsvd. An engine family supplies one iteration of work behind Step;
-// everything around it is written once here:
+// internal/rsvd and internal/ssvd (Mahout-PCA). An engine family supplies
+// one iteration of work behind Step; everything around it is written once
+// here:
 //
 //   - the loop: the stopping check at the top of every iteration, the entry
 //     and boundary interrupt polls, the stall watchdog's progress beacon, and
@@ -106,12 +107,13 @@ type Step interface {
 	// the error the iteration ended with (nil on success).
 	SpanEnd(err error) []trace.Attr
 	// Snapshot captures the state at the boundary after iteration iter. The
-	// driver fills in Metrics and FaultEpoch.
+	// driver fills in Fit, Metrics and FaultEpoch.
 	Snapshot(iter int) *checkpoint.Snapshot
 }
 
 // Run is one driver incarnation of an iterative fit.
 type Run struct {
+	fit    string // the fit's name, stamped on its snapshots
 	opt    Options
 	cl     *cluster.Cluster // nil for single-machine fits
 	cursor Cursor           // nil for single-machine fits
@@ -120,24 +122,26 @@ type Run struct {
 	local cluster.Metrics
 }
 
-// New starts a driver incarnation on cluster cl with the engine's fault
-// cursor. Single-machine fits pass nil for both.
-func New(opt Options, cl *cluster.Cluster, cursor Cursor) *Run {
-	return &Run{opt: opt, cl: cl, cursor: cursor}
+// New starts a driver incarnation of the fit named fit on cluster cl with
+// the engine's fault cursor. Single-machine fits pass nil for both. The name
+// is stamped on every snapshot, and Resume accepts only snapshots that carry
+// it, so one fit never continues another's run.
+func New(fit string, opt Options, cl *cluster.Cluster, cursor Cursor) *Run {
+	return &Run{fit: fit, opt: opt, cl: cl, cursor: cursor}
 }
 
 // Resume is the resume prelude, run once the setup every incarnation pays
 // (the Spark input RDD) is charged. With Options.Resume set it validates the
-// snapshot against the fit's shape, rewinds the clock to the snapshot,
-// charges the restore — the snapshot read, RecoveredSeconds, and the setup
-// just redone — to RecoverySeconds, and rewinds the fault cursor. Without a
-// snapshot it does nothing; Loop counts a scratch restart instead.
+// snapshot against the fit's name and shape, rewinds the clock to the
+// snapshot, charges the restore — the snapshot read, RecoveredSeconds, and
+// the setup just redone — to RecoverySeconds, and rewinds the fault cursor.
+// Without a snapshot it does nothing; Loop counts a scratch restart instead.
 func (r *Run) Resume(n, dims, d int, seed uint64) error {
 	snap := r.opt.Resume
 	if snap == nil {
 		return nil
 	}
-	if err := snap.Validate(n, dims, d, seed); err != nil {
+	if err := snap.Validate(r.fit, n, dims, d, seed); err != nil {
 		return err
 	}
 	if r.cl == nil {
@@ -258,9 +262,11 @@ func (r *Run) Finish() (cluster.Metrics, []cluster.PhaseSummary) {
 	return m, cluster.Summarize(r.cl.PhaseLog(), r.cl.Config())
 }
 
-// snapshot is the step's boundary state stamped with the fault cursor.
+// snapshot is the step's boundary state stamped with the fit's name and the
+// fault cursor.
 func (r *Run) snapshot(step Step, iter int) *checkpoint.Snapshot {
 	snap := step.Snapshot(iter)
+	snap.Fit = r.fit
 	if r.cursor != nil {
 		snap.FaultEpoch = r.cursor.Epoch()
 	}

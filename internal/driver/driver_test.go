@@ -43,7 +43,7 @@ func (s *fakeStep) SpanEnd(error) []trace.Attr { return nil }
 func (s *fakeStep) Snapshot(iter int) *checkpoint.Snapshot { return fakeSnapshot(iter) }
 
 func fakeSnapshot(iter int) *checkpoint.Snapshot {
-	return &checkpoint.Snapshot{Iter: iter, N: 1, Dims: 1, D: 1, Seed: 1, Mean: []float64{0}, C: matrix.NewDense(1, 1)}
+	return &checkpoint.Snapshot{Iter: iter, Fit: "fake", N: 1, Dims: 1, D: 1, Seed: 1, Mean: []float64{0}, C: matrix.NewDense(1, 1)}
 }
 
 // canceledAt returns options whose interrupt fires once iteration n has run,
@@ -71,7 +71,7 @@ func TestFinalFlushFailureStillAborts(t *testing.T) {
 	}
 	opt, cancelAfter, col := canceledAt(t, 2)
 	opt.Checkpoint = CheckpointSpec{Interval: 3, Dir: dir}
-	err := New(opt, nil, nil).Loop(&fakeStep{after: cancelAfter}, 5, "iteration", "iter")
+	err := New("fake", opt, nil, nil).Loop(&fakeStep{after: cancelAfter}, 5, "iteration", "iter")
 
 	var ab *cluster.AbortError
 	if !errors.As(err, &ab) || !errors.Is(err, cluster.ErrCanceled) {
@@ -112,7 +112,7 @@ func TestMidStepInterrupt(t *testing.T) {
 			if c.resumeIter > 0 {
 				opt.Resume = fakeSnapshot(c.resumeIter)
 			}
-			run := New(opt, nil, nil)
+			run := New("fake", opt, nil, nil)
 			if err := run.Resume(1, 1, 1, 1); err != nil {
 				t.Fatal(err)
 			}
@@ -146,7 +146,7 @@ func TestCancelOnStoppingIteration(t *testing.T) {
 	opt, cancelAfter, _ := canceledAt(t, 2)
 	opt.Checkpoint = CheckpointSpec{Interval: 1, Dir: t.TempDir()}
 	step := &fakeStep{stopAt: 2, after: cancelAfter}
-	err := New(opt, nil, nil).Loop(step, 5, "round", "round")
+	err := New("fake", opt, nil, nil).Loop(step, 5, "round", "round")
 	var ab *cluster.AbortError
 	if !errors.As(err, &ab) || ab.Iter != 2 || !ab.Checkpointed {
 		t.Fatalf("want AbortError{Iter: 2, Checkpointed: true}, got %v", err)
@@ -155,7 +155,7 @@ func TestCancelOnStoppingIteration(t *testing.T) {
 	// Resumed from that snapshot, the run is already done.
 	opt = Options{Checkpoint: opt.Checkpoint, Resume: fakeSnapshot(2)}
 	step = &fakeStep{stopAt: 2, ran: []int{1, 2}}
-	if err := New(opt, nil, nil).Loop(step, 5, "round", "round"); err != nil || len(step.ran) != 2 {
+	if err := New("fake", opt, nil, nil).Loop(step, 5, "round", "round"); err != nil || len(step.ran) != 2 {
 		t.Fatalf("resumed at the stopping iteration: err %v, ran %v", err, step.ran)
 	}
 }

@@ -124,6 +124,15 @@ func NewEngine(cl *cluster.Cluster) *Engine {
 	}
 }
 
+// Broadcast charges shipping bytes of driver state to every worker node,
+// as Hadoop's distributed cache does, in one phase named name.
+func Broadcast(e *Engine, name string, bytes int64) {
+	e.Cluster.RunPhase(cluster.PhaseStats{
+		Name:         name,
+		ShuffleBytes: bytes * int64(e.Cluster.Config().Nodes),
+	})
+}
+
 // NumSplits reports how many map tasks Run will use for n input records: the
 // configured Splits, clamped to n (at least 1). Callers sizing per-task
 // scratch (mapper state reused across jobs) rely on this matching Run's own

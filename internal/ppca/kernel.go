@@ -240,71 +240,6 @@ func (p *partial) emitRows(out mapred.Emitter[int, []float64]) {
 	}
 }
 
-// meanPartial is one task's share of the column means (Algorithm 4 line 3):
-// per-column sums indexed directly, the columns touched in first-touch order,
-// so only those cross the wire, and the row count. MapReduce's meanJob runs
-// it as the mapper; Spark's aggregates it.
-type meanPartial struct {
-	sums    []float64
-	seen    []bool
-	touched []int32
-	count   float64
-}
-
-// add folds row into the sums and returns its op charge.
-func (p *meanPartial) add(row matrix.SparseVector) int64 {
-	p.grow(row.Len)
-	for k, j := range row.Indices {
-		p.claim(j)
-		p.sums[j] += row.Values[k]
-	}
-	p.count++
-	return int64(row.NNZ())
-}
-
-// grow widens the partial to n columns, with room to touch all of them.
-func (p *meanPartial) grow(n int) {
-	if len(p.sums) >= n {
-		return
-	}
-	sums, seen, touched := make([]float64, n), make([]bool, n), make([]int32, len(p.touched), n)
-	copy(sums, p.sums)
-	copy(seen, p.seen)
-	copy(touched, p.touched)
-	p.sums, p.seen, p.touched = sums, seen, touched
-}
-
-func (p *meanPartial) claim(j int) {
-	if !p.seen[j] {
-		p.seen[j] = true
-		p.touched = append(p.touched, int32(j))
-	}
-}
-
-func (p *meanPartial) merge(o *meanPartial) {
-	p.grow(len(o.sums))
-	for _, j := range o.touched {
-		p.claim(int(j))
-		p.sums[j] += o.sums[j]
-	}
-	p.count += o.count
-}
-
-// bytes is the modeled wire size: the count, and a key and a sum per touched
-// column.
-func (p *meanPartial) bytes() int64 { return 16 + int64(len(p.touched))*16 }
-
-func (p *meanPartial) Map(row matrix.SparseVector, out mapred.Emitter[int, float64]) {
-	out.AddOps(p.add(row))
-}
-
-func (p *meanPartial) Cleanup(out mapred.Emitter[int, float64]) {
-	for _, j := range p.touched {
-		out.Emit(int(j), p.sums[j])
-	}
-	out.Emit(keyMean, p.count)
-}
-
 // fnormPartial is one task's share of ||Y - Ym||²_F. MapReduce's FnormJob
 // runs it as the mapper; Spark's aggregates it.
 type fnormPartial struct {

@@ -39,7 +39,7 @@ func FitLocal(y *matrix.Sparse, opt Options) (*Result, error) {
 	em := newEMDriver(opt, y.R, y.C, mean, ss1)
 	// Local fits have no simulated cluster: a restore only counts the
 	// restart in the Result metrics.
-	run := driver.New(opt.Options, nil, nil)
+	run := driver.New("ppca-local", opt.Options, nil, nil)
 	if err := run.Resume(y.R, y.C, opt.Components, opt.Seed); err != nil {
 		return nil, err
 	}

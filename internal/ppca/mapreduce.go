@@ -5,7 +5,7 @@ import (
 	"slices"
 
 	"spca/internal/accuracy"
-	"spca/internal/cluster"
+	"spca/internal/colmean"
 	"spca/internal/driver"
 	"spca/internal/mapred"
 	"spca/internal/matrix"
@@ -19,7 +19,6 @@ const (
 	keyXtX  = -1
 	keySumX = -2
 	keySS3  = -3
-	keyMean = -4
 	keyFro  = -5
 )
 
@@ -38,7 +37,7 @@ func FitMapReduce(eng *mapred.Engine, rows []matrix.SparseVector, dims int, opt 
 			trace.I("components", int64(opt.Components)), trace.I("incarnation", int64(opt.Incarnation)))
 		defer tr.End()
 	}
-	run := driver.New(opt.Options, cl, eng)
+	run := driver.New("spca-mapreduce", opt.Options, cl, eng)
 	if err := run.Resume(len(rows), dims, opt.Components, opt.Seed); err != nil {
 		return nil, err
 	}
@@ -49,7 +48,7 @@ func FitMapReduce(eng *mapred.Engine, rows []matrix.SparseVector, dims int, opt 
 		em = newEMDriver(opt, len(rows), dims, snap.Mean, snap.SS1)
 	} else {
 		// meanJob + FnormJob run once before the loop (Algorithm 4 lines 3-4).
-		mean, err := meanJob(eng, rows, dims)
+		mean, err := colmean.MapReduce(eng, "meanJob", rows, dims)
 		if err != nil {
 			return nil, err
 		}
@@ -96,7 +95,7 @@ type mrEngine struct {
 
 func (e *mrEngine) prepared(em *emDriver) {
 	// Ship CM (and later C) to every node, like Hadoop's distributed cache.
-	broadcast(e.eng.Cluster, "ytx/cache", mapred.BytesOfDense(em.cm))
+	mapred.Broadcast(e.eng, "ytx/cache", mapred.BytesOfDense(em.cm))
 }
 
 func (e *mrEngine) pass(em *emDriver) (jobSums, error) {
@@ -110,52 +109,11 @@ func (e *mrEngine) solved(em *emDriver, cNew *matrix.Dense) {
 	// Driver-side small-matrix work: M, M⁻¹, the solve, ss2.
 	d := int64(e.opt.Components)
 	e.eng.Cluster.AddDriverCompute(int64(e.dims)*d*d + d*d*d)
-	broadcast(e.eng.Cluster, "ss3/cache", mapred.BytesOfDense(cNew))
+	mapred.Broadcast(e.eng, "ss3/cache", mapred.BytesOfDense(cNew))
 }
 
 func (e *mrEngine) ss3(em *emDriver, cNew *matrix.Dense) (float64, error) {
 	return ss3Job(e, em, cNew)
-}
-
-// broadcast charges shipping driver state to every worker node.
-func broadcast(cl *cluster.Cluster, name string, bytes int64) {
-	cl.RunPhase(cluster.PhaseStats{
-		Name:         name,
-		ShuffleBytes: bytes * int64(cl.Config().Nodes),
-	})
-}
-
-// meanJob computes the column means with one MapReduce job. Mappers keep a
-// sparse in-memory partial (stateful combiner) and flush it in Cleanup.
-func meanJob(eng *mapred.Engine, rows []matrix.SparseVector, dims int) ([]float64, error) {
-	job := mapred.Job[matrix.SparseVector, int, float64, float64]{
-		Name: "meanJob",
-		NewMapper: func(int) mapred.Mapper[matrix.SparseVector, int, float64] {
-			return &meanPartial{}
-		},
-		Combine:    sumFloat,
-		Reduce:     reduceSumFloat,
-		InputBytes: mapred.BytesOfSparseVec,
-		KeyBytes:   mapred.BytesOfInt,
-		ValueBytes: mapred.BytesOfFloat64,
-		// Keys are the column range plus the keyMean row-count slot below it.
-		Dense: &mapred.DenseSpec{MinKey: keyMean, Keys: dims - keyMean, Width: 1},
-	}
-	out, err := mapred.Run(eng, job, rows)
-	if err != nil {
-		return nil, err
-	}
-	count := out[keyMean]
-	if count == 0 {
-		return nil, fmt.Errorf("ppca: meanJob produced no row count")
-	}
-	mean := make([]float64, dims)
-	for k, v := range out {
-		if k >= 0 {
-			mean[k] = v / count
-		}
-	}
-	return mean, nil
 }
 
 // fnormJob computes ||Y - Ym||²_F. With efficient=true it uses the

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"spca/internal/accuracy"
+	"spca/internal/colmean"
 	"spca/internal/driver"
 	"spca/internal/mapred"
 	"spca/internal/matrix"
@@ -36,7 +37,7 @@ func FitSpark(ctx *rdd.Context, rows []matrix.SparseVector, dims int, opt Option
 	// On resume the RDD setup above was redone by this incarnation, so its
 	// cost moves to RecoverySeconds when the clock is rewound to the
 	// snapshot; the mean and Frobenius jobs are restored, not re-run.
-	run := driver.New(opt.Options, cl, ctx)
+	run := driver.New("spca-spark", opt.Options, cl, ctx)
 	if err := run.Resume(len(rows), dims, opt.Components, opt.Seed); err != nil {
 		return nil, err
 	}
@@ -44,7 +45,7 @@ func FitSpark(ctx *rdd.Context, rows []matrix.SparseVector, dims int, opt Option
 	if snap := opt.Resume; snap != nil {
 		em = newEMDriver(opt, len(rows), dims, snap.Mean, snap.SS1)
 	} else {
-		mean, err := sparkMean(ctx, y, dims)
+		mean, err := colmean.Spark(ctx, y, "meanJob", dims)
 		if err != nil {
 			return nil, err
 		}
@@ -101,30 +102,6 @@ func (e *sparkEngine) solved(em *emDriver, cNew *matrix.Dense) {
 
 func (e *sparkEngine) ss3(em *emDriver, cNew *matrix.Dense) (float64, error) {
 	return sparkSS3Job(e, em, cNew)
-}
-
-func sparkMean(ctx *rdd.Context, y *rdd.RDD[matrix.SparseVector], dims int) ([]float64, error) {
-	agg, err := rdd.Aggregate(y, "meanJob",
-		func() *meanPartial { return &meanPartial{} },
-		func(p *meanPartial, row matrix.SparseVector, ops *rdd.TaskOps) *meanPartial {
-			ops.AddOps(p.add(row))
-			return p
-		},
-		func(a, b *meanPartial) *meanPartial { a.merge(b); return a },
-		(*meanPartial).bytes,
-	)
-	if err != nil {
-		return nil, err
-	}
-	defer ctx.Cluster().FreeDriver(agg.bytes())
-	if agg.count == 0 {
-		return nil, fmt.Errorf("ppca: sparkMean saw no rows")
-	}
-	mean := make([]float64, dims)
-	for _, j := range agg.touched {
-		mean[j] = agg.sums[j] / agg.count
-	}
-	return mean, nil
 }
 
 func sparkFnorm(ctx *rdd.Context, y *rdd.RDD[matrix.SparseVector], mean []float64, efficient bool) (float64, error) {

@@ -78,7 +78,7 @@ func FitStream(src matrix.RowSource, opt Options) (*Result, error) {
 
 	// On resume pass 0 above is re-run (the sample capture needs a scan
 	// regardless, and its mean/ss1 are bit-identical to the snapshot's).
-	run := driver.New(opt.Options, nil, nil)
+	run := driver.New("ppca-stream", opt.Options, nil, nil)
 	if err := run.Resume(n, dims, opt.Components, opt.Seed); err != nil {
 		return nil, err
 	}

@@ -3,8 +3,7 @@ package rsvd
 import (
 	"fmt"
 
-	"spca/internal/cluster"
-	"spca/internal/driver"
+	"spca/internal/colmean"
 	"spca/internal/mapred"
 	"spca/internal/matrix"
 	"spca/internal/trace"
@@ -19,48 +18,25 @@ import (
 // non-zero), and every mapper runs on per-task pooled scratch with zero
 // steady-state allocations.
 func FitMapReduce(eng *mapred.Engine, rows []matrix.SparseVector, dims int, opt Options) (*Result, error) {
-	if err := opt.validate(len(rows), dims); err != nil {
+	if err := opt.Validate(len(rows), dims); err != nil {
 		return nil, err
 	}
 	cl := eng.Cluster
-	tr := opt.Tracer
-	if tr != nil {
+	if tr := opt.Tracer; tr != nil {
 		cl.SetTracer(tr)
 		tr.Begin("FitRSVD", trace.KindFit,
 			trace.I("rows", int64(len(rows))), trace.I("dims", int64(dims)),
 			trace.I("components", int64(opt.Components)), trace.I("incarnation", int64(opt.Incarnation)))
 		defer tr.End()
 	}
-	sk := newSketch(opt, rows, dims)
-	run := driver.New(opt.Options, cl, eng)
-	if err := run.Resume(len(rows), dims, opt.Components, opt.Seed); err != nil {
-		return nil, err
-	}
-	if snap := opt.Resume; snap != nil {
-		// The mean job was already paid for by the crashed incarnation and
-		// lives in the snapshot.
-		sk.restore(snap)
-	} else {
-		mean, err := meanJob(eng, rows, dims)
-		if err != nil {
-			return nil, err
-		}
-		sk.mean = mean
-	}
-
-	indexed := make([]indexedRow, len(rows))
-	for i, r := range rows {
-		indexed[i] = indexedRow{idx: i, row: r}
-	}
-	return sk.fit(run, &mrEngine{
-		eng: eng, opt: opt, dims: dims, indexed: indexed, mean: sk.mean,
-		scr: newMRScratch(eng.NumSplits(len(rows))),
-	})
-}
-
-type indexedRow struct {
-	idx int
-	row matrix.SparseVector
+	return FitSketch("rsvd-mapreduce", opt, rows, dims, cl, eng,
+		func() ([]float64, error) { return colmean.MapReduce(eng, "rsvd-mean", rows, dims) },
+		func(mean []float64) RoundEngine {
+			return &mrEngine{
+				eng: eng, opt: opt, dims: dims, indexed: IndexRows(rows), mean: mean,
+				scr: newMRScratch(eng.NumSplits(len(rows))),
+			}
+		})
 }
 
 // mrEngine implements one randomized-SVD sketch round as MapReduce jobs. The
@@ -71,23 +47,23 @@ type mrEngine struct {
 	opt     Options
 	dims    int
 	mean    []float64
-	indexed []indexedRow
+	indexed []IndexedRow
 	scr     *mrScratch
 	p       *matrix.Dense // N x k projection, refilled by every project job
 	b       *matrix.Dense // D x k, refilled by every B job
 }
 
-func (e *mrEngine) round(round, k int) (*matrix.Dense, []float64, error) {
+func (e *mrEngine) Round(round, k int) (*matrix.Dense, []float64, error) {
 	cl := e.eng.Cluster
 	// Ω: a fresh D x k Gaussian test matrix per round, broadcast to all
 	// mappers. Independent of ssvd's draws by stream name, not by offset.
 	omega := matrix.NormRnd(matrix.NewRNG(matrix.DeriveSeed(e.opt.Seed, "rsvd/omega", uint64(round))), e.dims, k)
-	broadcastBytes(cl, "rsvd/omega", mapred.BytesOfDense(omega))
+	mapred.Broadcast(e.eng, "rsvd/omega", mapred.BytesOfDense(omega))
 
 	if err := e.projectJob("rsvd-range", omega); err != nil {
 		return nil, nil, err
 	}
-	q := qrPhase(cl, e.p)
+	q := QRPhase(cl, "rsvd/qr", e.p)
 
 	// Power iterations: Q ← QR(Yc·(YcᵀQ)), re-orthonormalizing after every
 	// application so the basis never degenerates (Halko's recommendation).
@@ -95,11 +71,11 @@ func (e *mrEngine) round(round, k int) (*matrix.Dense, []float64, error) {
 		if err := e.bJob(q); err != nil {
 			return nil, nil, err
 		}
-		broadcastBytes(cl, "rsvd/b", mapred.BytesOfDense(e.b))
+		mapred.Broadcast(e.eng, "rsvd/b", mapred.BytesOfDense(e.b))
 		if err := e.projectJob(fmt.Sprintf("rsvd-power-%d", pi), e.b); err != nil {
 			return nil, nil, err
 		}
-		q = qrPhase(cl, e.p)
+		q = QRPhase(cl, "rsvd/qr", e.p)
 	}
 
 	// B = YcᵀQ (D x k), then the small SVD on the driver: principal
@@ -110,30 +86,6 @@ func (e *mrEngine) round(round, k int) (*matrix.Dense, []float64, error) {
 	w, s, _ := matrix.TopSVD(e.b, e.opt.Components)
 	cl.AddDriverCompute(int64(e.dims) * int64(k) * int64(k))
 	return w, s, nil
-}
-
-// broadcastBytes charges shipping one driver-side matrix to every node.
-func broadcastBytes(cl *cluster.Cluster, name string, bytes int64) {
-	cl.RunPhase(cluster.PhaseStats{
-		Name:         name,
-		ShuffleBytes: bytes * int64(cl.Config().Nodes),
-	})
-}
-
-// qrPhase orthonormalizes the materialized projection: the real QR runs on
-// the driver's copy and the distributed cost is charged — O(N·k²) compute
-// plus a full write+read of Q.
-func qrPhase(cl *cluster.Cluster, p *matrix.Dense) *matrix.Dense {
-	q, _ := matrix.QR(p)
-	nk := int64(p.R) * int64(p.C) * 8
-	cl.RunPhase(cluster.PhaseStats{
-		Name:              "rsvd/qr",
-		ComputeOps:        int64(p.R) * int64(p.C) * int64(p.C) * 2,
-		DiskBytes:         2 * nk, // write Q, read it back in the next job
-		MaterializedBytes: nk,
-		Tasks:             int64(cl.TotalCores()),
-	})
-	return q
 }
 
 // projectJob computes P = Yc·B for an in-memory D x k matrix B with mean
@@ -148,15 +100,15 @@ func (e *mrEngine) projectJob(name string, b *matrix.Dense) error {
 			matrix.AXPY(mj, b.Row(j), mb)
 		}
 	}
-	job := mapred.Job[indexedRow, int, []float64, []float64]{
+	job := mapred.Job[IndexedRow, int, []float64, []float64]{
 		Name: name,
-		NewMapper: func(task int) mapred.Mapper[indexedRow, int, []float64] {
+		NewMapper: func(task int) mapred.Mapper[IndexedRow, int, []float64] {
 			m := e.scr.proj[task]
 			m.reset(k, b, mb) // reset handles fault replays too
 			return m
 		},
 		Reduce:      func(_ int, vs [][]float64, _ mapred.Ops) []float64 { return vs[0] },
-		InputBytes:  func(r indexedRow) int64 { return mapred.BytesOfSparseVec(r.row) },
+		InputBytes:  func(r IndexedRow) int64 { return mapred.BytesOfSparseVec(r.Row) },
 		KeyBytes:    mapred.BytesOfInt,
 		ValueBytes:  mapred.BytesOfVec,
 		ResultBytes: mapred.BytesOfVec,
@@ -184,9 +136,9 @@ func (e *mrEngine) projectJob(name string, b *matrix.Dense) error {
 // touched column in Cleanup — the combining Mahout's Bt job lacks.
 func (e *mrEngine) bJob(q *matrix.Dense) error {
 	k := q.C
-	job := mapred.Job[indexedRow, int, []float64, []float64]{
+	job := mapred.Job[IndexedRow, int, []float64, []float64]{
 		Name: "rsvd-b",
-		NewMapper: func(task int) mapred.Mapper[indexedRow, int, []float64] {
+		NewMapper: func(task int) mapred.Mapper[IndexedRow, int, []float64] {
 			m := e.scr.bt[task]
 			m.reset(k, q)
 			return m
@@ -203,8 +155,8 @@ func (e *mrEngine) bJob(q *matrix.Dense) error {
 			}
 			return sum
 		},
-		InputBytes: func(r indexedRow) int64 {
-			return mapred.BytesOfSparseVec(r.row) + int64(k)*8 // reads Y and Q
+		InputBytes: func(r IndexedRow) int64 {
+			return mapred.BytesOfSparseVec(r.Row) + int64(k)*8 // reads Y and Q
 		},
 		KeyBytes:    mapred.BytesOfInt,
 		ValueBytes:  mapred.BytesOfVec,
@@ -234,65 +186,6 @@ func (e *mrEngine) bJob(q *matrix.Dense) error {
 	}
 	e.eng.Cluster.AddDriverCompute(int64(q.R)*int64(k) + int64(e.dims)*int64(k))
 	return nil
-}
-
-// meanJob computes column means with a small job (same shape as sPCA's).
-func meanJob(eng *mapred.Engine, rows []matrix.SparseVector, dims int) ([]float64, error) {
-	job := mapred.Job[matrix.SparseVector, int, float64, float64]{
-		Name: "rsvd-mean",
-		NewMapper: func(int) mapred.Mapper[matrix.SparseVector, int, float64] {
-			return &meanMapper{partial: map[int]float64{}}
-		},
-		Combine: func(a, b float64) float64 { return a + b },
-		Reduce: func(k int, vs []float64, o mapred.Ops) float64 {
-			var s float64
-			for _, v := range vs {
-				s += v
-				o.AddOps(1)
-			}
-			return s
-		},
-		InputBytes: mapred.BytesOfSparseVec,
-		KeyBytes:   mapred.BytesOfInt,
-		ValueBytes: mapred.BytesOfFloat64,
-		// Keys are the column range plus the -1 row-count slot.
-		Dense: &mapred.DenseSpec{MinKey: -1, Keys: dims + 1, Width: 1},
-	}
-	out, err := mapred.Run(eng, job, rows)
-	if err != nil {
-		return nil, err
-	}
-	count := out[-1]
-	if count == 0 {
-		return nil, fmt.Errorf("rsvd: mean job saw no rows")
-	}
-	mean := make([]float64, dims)
-	for j, v := range out {
-		if j >= 0 {
-			mean[j] = v / count
-		}
-	}
-	return mean, nil
-}
-
-type meanMapper struct {
-	partial map[int]float64
-	count   float64
-}
-
-func (m *meanMapper) Map(row matrix.SparseVector, out mapred.Emitter[int, float64]) {
-	for k, j := range row.Indices {
-		m.partial[j] += row.Values[k]
-	}
-	m.count++
-	out.AddOps(int64(row.NNZ()))
-}
-
-func (m *meanMapper) Cleanup(out mapred.Emitter[int, float64]) {
-	for j, v := range m.partial {
-		out.Emit(j, v)
-	}
-	out.Emit(-1, m.count)
 }
 
 // mrScratch owns every reused mapper-side buffer, indexed by task.
@@ -377,14 +270,14 @@ func (m *projMapper) vec() []float64 {
 	return v
 }
 
-func (m *projMapper) Map(rec indexedRow, out mapred.Emitter[int, []float64]) {
+func (m *projMapper) Map(rec IndexedRow, out mapred.Emitter[int, []float64]) {
 	p := m.vec()
-	for t, j := range rec.row.Indices {
-		matrix.AXPY(rec.row.Values[t], m.b.Row(j), p)
+	for t, j := range rec.Row.Indices {
+		matrix.AXPY(rec.Row.Values[t], m.b.Row(j), p)
 	}
 	matrix.AXPY(-1, m.mb, p)
-	out.Emit(rec.idx, p)
-	out.AddOps(int64(rec.row.NNZ()*m.k + m.k))
+	out.Emit(rec.Idx, p)
+	out.AddOps(int64(rec.Row.NNZ()*m.k + m.k))
 }
 
 func (m *projMapper) Cleanup(mapred.Emitter[int, []float64]) {}
@@ -427,17 +320,17 @@ func (m *btMapper) vec() []float64 {
 	return make([]float64, m.k)
 }
 
-func (m *btMapper) Map(rec indexedRow, out mapred.Emitter[int, []float64]) {
-	qi := m.q.Row(rec.idx)
-	for t, j := range rec.row.Indices {
+func (m *btMapper) Map(rec IndexedRow, out mapred.Emitter[int, []float64]) {
+	qi := m.q.Row(rec.Idx)
+	for t, j := range rec.Row.Indices {
 		v := m.bt[j]
 		if v == nil {
 			v = m.vec()
 			m.bt[j] = v
 		}
-		matrix.AXPY(rec.row.Values[t], qi, v)
+		matrix.AXPY(rec.Row.Values[t], qi, v)
 	}
-	out.AddOps(int64(rec.row.NNZ() * m.k))
+	out.AddOps(int64(rec.Row.NNZ() * m.k))
 }
 
 func (m *btMapper) Cleanup(out mapred.Emitter[int, []float64]) {

@@ -5,9 +5,10 @@
 // MapReduce engine (FitMapReduce), and the communication-optimal distributed
 // variant of Balcan et al. — every partition computes a local sketch and the
 // driver merges the stacked projections — on the Spark-like engine
-// (FitSpark).
+// (FitSpark). The Mahout-PCA baseline (internal/ssvd) is a third round
+// engine on the same sketch step (FitSketch).
 //
-// Both engines inherit the house invariants from the shared machinery:
+// The engines inherit the house invariants from the shared machinery:
 //
 //   - Deterministic seeding: every random draw derives from Options.Seed via
 //     matrix.DeriveSeed with a named stream ("rsvd/omega" per round, and
@@ -86,7 +87,9 @@ func (o Options) maxRounds() int {
 	return o.MaxRounds
 }
 
-func (o Options) validate(n, dims int) error {
+// Validate rejects options a sketch fit of n rows and dims columns cannot
+// run.
+func (o Options) Validate(n, dims int) error {
 	if o.Components <= 0 {
 		return errors.New("rsvd: Components must be positive")
 	}
@@ -138,21 +141,62 @@ type Result struct {
 	Phases []cluster.PhaseSummary
 }
 
-// roundEngine is the per-platform part of a fit: one full sketch round
-// producing candidate components and singular values.
-type roundEngine interface {
-	round(round, k int) (*matrix.Dense, []float64, error)
+// RoundEngine is the per-platform part of a sketch fit: one full sketch
+// round producing candidate components and singular values.
+type RoundEngine interface {
+	Round(round, k int) (*matrix.Dense, []float64, error)
 }
 
-// sketch is the platform-independent half of a fit, run one round per Step
-// by the shared iterative driver (internal/driver), which owns the loop,
-// the interrupt polls, the checkpoints, and the driver-crash injection. It
-// keeps the best-of-rounds model under the sampled error metric and the
-// round history.
+// FitSketch runs the platform-independent half of a sketch fit named fit
+// (the name its snapshots carry) on the shared iterative driver
+// (internal/driver), which owns the loop, the interrupt polls, the
+// checkpoints, and the driver-crash injection. cl is the fit's cluster and
+// cursor its engine's fault cursor. The column means come from meanPass,
+// or from the snapshot on resume, since the crashed incarnation already
+// paid for the pass; newEngine then builds the engine around them, and
+// each driver iteration runs one of its rounds until MaxRounds or
+// TargetAccuracy.
+func FitSketch(fit string, opt Options, rows []matrix.SparseVector, dims int, cl *cluster.Cluster, cursor driver.Cursor,
+	meanPass func() ([]float64, error), newEngine func(mean []float64) RoundEngine) (*Result, error) {
+	s := &sketch{
+		opt: opt, n: len(rows), dims: dims,
+		res:     &Result{},
+		k:       opt.sketchWidth(len(rows), dims),
+		sample:  accuracy.Draw(rows, dims, accuracy.SketchSeed(opt.Seed)),
+		bestErr: math.Inf(1),
+	}
+	s.run = driver.New(fit, opt.Options, cl, cursor)
+	if err := s.run.Resume(len(rows), dims, opt.Components, opt.Seed); err != nil {
+		return nil, err
+	}
+	if snap := opt.Resume; snap != nil {
+		s.restore(snap)
+	} else {
+		mean, err := meanPass()
+		if err != nil {
+			return nil, err
+		}
+		s.mean = mean
+	}
+	s.eng = newEngine(s.mean)
+	if err := s.run.Loop(s, opt.maxRounds(), "round", "round"); err != nil {
+		return nil, err
+	}
+	res := s.res
+	res.Components = s.bestW
+	res.Singular = s.bestSing
+	res.Mean = s.mean
+	res.Iterations = len(res.History)
+	res.Metrics, res.Phases = s.run.Finish()
+	return res, nil
+}
+
+// sketch is the driver's Step for a sketch fit. It keeps the best-of-rounds
+// model under the sampled error metric and the round history.
 type sketch struct {
 	opt     Options
 	run     *driver.Run
-	eng     roundEngine
+	eng     RoundEngine
 	res     *Result
 	n, dims int
 	k       int
@@ -162,16 +206,6 @@ type sketch struct {
 	bestErr  float64
 	bestW    *matrix.Dense
 	bestSing []float64
-}
-
-func newSketch(opt Options, rows []matrix.SparseVector, dims int) *sketch {
-	return &sketch{
-		opt: opt, n: len(rows), dims: dims,
-		res:     &Result{},
-		k:       opt.sketchWidth(len(rows), dims),
-		sample:  accuracy.Draw(rows, dims, accuracy.SketchSeed(opt.Seed)),
-		bestErr: math.Inf(1),
-	}
 }
 
 // restore loads a validated snapshot: best-of-rounds state, mean, and
@@ -189,22 +223,6 @@ func (s *sketch) restore(snap *checkpoint.Snapshot) {
 	}
 }
 
-// fit runs sketch rounds on the shared driver until MaxRounds or
-// TargetAccuracy, then assembles the best round's model.
-func (s *sketch) fit(run *driver.Run, eng roundEngine) (*Result, error) {
-	s.run, s.eng = run, eng
-	if err := run.Loop(s, s.opt.maxRounds(), "round", "round"); err != nil {
-		return nil, err
-	}
-	res := s.res
-	res.Components = s.bestW
-	res.Singular = s.bestSing
-	res.Mean = s.mean
-	res.Iterations = len(res.History)
-	res.Metrics, res.Phases = run.Finish()
-	return res, nil
-}
-
 // Done stops re-drawing once the best round reaches TargetAccuracy.
 func (s *sketch) Done() bool {
 	h := s.res.History
@@ -212,12 +230,12 @@ func (s *sketch) Done() bool {
 }
 
 func (s *sketch) Step(round int) error {
-	w, sing, err := s.eng.round(round, s.k)
+	w, sing, err := s.eng.Round(round, s.k)
 	if err != nil {
 		return err
 	}
 	// Best-of-rounds on the sampled reconstruction error (§2.3's
-	// accuracy/compute trade, shared with the ssvd baseline's metric).
+	// accuracy/compute trade).
 	e := s.sample.Err(s.mean, w, w)
 	if e < s.bestErr {
 		s.bestErr = e
@@ -254,4 +272,37 @@ func (s *sketch) Snapshot(round int) *checkpoint.Snapshot {
 		}
 	}
 	return snap
+}
+
+// QRPhase orthonormalizes a materialized N x k projection: the real QR runs
+// on the driver's copy and the distributed cost of a blockwise QR is charged
+// in one phase named name: O(N·k²) compute plus a full write and read of Q,
+// the N x k intermediate the next job reads back.
+func QRPhase(cl *cluster.Cluster, name string, p *matrix.Dense) *matrix.Dense {
+	q, _ := matrix.QR(p)
+	nk := int64(p.R) * int64(p.C) * 8
+	cl.RunPhase(cluster.PhaseStats{
+		Name:              name,
+		ComputeOps:        int64(p.R) * int64(p.C) * int64(p.C) * 2,
+		DiskBytes:         2 * nk,
+		MaterializedBytes: nk,
+		Tasks:             int64(cl.TotalCores()),
+	})
+	return q
+}
+
+// IndexedRow is an input row with its index, the record of the MapReduce
+// sketch jobs: the projection is keyed by row, and the B job reads Q's row.
+type IndexedRow struct {
+	Idx int
+	Row matrix.SparseVector
+}
+
+// IndexRows pairs every row with its index.
+func IndexRows(rows []matrix.SparseVector) []IndexedRow {
+	indexed := make([]IndexedRow, len(rows))
+	for i, r := range rows {
+		indexed[i] = IndexedRow{Idx: i, Row: r}
+	}
+	return indexed
 }

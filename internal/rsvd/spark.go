@@ -3,7 +3,7 @@ package rsvd
 import (
 	"fmt"
 
-	"spca/internal/driver"
+	"spca/internal/colmean"
 	"spca/internal/mapred"
 	"spca/internal/matrix"
 	"spca/internal/rdd"
@@ -18,7 +18,7 @@ import (
 // s·k·D·8 bytes for s partitions regardless of N, versus the N-proportional
 // materialization of the MapReduce pipeline.
 func FitSpark(ctx *rdd.Context, rows []matrix.SparseVector, dims int, opt Options) (*Result, error) {
-	if err := opt.validate(len(rows), dims); err != nil {
+	if err := opt.Validate(len(rows), dims); err != nil {
 		return nil, err
 	}
 	cl := ctx.Cluster()
@@ -30,31 +30,20 @@ func FitSpark(ctx *rdd.Context, rows []matrix.SparseVector, dims int, opt Option
 		defer tr.End()
 	}
 
+	// On resume the RDD setup below is redone by this incarnation, so its
+	// cost moves to RecoverySeconds when the clock is rewound to the
+	// snapshot.
 	y := rdd.Parallelize(ctx, "Y", rows, mapred.BytesOfSparseVec)
 	y.Persist()
 	defer y.Unpersist()
-
-	// On resume the RDD setup above was redone by this incarnation, so its
-	// cost moves to RecoverySeconds when the clock is rewound to the
-	// snapshot; the mean job is restored, not re-run.
-	sk := newSketch(opt, rows, dims)
-	run := driver.New(opt.Options, cl, ctx)
-	if err := run.Resume(len(rows), dims, opt.Components, opt.Seed); err != nil {
-		return nil, err
-	}
-	if snap := opt.Resume; snap != nil {
-		sk.restore(snap)
-	} else {
-		mean, err := sparkMean(ctx, y, dims)
-		if err != nil {
-			return nil, err
-		}
-		sk.mean = mean
-	}
-	return sk.fit(run, &sparkEngine{
-		ctx: ctx, y: y, dims: dims, opt: opt, mean: sk.mean,
-		parts: make([]*localSketch, y.NumPartitions()),
-	})
+	return FitSketch("rsvd-spark", opt, rows, dims, cl, ctx,
+		func() ([]float64, error) { return colmean.Spark(ctx, y, "rsvd-mean", dims) },
+		func(mean []float64) RoundEngine {
+			return &sparkEngine{
+				ctx: ctx, y: y, dims: dims, opt: opt, mean: mean,
+				parts: make([]*localSketch, y.NumPartitions()),
+			}
+		})
 }
 
 // sparkEngine implements one sketch round as a single RDD action plus an
@@ -71,7 +60,7 @@ type sparkEngine struct {
 	stacked *matrix.Dense // (blocks·k) x D merge target, reused per round
 }
 
-func (e *sparkEngine) round(round, k int) (*matrix.Dense, []float64, error) {
+func (e *sparkEngine) Round(round, k int) (*matrix.Dense, []float64, error) {
 	cl := e.ctx.Cluster()
 	// One Ω per round, shared by every partition (the local sketches must
 	// project onto a common test matrix for their ranges to be mergeable).
@@ -281,50 +270,3 @@ func (ls *localSketch) transposeMul(part []matrix.SparseVector, mean []float64, 
 
 // orthoOps is the modified Gram–Schmidt flop count for an n x k basis.
 func orthoOps(n, k int) int64 { return int64(n) * int64(k) * int64(k) * 2 }
-
-// sparkMeanPartial is the per-partition state of the mean computation.
-type sparkMeanPartial struct {
-	sums  map[int]float64
-	count float64
-}
-
-func sparkMeanPartialBytes(p *sparkMeanPartial) int64 {
-	if p == nil {
-		return 8
-	}
-	return 16 + int64(len(p.sums))*16
-}
-
-func sparkMean(ctx *rdd.Context, y *rdd.RDD[matrix.SparseVector], dims int) ([]float64, error) {
-	agg, err := rdd.Aggregate(y, "rsvd-mean",
-		func() *sparkMeanPartial { return &sparkMeanPartial{sums: map[int]float64{}} },
-		func(p *sparkMeanPartial, row matrix.SparseVector, ops *rdd.TaskOps) *sparkMeanPartial {
-			for k, j := range row.Indices {
-				p.sums[j] += row.Values[k]
-			}
-			p.count++
-			ops.AddOps(int64(row.NNZ()))
-			return p
-		},
-		func(a, b *sparkMeanPartial) *sparkMeanPartial {
-			for j, v := range b.sums {
-				a.sums[j] += v
-			}
-			a.count += b.count
-			return a
-		},
-		sparkMeanPartialBytes,
-	)
-	if err != nil {
-		return nil, err
-	}
-	defer ctx.Cluster().FreeDriver(sparkMeanPartialBytes(agg))
-	if agg.count == 0 {
-		return nil, fmt.Errorf("rsvd: sparkMean saw no rows")
-	}
-	mean := make([]float64, dims)
-	for j, v := range agg.sums {
-		mean[j] = v / agg.count
-	}
-	return mean, nil
-}

@@ -6,12 +6,14 @@ import (
 	"hash/fnv"
 	"math"
 	"testing"
+
+	"spca/internal/rsvd"
 )
 
 // fingerprint hashes the exact float64 bits of a fitted model plus its
 // history so the scratch-reuse refactor can prove bit-identity to the
 // pre-change tree.
-func fingerprint(res *Result) string {
+func fingerprint(res *rsvd.Result) string {
 	h := fnv.New64a()
 	var buf [8]byte
 	put := func(v float64) {
@@ -44,21 +46,21 @@ var goldenHashes = map[string]string{
 }
 
 func TestGoldenFitsBitIdentical(t *testing.T) {
-	fits := map[string]func() (*Result, error){
-		"rounds": func() (*Result, error) {
+	fits := map[string]func() (*rsvd.Result, error){
+		"rounds": func() (*rsvd.Result, error) {
 			_, rows := plantedData(150, 40, 3, 31)
 			opt := DefaultOptions(3)
 			opt.MaxRounds = 2
 			return FitMapReduce(testEngine(), rows, 40, opt)
 		},
-		"power": func() (*Result, error) {
+		"power": func() (*rsvd.Result, error) {
 			_, rows := plantedData(150, 40, 3, 31)
 			opt := DefaultOptions(3)
 			opt.MaxRounds = 1
 			opt.PowerIterations = 2
 			return FitMapReduce(testEngine(), rows, 40, opt)
 		},
-		"rounds-sampled": func() (*Result, error) {
+		"rounds-sampled": func() (*rsvd.Result, error) {
 			_, rows := plantedData(400, 40, 3, 31)
 			opt := DefaultOptions(3)
 			opt.MaxRounds = 2

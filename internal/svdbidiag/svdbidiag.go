@@ -20,6 +20,7 @@ import (
 
 	"spca/internal/accuracy"
 	"spca/internal/cluster"
+	"spca/internal/colmean"
 	"spca/internal/mapred"
 	"spca/internal/matrix"
 	"spca/internal/trace"
@@ -82,7 +83,7 @@ func FitMapReduce(eng *mapred.Engine, rows []matrix.SparseVector, dims int, opt 
 	}
 
 	// Column means, one light job (the pipeline centers explicitly).
-	mean, err := meanJob(eng, rows, dims)
+	mean, err := colmean.MapReduce(eng, "svdbidiag-mean", rows, dims)
 	if err != nil {
 		return nil, err
 	}
@@ -140,63 +141,6 @@ func FitMapReduce(eng *mapred.Engine, rows []matrix.SparseVector, dims int, opt 
 		tr.IterationDone(trace.Iteration{Iter: 1, Err: res.Err, SimSeconds: res.Metrics.SimSeconds})
 	}
 	return res, nil
-}
-
-// meanJob computes column means (same job shape as the other algorithms).
-func meanJob(eng *mapred.Engine, rows []matrix.SparseVector, dims int) ([]float64, error) {
-	job := mapred.Job[matrix.SparseVector, int, float64, float64]{
-		Name: "svdbidiag-mean",
-		NewMapper: func(int) mapred.Mapper[matrix.SparseVector, int, float64] {
-			return &meanMapper{partial: map[int]float64{}}
-		},
-		Combine: func(a, b float64) float64 { return a + b },
-		Reduce: func(k int, vs []float64, o mapred.Ops) float64 {
-			var s float64
-			for _, v := range vs {
-				s += v
-				o.AddOps(1)
-			}
-			return s
-		},
-		InputBytes: mapred.BytesOfSparseVec,
-		KeyBytes:   mapred.BytesOfInt,
-		ValueBytes: mapred.BytesOfFloat64,
-	}
-	out, err := mapred.Run(eng, job, rows)
-	if err != nil {
-		return nil, err
-	}
-	count := out[-1]
-	if count == 0 {
-		return nil, errors.New("svdbidiag: mean job saw no rows")
-	}
-	mean := make([]float64, dims)
-	for j, v := range out {
-		if j >= 0 {
-			mean[j] = v / count
-		}
-	}
-	return mean, nil
-}
-
-type meanMapper struct {
-	partial map[int]float64
-	count   float64
-}
-
-func (m *meanMapper) Map(row matrix.SparseVector, out mapred.Emitter[int, float64]) {
-	for k, j := range row.Indices {
-		m.partial[j] += row.Values[k]
-	}
-	m.count++
-	out.AddOps(int64(row.NNZ()))
-}
-
-func (m *meanMapper) Cleanup(out mapred.Emitter[int, float64]) {
-	for j, v := range m.partial {
-		out.Emit(j, v)
-	}
-	out.Emit(-1, m.count)
 }
 
 // tsqrJob runs the tall-skinny QR: each map task densifies and centers its

@@ -311,13 +311,17 @@ type Config struct {
 	// CollectTrace attaches an in-memory sink and returns the full span tree
 	// on Result.Trace. It composes with Observer (both see the same stream).
 	CollectTrace bool
-	// Checkpoint enables periodic durable snapshots of the EM driver state
-	// for the PPCA-family algorithms. With an Interval and Dir set, the fit
+	// Checkpoint enables periodic durable snapshots of the driver state of
+	// the iterative algorithms: after EM iterations for SPCAMapReduce,
+	// SPCASpark and LocalPPCA (and FitStreamFileConfig), after sketch rounds
+	// for RSVDMapReduce, RSVDSpark and MahoutPCA. MLlibPCA and SVDBidiag are
+	// single-pass and ignore it. With an Interval and Dir set, the fit
 	// survives injected driver crashes (FaultPlan.DriverCrashIters): Fit
 	// auto-resumes from the latest snapshot and the final model is
 	// bit-identical to an uninterrupted run, with the recovery cost reported
-	// in Metrics (RecoverySeconds, DriverRestarts). The zero value disables
-	// checkpointing at zero cost.
+	// in Metrics (RecoverySeconds, DriverRestarts). A snapshot names the
+	// algorithm that wrote it, and no other algorithm resumes from it. The
+	// zero value disables checkpointing at zero cost.
 	Checkpoint CheckpointSpec
 	// Context, when non-nil, makes the fit cooperatively cancelable: cancel
 	// it (or let its deadline expire) and the run unwinds at the next
@@ -554,7 +558,7 @@ func Fit(y *Sparse, cfg Config) (*Result, error) {
 		}
 		return attachTrace(fromPPCA(cfg.Algorithm, cfg.Seed, res), col), nil
 
-	case RSVDMapReduce, RSVDSpark:
+	case RSVDMapReduce, RSVDSpark, MahoutPCA:
 		opt := cfg.rsvdOptions(y)
 		opt.Tracer = tr
 		opt.Interrupt = intr
@@ -564,8 +568,11 @@ func Fit(y *Sparse, cfg Config) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			if cfg.Algorithm == RSVDMapReduce {
+			switch cfg.Algorithm {
+			case RSVDMapReduce:
 				return rsvd.FitMapReduce(cfg.mapredEngine(cl), rows, y.C, opt)
+			case MahoutPCA:
+				return ssvd.FitMapReduce(cfg.mapredEngine(cl), rows, y.C, opt)
 			}
 			return rsvd.FitSpark(cfg.sketchRDDContext(cl), rows, y.C, opt)
 		})
@@ -573,52 +580,6 @@ func Fit(y *Sparse, cfg Config) (*Result, error) {
 			return nil, err
 		}
 		return attachTrace(fromRSVD(cfg.Algorithm, cfg.Seed, res), col), nil
-
-	case MahoutPCA:
-		cl, err := cfg.newCluster(intr)
-		if err != nil {
-			return nil, err
-		}
-		opt := ssvd.DefaultOptions(cfg.Components)
-		opt.Seed = cfg.Seed
-		opt.MaxRounds = cfg.MaxIter
-		if cfg.Oversample > 0 {
-			opt.Oversample = cfg.Oversample
-		}
-		if cfg.PowerIterations != 0 {
-			opt.PowerIterations = max(cfg.PowerIterations, 0)
-		}
-		if cfg.TargetAccuracy > 0 {
-			opt.TargetAccuracy = cfg.TargetAccuracy
-			opt.IdealError = accuracy.Ideal(y, cfg.Components, cfg.Seed)
-		}
-		opt.Tracer = tr
-		res, err := ssvd.FitMapReduce(cfg.mapredEngine(cl), rows, y.C, opt)
-		if err != nil {
-			return nil, driver.NormalizeInterrupt(err)
-		}
-		out := &Result{
-			Model: Model{
-				Algorithm:      cfg.Algorithm,
-				Components:     res.Components,
-				Mean:           y.ColMeans(),
-				SingularValues: res.Singular,
-				Seed:           cfg.Seed,
-				orthonormal:    true,
-			},
-			Iterations: res.Iterations,
-			Metrics:    res.Metrics,
-			phases:     res.Phases,
-		}
-		for _, h := range res.History {
-			out.History = append(out.History, IterationStat{
-				Iter: h.Iter, Err: h.Err, Accuracy: h.Accuracy, SimSeconds: h.SimSeconds,
-			})
-		}
-		if len(out.History) > 0 {
-			out.Err = out.History[len(out.History)-1].Err
-		}
-		return attachTrace(out, col), nil
 
 	case MLlibPCA:
 		cl, err := cfg.newCluster(intr)
@@ -712,8 +673,8 @@ func attachTrace(r *Result, col *trace.Collector) *Result {
 
 // newCluster builds the simulated cluster for one fit attempt and attaches
 // the run's interrupt handle, so every engine layered on the cluster (mapred
-// jobs, rdd actions, the baselines' round loops) polls the same context and
-// stall watchdog the guarded EM/sketch loops do.
+// jobs, rdd actions) polls the same context and stall watchdog the driver's
+// EM and sketch loops do.
 func (c Config) newCluster(intr *cluster.Interrupt) (*cluster.Cluster, error) {
 	cl, err := cluster.New(c.Cluster.build(c.Algorithm))
 	if err != nil {
@@ -752,9 +713,13 @@ func (c Config) sketchRDDContext(cl *cluster.Cluster) *rdd.Context {
 	return ctx
 }
 
-// rsvdOptions maps the user-facing Config onto the sketch-engine options.
+// rsvdOptions maps the user-facing Config onto the sketch-engine options,
+// starting from Mahout's defaults for MahoutPCA.
 func (c Config) rsvdOptions(y *Sparse) rsvd.Options {
 	opt := rsvd.DefaultOptions(c.Components)
+	if c.Algorithm == MahoutPCA {
+		opt = ssvd.DefaultOptions(c.Components)
+	}
 	opt.Seed = c.Seed
 	opt.MaxRounds = c.MaxIter
 	if c.Oversample > 0 {
