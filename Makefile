@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test race serve-smoke chaos corrupt-smoke fuzz-smoke trace-smoke bench bench-kernels bench-json bench-smoke bench-compare bench-compare-smoke experiments
+.PHONY: check fmt vet build test race serve-smoke chaos corrupt-smoke fuzz-smoke trace-smoke bench bench-kernels bench-json bench-smoke bench-compare bench-compare-smoke kernel-layout experiments
 
 check: fmt vet build test race serve-smoke chaos corrupt-smoke fuzz-smoke trace-smoke bench-smoke bench-compare-smoke
 
@@ -25,9 +25,9 @@ test:
 # along with the kernel worker pool, the EM and sketch engines that fan out
 # across both platforms, the Mahout and SVD-bidiagonalization baselines whose
 # jobs run through mapred's map store, the MLlib baseline's rdd jobs, the
-# shared column-mean pass, the accuracy metric (its error terms fill through
-# the pool), the iterative driver (final-flush retry) and the cluster
-# (interrupt watchdog).
+# shared column-mean pass, the accuracy metric (each block of sampled rows
+# forms its reconstructions with one product on the pool), the iterative
+# driver (final-flush retry) and the cluster (interrupt watchdog).
 race:
 	$(GO) test -race ./internal/rdd ./internal/mapred ./internal/parallel ./internal/ppca ./internal/rsvd ./internal/serve \
 		./internal/ssvd ./internal/svdbidiag ./internal/covpca ./internal/colmean ./internal/accuracy ./internal/driver \
@@ -77,15 +77,17 @@ bench-kernels:
 	$(GO) test ./internal/matrix -run '^$$' -bench BenchmarkKernels
 	$(GO) test . -run '^$$' -bench BenchmarkParallelSpeedup
 
-# Machine-readable benchmark baseline: in-place kernels, steady-state mapper
-# allocations, the end-to-end fits (still named *Pooled so they pair with
-# earlier baselines), the sketch engines' fit paths, and the serving layer,
+# Machine-readable benchmark baseline: in-place kernels, the sampled error
+# metric, steady-state mapper allocations, the end-to-end fits (still named
+# *Pooled so they pair with earlier baselines), the sketch engines' fit
+# paths, and the serving layer,
 # written to $(BENCH_JSON) for diffing against the committed BENCH_*.json
 # files. The default is an ignored scratch file, so a plain run never
 # overwrites a committed baseline; name a BENCH_<n>.json to record one.
 BENCH_JSON ?= .bench-json.json
 bench-json:
 	{ $(GO) test ./internal/matrix -run '^$$' -bench BenchmarkKernelsInPlace -benchmem -benchtime 20x; \
+	  $(GO) test ./internal/accuracy -run '^$$' -bench BenchmarkErr -benchmem -benchtime 20x; \
 	  $(GO) test ./internal/ppca -run '^$$' -bench 'BenchmarkSteady|Pooled|BenchmarkFitStream' -benchmem -benchtime 10x; \
 	  $(GO) test ./internal/rsvd -run '^$$' -bench 'BenchmarkFitRSVD' -benchmem -benchtime 10x; \
 	  $(GO) test ./internal/ssvd -run '^$$' -bench 'BenchmarkFitSSVD' -benchmem -benchtime 10x; \
@@ -100,8 +102,8 @@ bench-json:
 # load-independent); to validate a PR under ambient drift, regenerate both
 # sides in one sitting (`git stash` the change for the old side) or raise
 # -ns-tol via `go run ./cmd/benchjson -compare -ns-tol 0.5 old new`.
-BENCH_OLD ?= BENCH_8.json
-BENCH_NEW ?= BENCH_10.json
+BENCH_OLD ?= BENCH_19.json
+BENCH_NEW ?= BENCH_20.json
 bench-compare:
 	$(GO) run ./cmd/benchjson -compare $(BENCH_OLD) $(BENCH_NEW)
 
@@ -119,6 +121,27 @@ bench-smoke:
 	@$(GO) test ./internal/ppca -run '^$$' -bench BenchmarkSteady -benchmem -benchtime 1x \
 	| $(GO) run ./cmd/benchjson -out .bench-smoke.json
 	@rm -f .bench-smoke.json
+
+# Code layout of the hot kernels in the benchmark's binary: address, size and
+# address mod 64 of each, from `go tool nm`. A loop that straddles a 64-byte
+# line can run much slower, and an edit to any package linked before
+# internal/matrix can move the kernels' phase, so compare this output with
+# the parent's when a change shifts a kernel's share of a profile. The binary
+# is built as perfbench/run.sh builds it, into a temporary directory.
+LAYOUT_SYMS = 'matrix.SymOuterAdd' 'matrix.(*mulBody).Run' 'matrix.(*mulTBody).Run' \
+	'matrix.(*mulBTBody).Run' 'matrix.(*Dense).CenteredMulInto' 'ppca.(*partial).add' \
+	'ppca.(*partial).scatter'
+kernel-layout:
+	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; b="$(CURDIR)/.bench_build"; \
+	(cd perfbench && GOCACHE="$$b/gocache" GOPATH="$$b/gopath" GOTOOLCHAIN=local GOPROXY=off \
+		XDG_CONFIG_HOME="$$b/config" $(GO) build -o "$$tmp/perfbench" .) || exit 1; \
+	$(GO) tool nm -n -size "$$tmp/perfbench" > "$$tmp/nm" || exit 1; \
+	printf '%-32s %10s %6s %6s\n' symbol address size mod64; \
+	for sym in $(LAYOUT_SYMS); do \
+		set -- $$(awk -v s="spca/internal/$$sym" '$$4 == s { print $$1, $$2 }' "$$tmp/nm"); \
+		if [ $$# -ne 2 ]; then echo "kernel-layout: $$sym not in the binary" >&2; exit 1; fi; \
+		printf '%-32s %10s %6s %6d\n' "$$sym" "$$1" "$$2" $$((0x$$1 % 64)); \
+	done
 
 experiments:
 	$(GO) run ./cmd/experiments -exp all -profile quick

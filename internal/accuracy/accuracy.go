@@ -7,6 +7,7 @@
 package accuracy
 
 import (
+	"math"
 	"slices"
 
 	"spca/internal/matrix"
@@ -52,15 +53,23 @@ func Copy(n, dims, want int, seed uint64, row func(int) matrix.SparseVector) *ma
 	return b.Build()
 }
 
-// Sample is the rows fits are graded on, with the scratch Err reuses.
+// errBlockFloats bounds Err's scratch for the images X·Cᵀ of one block of
+// sampled rows: a block holds as many D-wide rows as fit, at least one.
+const errBlockFloats = 1 << 15
+
+// Sample is the rows fits are graded on, with the scratch Err reuses: Ym·P,
+// and one block of latent rows X with their images X·Cᵀ.
 type Sample struct {
-	y                *matrix.Sparse
-	pm, xi, num, den []float64
+	y      *matrix.Sparse
+	block  int // rows per block
+	pm     []float64
+	xs, rs matrix.Dense
 }
 
 // New grades fits on the rows of y.
 func New(y *matrix.Sparse) *Sample {
-	return &Sample{y: y, num: make([]float64, y.C), den: make([]float64, y.C)}
+	block := min(y.R, max(errBlockFloats/max(y.C, 1), 1))
+	return &Sample{y: y, block: block, rs: matrix.Dense{C: y.C, Data: make([]float64, block*y.C)}}
 }
 
 // Draw copies the SampleRows rows of rows that seed draws.
@@ -72,26 +81,47 @@ func Draw(rows []matrix.SparseVector, dims int, seed uint64) *Sample {
 // sampled rows, with Ŷi = ((Yi−Ym)·P)·Cᵀ + Ym computed without densifying
 // Yi−Ym. An orthonormal fit passes P = C = W; the EM step passes P = C·M⁻¹
 // and C. The latent scratch is sized on the first call and reused after.
+//
+// Rows go a block at a time: their latent rows Xi = (Yi−Ym)·P fill X, one
+// MulBTInto forms X·Cᵀ on the parallel pool, and the terms are summed over
+// columns in ascending order, rows in order. Each element of X·Cᵀ is the
+// same dot product a row-by-row evaluation takes, so the error is
+// bit-identical to one.
 func (s *Sample) Err(mean []float64, p, c *matrix.Dense) float64 {
-	if len(s.xi) != p.C {
-		s.pm, s.xi = make([]float64, p.C), make([]float64, p.C)
+	block := s.block
+	if len(s.pm) != p.C {
+		s.pm = make([]float64, p.C)
+		s.xs = matrix.Dense{C: p.C, Data: make([]float64, block*p.C)}
 	}
-	pm, xi := p.MulVecTInto(mean, s.pm), s.xi // Ym·P
+	pm := p.MulVecTInto(mean, s.pm) // Ym·P
 	var num, den float64
-	for i := 0; i < s.y.R; i++ {
-		row := s.y.Row(i)
-		for k := range xi {
-			xi[k] = -pm[k]
+	for base := 0; base < s.y.R; base += block {
+		n := min(block, s.y.R-base)
+		xs, rs := &s.xs, &s.rs
+		xs.R, xs.Data = n, xs.Data[:n*xs.C]
+		rs.R, rs.Data = n, rs.Data[:n*rs.C]
+		for t := 0; t < n; t++ {
+			row, xi := s.y.Row(base+t), xs.Row(t)
+			for k := range xi {
+				xi[k] = -pm[k]
+			}
+			for k, j := range row.Indices {
+				matrix.AXPY(row.Values[k], p.Row(j), xi)
+			}
 		}
-		for k, j := range row.Indices {
-			matrix.AXPY(row.Values[k], p.Row(j), xi)
-		}
-		// The per-column terms fill in parallel and are summed in ascending
-		// column order, bit-identical to a sequential evaluation.
-		matrix.ReconTerms(row, mean, c, xi, s.num, s.den)
-		for j := range s.num {
-			num += s.num[j]
-			den += s.den[j]
+		xs.MulBTInto(c, rs)
+		for t := 0; t < n; t++ {
+			row, nz := s.y.Row(base+t), 0
+			for j, xc := range rs.Row(t) {
+				recon := mean[j] + xc
+				var yv float64
+				if nz < len(row.Indices) && row.Indices[nz] == j {
+					yv = row.Values[nz]
+					nz++
+				}
+				num += math.Abs(yv - recon)
+				den += math.Abs(yv)
+			}
 		}
 	}
 	if den == 0 {

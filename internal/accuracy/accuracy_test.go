@@ -61,12 +61,15 @@ func TestErrMatchesDenseReconstruction(t *testing.T) {
 	}
 }
 
-// TestErrParallelBitIdentical: with the column fill split into chunks on
-// four workers, Err is bit-identical to the sequential evaluation. The
-// chunked path is also what `make race` checks.
+// TestErrParallelBitIdentical: Err forms each block's images X·Cᵀ with one
+// MulBTInto, which splits the block's rows across the pool. At D = 2000 a
+// block holds 16 rows, and one row is a whole chunk at d = 8, so the 40 rows
+// run as three blocks, each chunked on four workers; the error must equal
+// the sequential evaluation bit for bit. The chunked path is also what
+// `make race` checks.
 func TestErrParallelBitIdentical(t *testing.T) {
 	rng := matrix.NewRNG(5)
-	const n, dims, d = 12, 9000, 4 // dims over ReconTerms' grain at d = 4
+	const n, dims, d = 40, 2000, 8
 	y := randomSparse(rng, n, dims, 0.01)
 	mean := y.ColMeans()
 	p, c := matrix.NormRnd(rng, dims, d), matrix.NormRnd(rng, dims, d)
@@ -96,21 +99,37 @@ func TestErrNonNegative(t *testing.T) {
 }
 
 // TestErrSteadyStateAllocs gates the scratch reuse: after the first call,
-// Err allocates nothing of its own. matrix.ReconTerms hands parallel.For a
-// closure, which escapes and costs one allocation per sampled row; that is
-// the whole of Err's count.
+// Err allocates nothing of its own. Sequential, it allocates nothing at all.
+// On two workers (set explicitly, since AllocsPerRun pins GOMAXPROCS to 1)
+// only the pool's dispatch allocates, at most two allocations per chunked
+// MulBTInto: one per block of rows (16 rows at D = 2000), not one per row.
 func TestErrSteadyStateAllocs(t *testing.T) {
-	parallel.SetSequential(true)
-	defer parallel.SetSequential(false)
 	rng := matrix.NewRNG(3)
-	const n, dims, d = 30, 16, 4
-	y := randomSparse(rng, n, dims, 0.3)
-	mean := y.ColMeans()
-	p, c := matrix.NormRnd(rng, dims, d), matrix.NormRnd(rng, dims, d)
-	s := New(y)
-	s.Err(mean, p, c)
-	if allocs := testing.AllocsPerRun(20, func() { s.Err(mean, p, c) }); allocs > n {
-		t.Fatalf("Err allocated %v times per call, want at most %d (ReconTerms' closure per row)", allocs, n)
+	for _, c := range []struct {
+		name       string
+		workers    int
+		n, dims, d int
+		max        float64
+	}{
+		{"sequential", 0, 30, 16, 4, 0},
+		{"two workers", 2, 40, 2000, 8, 3 * 2},
+	} {
+		y := randomSparse(rng, c.n, c.dims, 0.3)
+		mean := y.ColMeans()
+		p, cm := matrix.NormRnd(rng, c.dims, c.d), matrix.NormRnd(rng, c.dims, c.d)
+		if c.workers == 0 {
+			parallel.SetSequential(true)
+		} else {
+			parallel.SetWorkers(c.workers)
+		}
+		s := New(y)
+		s.Err(mean, p, cm)
+		allocs := testing.AllocsPerRun(20, func() { s.Err(mean, p, cm) })
+		parallel.SetSequential(false)
+		parallel.SetWorkers(0)
+		if allocs > c.max {
+			t.Errorf("%s: Err allocated %v times per call, want at most %v", c.name, allocs, c.max)
+		}
 	}
 }
 
@@ -160,6 +179,26 @@ func TestCopyHoldsSampledRows(t *testing.T) {
 				t.Fatalf("sample row %d differs from input row %d at column %d", k, i, j)
 			}
 		}
+	}
+}
+
+var errSink float64
+
+// BenchmarkErr grades a rank-50 model on 256 sampled rows of a Tweets-like
+// input with D = 2000, the shape of one EM iteration's error in perfbench's
+// fits. Once warm it allocates nothing on the sequential path; on more
+// workers only the pool's dispatch of each block's product allocates.
+func BenchmarkErr(b *testing.B) {
+	y := dataset.MustGenerate(dataset.Spec{Kind: dataset.KindTweets, Rows: SampleRows, Cols: 2000, Seed: 1})
+	rng := matrix.NewRNG(2)
+	mean := y.ColMeans()
+	p, c := matrix.NormRnd(rng, y.C, 50), matrix.NormRnd(rng, y.C, 50)
+	s := New(y)
+	s.Err(mean, p, c)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		errSink = s.Err(mean, p, c)
 	}
 }
 

@@ -420,12 +420,98 @@ func VecSub(a, b []float64) []float64 {
 	return out
 }
 
+// SymOuterAdd accumulates Σ_r x_r·x_rᵀ into the upper triangle (b ≥ a) of
+// the square d×d out, over the rows x_r of xs (len(xs)/d rows of d, in
+// order). The lower triangle is left as it is; MirrorUpper completes the
+// matrix once the accumulation is done. Like OuterAdd it skips a row's term
+// at a where x_r[a] == 0.
+//
+// Each upper element sums the same products in the same row order as a full
+// OuterAdd(out, x_r, x_r) loop, and float products commute, so after the
+// mirror the matrix is bit-identical to the full update as long as the sums
+// start at +0 and the rows are finite. (Where one of x_r[a] and x_r[b] is 0,
+// one of the two twins skips a term the other adds as ±0; a sum that starts
+// at +0 never becomes −0, so that term changes nothing.)
+//
+// Rows are taken four per sweep of out, so a block of rows reads and writes
+// each element once per four rows; a single row, or the rest of a block,
+// sweeps on its own. The EM engines' XtX update is the hottest loop of a
+// fit, and the kernel stays out of line so the loop's code placement does
+// not move with every edit to its callers: when inlined, unrelated changes
+// to the caller shifted the loop across a 64-byte boundary and slowed it by
+// up to ~60% on a 2-core Xeon.
+//
+//go:noinline
+func SymOuterAdd(out *Dense, xs []float64) {
+	d := out.R
+	if out.C != d || d == 0 || len(xs)%d != 0 {
+		panic("matrix: SymOuterAdd dims mismatch")
+	}
+	n := len(xs) / d
+	r := 0
+	for ; r+4 <= n; r += 4 {
+		x0, x1, x2, x3 := xs[r*d:(r+1)*d], xs[(r+1)*d:(r+2)*d], xs[(r+2)*d:(r+3)*d], xs[(r+3)*d:(r+4)*d]
+		for a := 0; a < d; a++ {
+			row := out.Data[a*d+a : a*d+d]
+			a0, a1, a2, a3 := x0[a], x1[a], x2[a], x3[a]
+			if a0 == 0 || a1 == 0 || a2 == 0 || a3 == 0 {
+				symRowAdd(row, a0, x0[a:])
+				symRowAdd(row, a1, x1[a:])
+				symRowAdd(row, a2, x2[a:])
+				symRowAdd(row, a3, x3[a:])
+				continue
+			}
+			y0, y1, y2, y3 := x0[a:][:len(row)], x1[a:][:len(row)], x2[a:][:len(row)], x3[a:][:len(row)]
+			for b, v := range row {
+				v += a0 * y0[b]
+				v += a1 * y1[b]
+				v += a2 * y2[b]
+				v += a3 * y3[b]
+				row[b] = v
+			}
+		}
+	}
+	for ; r < n; r++ {
+		x := xs[r*d : (r+1)*d]
+		for a, av := range x {
+			symRowAdd(out.Data[a*d+a:a*d+d], av, x[a:])
+		}
+	}
+}
+
+// symRowAdd is one row's term of SymOuterAdd at a: row += av·y, skipped when
+// av is 0. y starts at column a, as row does.
+func symRowAdd(row []float64, av float64, y []float64) {
+	if av == 0 {
+		return
+	}
+	y = y[:len(row)] // no per-element bounds check
+	for b, yv := range y {
+		row[b] += av * yv
+	}
+}
+
+// MirrorUpper copies the upper triangle of the square m onto its lower one:
+// m[b][a] = m[a][b] for every b > a.
+func MirrorUpper(m *Dense) {
+	d := m.R
+	if m.C != d {
+		panic("matrix: MirrorUpper on a non-square matrix")
+	}
+	for a := 0; a < d; a++ {
+		for b := a + 1; b < d; b++ {
+			m.Data[b*d+a] = m.Data[a*d+b]
+		}
+	}
+}
+
 // OuterAdd accumulates out += a*bᵀ where out is len(a) x len(b).
 //
-// It is the local EM pass's hottest loop, and it stays out of line so the
-// loop's code placement does not move with every edit to its callers: when
-// inlined, unrelated changes to the caller shifted the loop across a 64-byte
-// boundary and slowed it by up to ~60% on a 2-core Xeon.
+// Only FitMissing calls it. Its e = ss·M_i⁻¹ + x·xᵀ starts from a
+// Gauss–Jordan inverse, which is not symmetric to the bit, so an
+// upper-triangle update plus a mirror (SymOuterAdd, which every EM engine's
+// XtX uses) would change its result. It stays out of line, as SymOuterAdd
+// does, so its code placement does not move with its callers.
 //
 //go:noinline
 func OuterAdd(out *Dense, a, b []float64) {

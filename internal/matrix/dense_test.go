@@ -2,6 +2,7 @@ package matrix
 
 import (
 	"math"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -173,6 +174,41 @@ func TestOuterAdd(t *testing.T) {
 	OuterAdd(out, []float64{1, 0}, []float64{1, 1, 1})
 	if out.At(0, 0) != 4 || out.At(1, 0) != 6 {
 		t.Fatal("OuterAdd accumulate failed")
+	}
+}
+
+// TestSymOuterAddMirrorMatchesOuterAdd: accumulating rows into the upper
+// triangle with SymOuterAdd, in blocks of any size, and mirroring once gives
+// the full OuterAdd(out, x, x) accumulation bit for bit. The rows hold exact
+// zeros and negative zeros, where the two updates skip different ±0 terms,
+// 4-row groups with a zero in one row, and an element (0,1) whose running
+// sum returns exactly to 0 before rows with x[0] == 0 and x[1] < 0 add −0 to
+// its lower twin in the full update. d is odd.
+func TestSymOuterAddMirrorMatchesOuterAdd(t *testing.T) {
+	const d, n = 13, 23
+	rng := NewRNG(41)
+	xs := sprinkledMat(rng, n, d, 0.25)
+	xs.Set(0, 0, 1)
+	xs.Set(0, 1, 2)
+	xs.Set(1, 0, 1)
+	xs.Set(1, 1, -2)
+	for _, r := range []int{2, 3, 9} {
+		xs.Set(r, 0, 0)
+		xs.Set(r, 1, -1.5)
+	}
+	xs.Set(5, 2, math.Copysign(0, -1))
+	xs.Set(6, 3, math.Copysign(0, -1))
+	want := NewDense(d, d)
+	for r := 0; r < n; r++ {
+		OuterAdd(want, xs.Row(r), xs.Row(r))
+	}
+	for _, block := range []int{1, 3, 4, 8, n} {
+		got := NewDense(d, d)
+		for lo := 0; lo < n; lo += block {
+			SymOuterAdd(got, xs.Data[lo*d:min(lo+block, n)*d])
+		}
+		MirrorUpper(got)
+		bitsEqual(t, "SymOuterAdd block "+strconv.Itoa(block), got, want)
 	}
 }
 

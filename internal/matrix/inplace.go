@@ -134,8 +134,9 @@ func (m *Dense) MulBTInto(b, out *Dense) *Dense {
 		panic(fmt.Sprintf("matrix: MulBTInto out dims %dx%d, want %dx%d", out.R, out.C, m.R, b.R))
 	}
 	// Row-parallel with j-tiling: a tile of b's rows stays cache-hot across
-	// the chunk's rows. Each out[i][j] is one dot product, computed exactly
-	// as in the sequential kernel. Every entry is assigned, so no Zero.
+	// the chunk's rows. Each out[i][j] is one dot product over k in
+	// ascending order from +0, bit-identical to dot. Every entry is
+	// assigned, so no Zero.
 	jTile := minParallelFlops / (2 * (m.C + 1))
 	if jTile < 8 {
 		jTile = 8
@@ -156,6 +157,10 @@ type mulBTBody struct {
 
 var mulBTBodies = parallel.NewPool(func() *mulBTBody { return new(mulBTBody) })
 
+// Run computes four output columns per pass over a row of m, with one
+// accumulator each, so a pass loads the row once for four dot products.
+// Each accumulator sums over k in ascending order from +0, as dot does; the
+// columns left over at a tile's end use dot.
 func (t *mulBTBody) Run(lo, hi int) {
 	m, b, out, jTile := t.m, t.b, t.out, t.jTile
 	for j0 := 0; j0 < b.R; j0 += jTile {
@@ -166,7 +171,20 @@ func (t *mulBTBody) Run(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			arow := m.Row(i)
 			orow := out.Row(i)
-			for j := j0; j < j1; j++ {
+			j := j0
+			for ; j+4 <= j1; j += 4 {
+				b0, b1 := b.Row(j)[:len(arow)], b.Row(j + 1)[:len(arow)]
+				b2, b3 := b.Row(j + 2)[:len(arow)], b.Row(j + 3)[:len(arow)]
+				var s0, s1, s2, s3 float64
+				for k, av := range arow {
+					s0 += av * b0[k]
+					s1 += av * b1[k]
+					s2 += av * b2[k]
+					s3 += av * b3[k]
+				}
+				orow[j], orow[j+1], orow[j+2], orow[j+3] = s0, s1, s2, s3
+			}
+			for ; j < j1; j++ {
 				orow[j] = dot(arow, b.Row(j))
 			}
 		}

@@ -7,9 +7,10 @@ import (
 )
 
 // TestInPlaceKernelsZeroAllocs is the allocation gate for the hot in-place
-// kernels: on warm workspaces MulInto, MulTInto, MulBTInto, and SolveSPDInto
-// must perform zero allocations per call. The gate measures the dispatch
-// path, so it forces sequential mode: the truly-parallel path inevitably
+// kernels: on warm workspaces MulInto, MulTInto, MulBTInto, the XtX update
+// (SymOuterAdd and MirrorUpper) and SolveSPDInto must perform zero
+// allocations per call. The gate measures the dispatch path, so it forces
+// sequential mode: the truly-parallel path inevitably
 // allocates for its worker goroutines (on every kernel, including
 // SolveSPDInto), but the per-call closure escape this gate guards against
 // happened on the inline path too — it is the caller-side allocation the
@@ -36,6 +37,7 @@ func TestInPlaceKernelsZeroAllocs(t *testing.T) {
 		{"MulInto", func() { a.MulInto(b, out) }},
 		{"MulTInto", func() { a.MulTInto(b, out) }},
 		{"MulBTInto", func() { a.MulBTInto(b, out) }},
+		{"SymOuterAdd+MirrorUpper", func() { SymOuterAdd(out, b.Data); MirrorUpper(out) }},
 		{"SolveSPDInto", func() {
 			if err := SolveSPDInto(spd, rhs, sol, &ws); err != nil {
 				t.Fatal(err)

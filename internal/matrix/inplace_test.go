@@ -142,6 +142,52 @@ func TestTiledMulTIntoBitIdentical(t *testing.T) {
 	}
 }
 
+// refMulBT is a·bᵀ as one plain dot product per element: over k in
+// ascending order, from +0.
+func refMulBT(a, b *Dense) *Dense {
+	out := NewDense(a.R, b.R)
+	for i := 0; i < a.R; i++ {
+		for j := 0; j < b.R; j++ {
+			var s float64
+			for k := 0; k < a.C; k++ {
+				s += a.At(i, k) * b.At(j, k)
+			}
+			out.Set(i, j, s)
+		}
+	}
+	return out
+}
+
+// TestMulBTIntoMatchesDot pins MulBTInto, whose body takes four output
+// columns per pass over a row, against one plain dot product per element:
+// at every output width from 1 to 9 (so the four-column blocks leave each
+// remainder), and at widths across the j-tile edge, where a tile of 2730
+// columns at a.C = 5 ends two columns into a block of four. The wide case
+// also runs chunked on four workers.
+func TestMulBTIntoMatchesDot(t *testing.T) {
+	rng := NewRNG(37)
+	for _, k := range []int{1, 5, 17} {
+		a := sprinkledMat(rng, 7, k, 0.2)
+		for n := 1; n <= 9; n++ {
+			b := sprinkledMat(rng, n, k, 0.2)
+			bitsEqual(t, "MulBTInto width "+strconv.Itoa(n)+" k "+strconv.Itoa(k), a.MulBTInto(b, NewDense(a.R, n)), refMulBT(a, b))
+		}
+	}
+	a := sprinkledMat(rng, 9, 5, 0.1)
+	if jTile := minParallelFlops / (2 * (a.C + 1)); jTile != 2730 {
+		t.Fatalf("j-tile at a.C = 5 is %d, the widths below assume 2730", jTile)
+	}
+	for _, n := range []int{2729, 2731, 2737} {
+		b := sprinkledMat(rng, n, a.C, 0.1)
+		want := refMulBT(a, b)
+		bitsEqual(t, "MulBTInto width "+strconv.Itoa(n), a.MulBTInto(b, NewDense(a.R, n)), want)
+		parallel.SetWorkers(4)
+		got := a.MulBTInto(b, NewDense(a.R, n))
+		parallel.SetWorkers(0)
+		bitsEqual(t, "MulBTInto width "+strconv.Itoa(n)+" on 4 workers", got, want)
+	}
+}
+
 // TestTiledSequentialMatchesParallel pins that chunk boundaries cannot
 // change results: one sequential pass of each Mul body matches the pool's
 // chunked run (forced to 4 workers) bit for bit, even though MulInto picks

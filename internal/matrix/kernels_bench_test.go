@@ -87,7 +87,14 @@ func BenchmarkKernelsSymEigen(b *testing.B) {
 // the pooled EM and sketch paths are built on). The Mul kernels dispatch via
 // pooled parallel.Runner bodies and SolveSPDInto caches its ForWorker closure
 // in the workspace, so none of them allocate once warm; the AllocsPerRun gate
-// in inplace_alloc_test.go pins this.
+// in inplace_alloc_test.go pins this. On more than one core the pool's own
+// dispatch allocates (2 allocs/op at two workers).
+//
+// XtXUpdate and MulBTInto time the two hottest loops of an EM iteration at
+// perfbench's shape, with the pool sequential so they read the loop alone at
+// 0 allocs/op: XtXUpdate folds one block of 256 latent rows (d = 50, the
+// local pass's block) into XtX and mirrors it; MulBTInto forms one block of
+// the sampled error's images X·Cᵀ (16 rows, d = 50, D = 2000).
 func BenchmarkKernelsInPlace(b *testing.B) {
 	rng := NewRNG(7)
 	const n = 192
@@ -104,6 +111,27 @@ func BenchmarkKernelsInPlace(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			a.MulTInto(c, out)
+		}
+	})
+	b.Run("XtXUpdate", func(b *testing.B) {
+		xs, xtx := NormRnd(rng, 256, 50), NewDense(50, 50)
+		parallel.SetSequential(true)
+		defer parallel.SetSequential(false)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			SymOuterAdd(xtx, xs.Data)
+			MirrorUpper(xtx)
+		}
+	})
+	b.Run("MulBTInto", func(b *testing.B) {
+		xs, cm, rs := NormRnd(rng, 16, 50), NormRnd(rng, 2000, 50), NewDense(16, 2000)
+		parallel.SetSequential(true)
+		defer parallel.SetSequential(false)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			xs.MulBTInto(cm, rs)
 		}
 	})
 	b.Run("SolveSPDInto", func(b *testing.B) {

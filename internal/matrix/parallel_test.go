@@ -220,50 +220,3 @@ func TestSolveSPDBitIdenticalUnderParallelism(t *testing.T) {
 	}
 	requireBitIdentical(t, "SolveSPD", seq, par)
 }
-
-func TestReconTermsMatchesSequentialLoop(t *testing.T) {
-	rng := NewRNG(19)
-	w := NormRnd(rng, 83, 9)
-	mean := make([]float64, 83)
-	for j := range mean {
-		mean[j] = rng.NormFloat64()
-	}
-	var idx []int
-	var vals []float64
-	for j := 1; j < 83; j += 4 {
-		idx = append(idx, j)
-		vals = append(vals, rng.NormFloat64())
-	}
-	row := SparseVector{Len: 83, Indices: idx, Values: vals}
-	xi := make([]float64, 9)
-	for k := range xi {
-		xi[k] = rng.NormFloat64()
-	}
-
-	num := make([]float64, 83)
-	den := make([]float64, 83)
-	parallel.SetWorkers(4)
-	ReconTerms(row, mean, w, xi, num, den)
-	parallel.SetWorkers(0)
-
-	nz := 0
-	for j := 0; j < 83; j++ {
-		recon := mean[j] + Dot(xi, w.Row(j))
-		var yv float64
-		if nz < row.NNZ() && row.Indices[nz] == j {
-			yv = row.Values[nz]
-			nz++
-		}
-		wantNum := yv - recon
-		if wantNum < 0 {
-			wantNum = -wantNum
-		}
-		wantDen := yv
-		if wantDen < 0 {
-			wantDen = -wantDen
-		}
-		if num[j] != wantNum || den[j] != wantDen {
-			t.Fatalf("column %d: got (%v,%v) want (%v,%v)", j, num[j], den[j], wantNum, wantDen)
-		}
-	}
-}

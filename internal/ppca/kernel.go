@@ -195,10 +195,12 @@ func (p *partial) scatter(row matrix.SparseVector, xi []float64) int64 {
 }
 
 // add folds one row with latent row xi into YtX, XtX and ΣX and returns its
-// op charge. A row without entries adds only XtX and ΣX.
+// op charge. A row without entries adds only XtX and ΣX. XtX fills only its
+// upper triangle; into, or the engine's assembly of the emitted partials,
+// mirrors it once per pass. The charge is that of the full d×d update.
 func (p *partial) add(row matrix.SparseVector, xi []float64) int64 {
 	ops := p.scatter(row, xi)
-	matrix.OuterAdd(&p.xtx, xi, xi)
+	matrix.SymOuterAdd(&p.xtx, xi)
 	matrix.AXPY(1, xi, p.sumX)
 	d := int64(p.d)
 	return 2*ops + d*d + d
@@ -220,13 +222,15 @@ func (p *partial) bytes() int64 {
 	return int64(len(p.touched))*(8+d*8) + d*d*8 + d*8
 }
 
-// into overwrites s with the partial's sums and returns it.
+// into overwrites s with the partial's sums, XtX mirrored to the full
+// matrix, and returns it.
 func (p *partial) into(s jobSums) jobSums {
 	s.ytx.Zero()
 	for _, j := range p.touched {
 		copy(s.ytx.Row(int(j)), p.row(int(j)))
 	}
 	copy(s.xtx.Data, p.xtx.Data)
+	matrix.MirrorUpper(s.xtx)
 	copy(s.sumX, p.sumX)
 	return s
 }

@@ -111,9 +111,13 @@ func localPass(y *matrix.Sparse, em *emDriver, scr *localScratch) jobSums {
 				latentRow(y.Row(base+t), em, true, xis.Row(t))
 			}
 		})
+		// partial.add row by row, with XtX swept once per block: the same
+		// sums in the same row order.
 		for t := 0; t < end-base; t++ {
-			p.add(y.Row(base+t), xis.Row(t))
+			p.scatter(y.Row(base+t), xis.Row(t))
+			matrix.AXPY(1, xis.Row(t), p.sumX)
 		}
+		matrix.SymOuterAdd(&p.xtx, xis.Data[:(end-base)*xis.C])
 	}
 	return p.into(scr.sums)
 }

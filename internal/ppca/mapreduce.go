@@ -213,7 +213,8 @@ func newJobSums(dims, d int) jobSums {
 }
 
 // assembleSumsInto zeroes sums and refills it from reducer output, so a
-// driver-held jobSums can be recycled across iterations.
+// driver-held jobSums can be recycled across iterations. The mappers emit
+// XtX with only its upper triangle filled; it is mirrored here.
 func assembleSumsInto(out map[int][]float64, sums jobSums) (jobSums, error) {
 	sums.ytx.Zero()
 	sums.xtx.Zero()
@@ -232,6 +233,7 @@ func assembleSumsInto(out map[int][]float64, sums jobSums) (jobSums, error) {
 			return jobSums{}, fmt.Errorf("ppca: unexpected YtXJob key %d", k)
 		}
 	}
+	matrix.MirrorUpper(sums.xtx)
 	return sums, nil
 }
 

@@ -217,6 +217,7 @@ func sparkUnoptimized(ctx *rdd.Context, y *rdd.RDD[matrix.SparseVector], dims in
 	xres := xtxAcc.Value()
 	sums := ytxAcc.Value().into(newJobSums(dims, d))
 	copy(sums.xtx.Data, xres.xtx.Data)
+	matrix.MirrorUpper(sums.xtx)
 	copy(sums.sumX, xres.sumX)
 	return sums, nil
 }
