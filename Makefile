@@ -56,13 +56,16 @@ corrupt-smoke:
 	echo "corrupt: randomized seed $$seed (replay with SPCA_CHAOS_SEED=$$seed)"; \
 	SPCA_CHAOS_SEED=$$seed $(GO) test -race -count=1 -run 'TestCorrupt' .
 
-# Short randomized pass over the matrix-reader fuzzers (the seed corpus
+# Short randomized pass over the fuzzers of every text and binary file
+# reader: the matrix files, snapshots and model files (the seed corpus
 # always runs; this adds a few seconds of real mutation). Part of `make
 # check` so the parsers stay panic-free on hostile input.
 fuzz-smoke:
 	$(GO) test ./internal/matrix -run '^$$' -fuzz FuzzReadSparse$$ -fuzztime 5s
 	$(GO) test ./internal/matrix -run '^$$' -fuzz FuzzReadSparseBinary$$ -fuzztime 5s
+	$(GO) test ./internal/matrix -run '^$$' -fuzz FuzzReadDense$$ -fuzztime 5s
 	$(GO) test ./internal/checkpoint -run '^$$' -fuzz FuzzReadSnapshot$$ -fuzztime 5s
+	$(GO) test . -run '^$$' -fuzz FuzzLoadModel$$ -fuzztime 5s
 
 # End-to-end observability gate: fit with a JSONL observer, re-parse the
 # stream, and require the reconstructed trace to fingerprint identically to
@@ -125,12 +128,14 @@ bench-smoke:
 # Code layout of the hot kernels in the benchmark's binary: address, size and
 # address mod 64 of each, from `go tool nm`. A loop that straddles a 64-byte
 # line can run much slower, and an edit to any package linked before
-# internal/matrix can move the kernels' phase, so compare this output with
-# the parent's when a change shifts a kernel's share of a profile. The binary
-# is built as perfbench/run.sh builds it, into a temporary directory.
+# internal/matrix or internal/ppca (internal/checkpoint is) can move the
+# kernels' phase, so compare this output with the parent's when a change
+# shifts a kernel's share of a profile. The binary is built as
+# perfbench/run.sh builds it, into a temporary directory.
 LAYOUT_SYMS = 'matrix.SymOuterAdd' 'matrix.(*mulBody).Run' 'matrix.(*mulTBody).Run' \
 	'matrix.(*mulBTBody).Run' 'matrix.(*Dense).CenteredMulInto' 'ppca.(*partial).add' \
-	'ppca.(*partial).scatter'
+	'ppca.(*partial).scatter' 'ppca.(*rowScratch).latent' 'ppca.(*rowScratch).ss3Term' \
+	'ppca.localPass.func1' 'ppca.localSS3.func1'
 kernel-layout:
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; b="$(CURDIR)/.bench_build"; \
 	(cd perfbench && GOCACHE="$$b/gocache" GOPATH="$$b/gopath" GOTOOLCHAIN=local GOPROXY=off \

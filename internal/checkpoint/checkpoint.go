@@ -8,26 +8,23 @@
 // Metrics, the per-iteration History, and the numerical-guard state (standing
 // ridge level, divergence counter, best-model rollback target).
 //
-// The on-disk format is a versioned text container: a "spcackpt <version>"
-// header, a "fit <name>" line naming the fit that wrote it, named scalar
-// lines using strconv.FormatFloat(v, 'g', -1, 64) —
-// which round-trips every float64 exactly, the property the bit-identical
-// resume guarantee rests on — and embedded dmx blocks (the internal/matrix/io
-// dense container) for the component matrices. Snapshots are written
-// atomically (tmp file + rename), so a crash mid-write never leaves a
-// half-readable checkpoint behind.
+// The on-disk format is a versioned text container, written and read by the
+// text codec of internal/matrix: a "spcackpt <version>" header, a "fit
+// <name>" line naming the fit that wrote it, named scalar lines whose floats
+// take the shortest form that parses back to the same float64 — the
+// property the bit-identical resume guarantee rests on — and embedded dmx
+// blocks (the internal/matrix dense text format) for the component
+// matrices. Snapshots are written atomically (tmp file + rename), so a
+// crash mid-write never leaves a half-readable checkpoint behind.
 package checkpoint
 
 import (
-	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -186,66 +183,46 @@ func (s *Snapshot) Validate(fit string, n, dims, d int, seed uint64) error {
 	return nil
 }
 
-func ff(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-
 // Write serializes s. The output is byte-deterministic for equal snapshots.
 // On success s.Bytes is set to the serialized size.
 func Write(w io.Writer, s *Snapshot) error {
 	cw := NewTrailerWriter(w)
-	bw := bufio.NewWriter(cw)
-	fmt.Fprintf(bw, "spcackpt %d\n", Version)
-	fmt.Fprintf(bw, "fit %s\n", s.Fit)
-	fmt.Fprintf(bw, "iter %d\n", s.Iter)
-	fmt.Fprintf(bw, "shape %d %d %d\n", s.N, s.Dims, s.D)
-	fmt.Fprintf(bw, "seed %d\n", s.Seed)
-	fmt.Fprintf(bw, "epoch %d\n", s.FaultEpoch)
-	fmt.Fprintf(bw, "ss %s %s\n", ff(s.SS), ff(s.SS1))
-	fmt.Fprintf(bw, "guard %d %d\n", s.RidgeLevel, s.Rising)
-	m := s.Metrics
-	fmt.Fprintf(bw, "metrics %d %d %d %d %d %d %s %d %d %d %d %s %d %s %d %d %s\n",
-		m.ComputeOps, m.ShuffleBytes, m.DiskBytes, m.MaterializedBytes, m.Tasks, m.Phases,
-		ff(m.SimSeconds), m.DriverPeak, m.FailedAttempts, m.RecomputedOps, m.SpeculativeTasks,
-		ff(m.RecoverySeconds), m.CheckpointBytes, ff(m.CheckpointSeconds), m.DriverRestarts,
-		m.CorruptPayloads, ff(m.ReverifySeconds))
-	bw.WriteString("mean")
-	for _, v := range s.Mean {
-		bw.WriteByte(' ')
-		bw.WriteString(ff(v))
-	}
-	bw.WriteByte('\n')
-	fmt.Fprintf(bw, "history %d\n", len(s.History))
+	t := matrix.NewTextWriter(cw)
+	t.Word("spcackpt").Int(Version).End()
+	t.Word("fit").Word(s.Fit).End()
+	t.Word("iter").Int(int64(s.Iter)).End()
+	t.Word("shape").Int(int64(s.N)).Int(int64(s.Dims)).Int(int64(s.D)).End()
+	t.Word("seed").Uint(s.Seed).End()
+	t.Word("epoch").Int(s.FaultEpoch).End()
+	t.Word("ss").Float(s.SS).Float(s.SS1).End()
+	t.Word("guard").Int(int64(s.RidgeLevel)).Int(int64(s.Rising)).End()
+	m := &s.Metrics
+	t.Word("metrics").Int(m.ComputeOps).Int(m.ShuffleBytes).Int(m.DiskBytes).Int(m.MaterializedBytes).
+		Int(m.Tasks).Int(m.Phases).Float(m.SimSeconds).Int(m.DriverPeak).Int(m.FailedAttempts).
+		Int(m.RecomputedOps).Int(m.SpeculativeTasks).Float(m.RecoverySeconds).Int(m.CheckpointBytes).
+		Float(m.CheckpointSeconds).Int(m.DriverRestarts).Int(m.CorruptPayloads).Float(m.ReverifySeconds).End()
+	t.Word("mean").Floats(s.Mean).End()
+	t.Word("history").Int(int64(len(s.History))).End()
 	for _, h := range s.History {
-		rb := 0
+		rb := int64(0)
 		if h.Rollback {
 			rb = 1
 		}
-		fmt.Fprintf(bw, "%d %s %s %s %s %s %d %d\n",
-			h.Iter, ff(h.Err), ff(h.Accuracy), ff(h.SS), ff(h.SimSeconds), ff(h.Ridge), h.RidgeRetries, rb)
+		t.Int(int64(h.Iter)).Float(h.Err).Float(h.Accuracy).Float(h.SS).Float(h.SimSeconds).Float(h.Ridge).
+			Int(int64(h.RidgeRetries)).Int(rb).End()
 	}
-	if s.Best != nil {
-		fmt.Fprintf(bw, "best %d %s %s\n", s.Best.Iter, ff(s.Best.Err), ff(s.Best.SS))
-		if err := bw.Flush(); err != nil {
-			return err
-		}
-		if err := matrix.WriteDense(cw, s.Best.C); err != nil {
-			return err
-		}
+	if b := s.Best; b != nil {
+		t.Word("best").Int(int64(b.Iter)).Float(b.Err).Float(b.SS).End()
+		t.Dense(b.C)
 	} else {
-		bw.WriteString("best none\n")
+		t.Word("best").Word("none").End()
 	}
 	if len(s.Singular) > 0 {
-		bw.WriteString("singular")
-		for _, v := range s.Singular {
-			bw.WriteByte(' ')
-			bw.WriteString(ff(v))
-		}
-		bw.WriteByte('\n')
+		t.Word("singular").Floats(s.Singular).End()
 	}
-	bw.WriteString("components\n")
-	if err := bw.Flush(); err != nil {
-		return err
-	}
-	if err := matrix.WriteDense(cw, s.C); err != nil {
+	t.Word("components").End()
+	t.Dense(s.C)
+	if err := t.Flush(); err != nil {
 		return err
 	}
 	// Checksum trailer: FNV-64a over every byte written so far. The trailer
@@ -262,291 +239,107 @@ func Write(w io.Writer, s *Snapshot) error {
 // "checksum " + 16 hex digits + "\n".
 const trailerLen = len("checksum ") + 16 + 1
 
-// checksumOffset/checksumPrime are the FNV-64a parameters for the snapshot
-// body checksum.
-const (
-	checksumOffset = 14695981039346656037
-	checksumPrime  = 1099511628211
-)
-
 // Read parses a snapshot written by Write, returning errors that wrap
 // ErrBadSnapshot for any malformed input. The whole-file FNV-64a checksum
-// trailer is verified before any field is parsed, so a flipped bit or torn
-// write anywhere in the file is detected up front. s.Bytes is NOT set (the
-// reader may not be a file); Save/Latest set it from the file size.
+// trailer is verified before any field after the header is parsed, so a
+// flipped bit or torn write anywhere in the file is detected up front. Every
+// line must be exactly as Write writes it. s.Bytes is NOT set (the reader may
+// not be a file); Save/Latest set it from the file size.
 func Read(r io.Reader) (*Snapshot, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("%w: reading snapshot: %v", ErrBadSnapshot, err)
 	}
-	nl := bytes.IndexByte(data, '\n')
-	if nl < 0 {
-		return nil, fmt.Errorf("%w: truncated before header", ErrBadSnapshot)
-	}
-	hdr := string(data[:nl])
-	var ver int
-	if _, err := fmt.Sscanf(hdr, "spcackpt %d", &ver); err != nil {
-		return nil, fmt.Errorf("%w: bad header %q", ErrBadSnapshot, hdr)
-	}
-	if ver != Version {
+	t := matrix.NewTextReader(bytes.NewReader(data))
+	t.Expect("spcackpt")
+	if ver := t.Int(); t.Err() != nil {
+		return nil, fmt.Errorf("%w: bad header: %v", ErrBadSnapshot, t.Err())
+	} else if ver != Version {
 		return nil, fmt.Errorf("%w: unsupported version %d (have %d)", ErrBadSnapshot, ver, Version)
 	}
-	body, err := VerifyTrailer(data)
+	if _, err := VerifyTrailer(data); err != nil {
+		return nil, err
+	}
+	s, err := parse(t)
 	if err != nil {
-		return nil, err
-	}
-
-	sc := bufio.NewScanner(bytes.NewReader(body))
-	sc.Buffer(make([]byte, 1<<20), 1<<26)
-	line := func(what string) (string, error) {
-		if !sc.Scan() {
-			if err := sc.Err(); err != nil {
-				return "", fmt.Errorf("%w: reading %s: %v", ErrBadSnapshot, what, err)
-			}
-			return "", fmt.Errorf("%w: truncated before %s", ErrBadSnapshot, what)
-		}
-		return sc.Text(), nil
-	}
-	if _, err := line("header"); err != nil {
-		return nil, err
-	}
-
-	s := &Snapshot{}
-	if l, err := line("fit"); err != nil {
-		return nil, err
-	} else if name, ok := strings.CutPrefix(l, "fit "); !ok {
-		return nil, fmt.Errorf("%w: bad fit line %q", ErrBadSnapshot, l)
-	} else {
-		s.Fit = name
-	}
-	if l, err := line("iter"); err != nil {
-		return nil, err
-	} else if _, err := fmt.Sscanf(l, "iter %d", &s.Iter); err != nil {
-		return nil, fmt.Errorf("%w: bad iter line %q", ErrBadSnapshot, l)
-	}
-	if l, err := line("shape"); err != nil {
-		return nil, err
-	} else if _, err := fmt.Sscanf(l, "shape %d %d %d", &s.N, &s.Dims, &s.D); err != nil {
-		return nil, fmt.Errorf("%w: bad shape line %q", ErrBadSnapshot, l)
-	}
-	if s.N < 0 || s.Dims <= 0 || s.D <= 0 || s.Dims > 1<<30 || s.D > 1<<20 {
-		return nil, fmt.Errorf("%w: implausible shape %d x %d rank %d", ErrBadSnapshot, s.N, s.Dims, s.D)
-	}
-	if l, err := line("seed"); err != nil {
-		return nil, err
-	} else if _, err := fmt.Sscanf(l, "seed %d", &s.Seed); err != nil {
-		return nil, fmt.Errorf("%w: bad seed line %q", ErrBadSnapshot, l)
-	}
-	if l, err := line("epoch"); err != nil {
-		return nil, err
-	} else if _, err := fmt.Sscanf(l, "epoch %d", &s.FaultEpoch); err != nil {
-		return nil, fmt.Errorf("%w: bad epoch line %q", ErrBadSnapshot, l)
-	}
-	if l, err := line("ss"); err != nil {
-		return nil, err
-	} else {
-		f := strings.Fields(l)
-		if len(f) != 3 || f[0] != "ss" {
-			return nil, fmt.Errorf("%w: bad ss line %q", ErrBadSnapshot, l)
-		}
-		if s.SS, err = parseF(f[1]); err != nil {
-			return nil, err
-		}
-		if s.SS1, err = parseF(f[2]); err != nil {
-			return nil, err
-		}
-	}
-	if l, err := line("guard"); err != nil {
-		return nil, err
-	} else if _, err := fmt.Sscanf(l, "guard %d %d", &s.RidgeLevel, &s.Rising); err != nil {
-		return nil, fmt.Errorf("%w: bad guard line %q", ErrBadSnapshot, l)
-	}
-
-	ml, err := line("metrics")
-	if err != nil {
-		return nil, err
-	}
-	mf := strings.Fields(ml)
-	if len(mf) != 18 || mf[0] != "metrics" {
-		return nil, fmt.Errorf("%w: bad metrics line %q", ErrBadSnapshot, ml)
-	}
-	m := &s.Metrics
-	ints := []*int64{&m.ComputeOps, &m.ShuffleBytes, &m.DiskBytes, &m.MaterializedBytes, &m.Tasks, &m.Phases,
-		nil, &m.DriverPeak, &m.FailedAttempts, &m.RecomputedOps, &m.SpeculativeTasks,
-		nil, &m.CheckpointBytes, nil, &m.DriverRestarts, &m.CorruptPayloads, nil}
-	floats := map[int]*float64{6: &m.SimSeconds, 11: &m.RecoverySeconds, 13: &m.CheckpointSeconds, 16: &m.ReverifySeconds}
-	for i, field := range mf[1:] {
-		if fp, ok := floats[i]; ok {
-			if *fp, err = parseF(field); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		v, err := strconv.ParseInt(field, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("%w: bad metrics field %q", ErrBadSnapshot, field)
-		}
-		*ints[i] = v
-	}
-
-	meanLine, err := line("mean")
-	if err != nil {
-		return nil, err
-	}
-	meanFields := strings.Fields(meanLine)
-	if len(meanFields) == 0 || meanFields[0] != "mean" {
-		return nil, fmt.Errorf("%w: bad mean line", ErrBadSnapshot)
-	}
-	if len(meanFields)-1 != s.Dims {
-		return nil, fmt.Errorf("%w: mean has %d values, want %d", ErrBadSnapshot, len(meanFields)-1, s.Dims)
-	}
-	s.Mean = make([]float64, s.Dims)
-	for i, field := range meanFields[1:] {
-		if s.Mean[i], err = parseF(field); err != nil {
-			return nil, err
-		}
-	}
-
-	var nh int
-	if l, err := line("history"); err != nil {
-		return nil, err
-	} else if _, err := fmt.Sscanf(l, "history %d", &nh); err != nil || nh < 0 || nh > 1<<20 {
-		return nil, fmt.Errorf("%w: bad history count line %q", ErrBadSnapshot, l)
-	}
-	s.History = make([]HistoryEntry, nh)
-	for i := range s.History {
-		l, err := line("history entry")
-		if err != nil {
-			return nil, err
-		}
-		f := strings.Fields(l)
-		if len(f) != 8 {
-			return nil, fmt.Errorf("%w: bad history entry %q", ErrBadSnapshot, l)
-		}
-		h := &s.History[i]
-		var rb int
-		if h.Iter, err = strconv.Atoi(f[0]); err == nil {
-			if h.Err, err = parseF(f[1]); err == nil {
-				if h.Accuracy, err = parseF(f[2]); err == nil {
-					if h.SS, err = parseF(f[3]); err == nil {
-						if h.SimSeconds, err = parseF(f[4]); err == nil {
-							if h.Ridge, err = parseF(f[5]); err == nil {
-								if h.RidgeRetries, err = strconv.Atoi(f[6]); err == nil {
-									rb, err = strconv.Atoi(f[7])
-								}
-							}
-						}
-					}
-				}
-			}
-		}
-		if err != nil {
-			return nil, fmt.Errorf("%w: bad history entry %q", ErrBadSnapshot, l)
-		}
-		h.Rollback = rb != 0
-	}
-
-	bestLine, err := line("best")
-	if err != nil {
-		return nil, err
-	}
-	switch {
-	case bestLine == "best none":
-	case strings.HasPrefix(bestLine, "best "):
-		b := &BestState{}
-		f := strings.Fields(bestLine)
-		if len(f) != 4 {
-			return nil, fmt.Errorf("%w: bad best line %q", ErrBadSnapshot, bestLine)
-		}
-		if b.Iter, err = strconv.Atoi(f[1]); err != nil {
-			return nil, fmt.Errorf("%w: bad best line %q", ErrBadSnapshot, bestLine)
-		}
-		if b.Err, err = parseF(f[2]); err != nil {
-			return nil, err
-		}
-		if b.SS, err = parseF(f[3]); err != nil {
-			return nil, err
-		}
-		if b.C, err = readDense(sc, s.Dims, s.D); err != nil {
-			return nil, err
-		}
-		s.Best = b
-	default:
-		return nil, fmt.Errorf("%w: bad best line %q", ErrBadSnapshot, bestLine)
-	}
-
-	// Optional singular-value section (sketch-engine snapshots only; EM
-	// snapshots omit it, so the reader accepts both layouts).
-	marker, err := line("components")
-	if err != nil {
-		return nil, err
-	}
-	if strings.HasPrefix(marker, "singular ") {
-		f := strings.Fields(marker)
-		s.Singular = make([]float64, len(f)-1)
-		for i, field := range f[1:] {
-			if s.Singular[i], err = parseF(field); err != nil {
-				return nil, err
-			}
-		}
-		if marker, err = line("components"); err != nil {
-			return nil, err
-		}
-	}
-	if marker != "components" {
-		return nil, fmt.Errorf("%w: expected components marker, got %q", ErrBadSnapshot, marker)
-	}
-	if s.C, err = readDense(sc, s.Dims, s.D); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
 	}
 	return s, nil
 }
 
-func parseF(field string) (float64, error) {
-	v, err := strconv.ParseFloat(field, 64)
-	if err != nil {
-		return 0, fmt.Errorf("%w: bad float %q", ErrBadSnapshot, field)
+// parse reads the lines after a snapshot's header. It stops at the end of
+// the components block, so it never reads the checksum trailer.
+func parse(t *matrix.TextReader) (*Snapshot, error) {
+	s := &Snapshot{Fit: t.Raw("fit ")}
+	t.Expect("iter")
+	s.Iter = t.Int()
+	t.Expect("shape")
+	s.N, s.Dims, s.D = t.Int(), t.Int(), t.Int()
+	if t.Err() == nil && (s.N < 0 || s.Dims <= 0 || s.D <= 0 || s.Dims > 1<<30 || s.D > 1<<20) {
+		t.Fail("implausible shape %d x %d rank %d", s.N, s.Dims, s.D)
 	}
-	return v, nil
-}
-
-// readDense parses an embedded dmx block (the internal/matrix/io dense
-// container) from the snapshot's scanner, enforcing the expected shape. It
-// rejects non-finite values: driver state is checked finite before every
-// snapshot write, so a non-finite entry here means corruption.
-func readDense(sc *bufio.Scanner, wantR, wantC int) (*matrix.Dense, error) {
-	if !sc.Scan() {
-		return nil, fmt.Errorf("%w: truncated before dmx header", ErrBadSnapshot)
+	t.Expect("seed")
+	s.Seed = t.Uint()
+	t.Expect("epoch")
+	s.FaultEpoch = t.Int64()
+	t.Expect("ss")
+	s.SS, s.SS1 = t.Float(), t.Float()
+	t.Expect("guard")
+	s.RidgeLevel, s.Rising = t.Int(), t.Int()
+	t.Expect("metrics")
+	m := &s.Metrics
+	m.ComputeOps, m.ShuffleBytes, m.DiskBytes, m.MaterializedBytes = t.Int64(), t.Int64(), t.Int64(), t.Int64()
+	m.Tasks, m.Phases, m.SimSeconds, m.DriverPeak = t.Int64(), t.Int64(), t.Float(), t.Int64()
+	m.FailedAttempts, m.RecomputedOps, m.SpeculativeTasks = t.Int64(), t.Int64(), t.Int64()
+	m.RecoverySeconds, m.CheckpointBytes, m.CheckpointSeconds = t.Float(), t.Int64(), t.Float()
+	m.DriverRestarts, m.CorruptPayloads, m.ReverifySeconds = t.Int64(), t.Int64(), t.Float()
+	t.Expect("mean")
+	if s.Mean = t.Floats(nil); t.Err() == nil && len(s.Mean) != s.Dims {
+		t.Fail("mean has %d values, want %d", len(s.Mean), s.Dims)
 	}
-	var r, c int
-	if _, err := fmt.Sscanf(sc.Text(), "dmx %d %d", &r, &c); err != nil {
-		return nil, fmt.Errorf("%w: bad dmx header %q", ErrBadSnapshot, sc.Text())
+	t.Expect("history")
+	nh := t.Int()
+	if t.Err() == nil && (nh < 0 || nh > 1<<20) {
+		t.Fail("implausible history count %d", nh)
 	}
-	if r != wantR || c != wantC {
-		return nil, fmt.Errorf("%w: dmx block is %dx%d, want %dx%d", ErrBadSnapshot, r, c, wantR, wantC)
+	if err := t.Err(); err != nil {
+		return nil, err
 	}
-	m := matrix.NewDense(r, c)
-	for i := 0; i < r; i++ {
-		if !sc.Scan() {
-			return nil, fmt.Errorf("%w: dmx truncated at row %d", ErrBadSnapshot, i)
+	// The entries are appended as their lines arrive, so a count the lines
+	// do not back costs no memory.
+	s.History = make([]HistoryEntry, 0, min(nh, 64))
+	for i := 0; i < nh && t.Err() == nil; i++ {
+		var h HistoryEntry
+		t.Expect("")
+		h.Iter, h.Err, h.Accuracy, h.SS = t.Int(), t.Float(), t.Float(), t.Float()
+		h.SimSeconds, h.Ridge, h.RidgeRetries = t.Float(), t.Float(), t.Int()
+		h.Rollback = t.Int() != 0
+		s.History = append(s.History, h)
+	}
+	t.Expect("best")
+	if !t.Is("none") {
+		s.Best = &BestState{Iter: t.Int(), Err: t.Float(), SS: t.Float()}
+		s.Best.C = t.Dense()
+	}
+	// The singular-value section is optional: only the sketch engines'
+	// snapshots carry one.
+	if t.Expect(""); t.Is("singular") {
+		if s.Singular = t.Floats(nil); len(s.Singular) == 0 {
+			t.Fail("empty singular line")
 		}
-		fields := strings.Fields(sc.Text())
-		if len(fields) != c {
-			return nil, fmt.Errorf("%w: dmx row %d has %d values, want %d", ErrBadSnapshot, i, len(fields), c)
-		}
-		row := m.Row(i)
-		for j, field := range fields {
-			v, err := parseF(field)
-			if err != nil {
-				return nil, err
-			}
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return nil, fmt.Errorf("%w: non-finite value at dmx row %d col %d", ErrBadSnapshot, i, j)
-			}
-			row[j] = v
-		}
+		t.Expect("")
 	}
-	return m, nil
+	if !t.Is("components") {
+		t.Fail("want the components line")
+	}
+	s.C = t.Dense()
+	if err := t.Err(); err != nil {
+		return nil, err
+	}
+	if s.C.R != s.Dims || s.C.C != s.D || s.Best != nil && (s.Best.C.R != s.Dims || s.Best.C.C != s.D) {
+		return nil, fmt.Errorf("a dmx block is not %d x %d", s.Dims, s.D)
+	}
+	return s, nil
 }
 
 // FileName returns the snapshot file name for an iteration. Zero-padding
@@ -559,19 +352,7 @@ func Save(dir string, s *Snapshot) (int64, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return 0, err
 	}
-	tmp, err := os.CreateTemp(dir, ".ckpt-*.tmp")
-	if err != nil {
-		return 0, err
-	}
-	defer os.Remove(tmp.Name())
-	if err := Write(tmp, s); err != nil {
-		tmp.Close()
-		return 0, err
-	}
-	if err := tmp.Close(); err != nil {
-		return 0, err
-	}
-	if err := os.Rename(tmp.Name(), filepath.Join(dir, FileName(s.Iter))); err != nil {
+	if err := WriteFile(filepath.Join(dir, FileName(s.Iter)), func(w io.Writer) error { return Write(w, s) }); err != nil {
 		return 0, err
 	}
 	return s.Bytes, nil
@@ -632,11 +413,15 @@ type ScanReport struct {
 	Quarantined []QuarantinedSnapshot
 }
 
-// quarantineSuffix is appended to a bad snapshot's file name. The renamed
-// file no longer matches the ckpt-*.spck filter, so later scans, Prune, and
-// resume never look at it again, but the evidence stays on disk for
-// inspection instead of being deleted.
-const quarantineSuffix = ".quarantined"
+// Quarantine renames a file that failed verification aside, appending
+// ".quarantined" to its name, and returns the new path. The renamed file no
+// longer matches the ckpt-*.spck or model-*.spcm filters, so later scans,
+// Prune, and resume never look at it again, but the evidence stays on disk
+// for inspection instead of being deleted.
+func Quarantine(path string) (string, error) {
+	q := path + ".quarantined"
+	return q, os.Rename(path, q)
+}
 
 // LatestReport loads the newest *verifiable* snapshot in dir, scanning
 // generations newest-to-oldest. A generation that fails to parse (torn write,
@@ -648,24 +433,13 @@ const quarantineSuffix = ".quarantined"
 // scratch); the report is non-nil in every case.
 func LatestReport(dir string) (*Snapshot, *ScanReport, error) {
 	report := &ScanReport{}
-	entries, err := os.ReadDir(dir)
+	names, err := generations(dir)
 	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, report, ErrNoCheckpoint
-		}
 		return nil, report, err
-	}
-	var names []string
-	for _, e := range entries {
-		n := e.Name()
-		if !e.IsDir() && strings.HasPrefix(n, "ckpt-") && strings.HasSuffix(n, ".spck") {
-			names = append(names, n)
-		}
 	}
 	if len(names) == 0 {
 		return nil, report, ErrNoCheckpoint
 	}
-	sort.Strings(names)
 	for i := len(names) - 1; i >= 0; i-- {
 		path := filepath.Join(dir, names[i])
 		s, size, rerr := readFile(path)
@@ -677,8 +451,8 @@ func LatestReport(dir string) (*Snapshot, *ScanReport, error) {
 			// corruption; surface it rather than quarantining sound data.
 			return nil, report, rerr
 		}
-		qpath := path + quarantineSuffix
-		if err := os.Rename(path, qpath); err != nil {
+		qpath, err := Quarantine(path)
+		if err != nil {
 			return nil, report, fmt.Errorf("quarantining %s: %v (rejected because: %w)", path, err, rerr)
 		}
 		report.Quarantined = append(report.Quarantined, QuarantinedSnapshot{
@@ -729,28 +503,34 @@ func Prune(dir string, keep int) error {
 	if keep <= 0 {
 		keep = DefaultKeep
 	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
+	names, err := generations(dir)
+	if err != nil || len(names) <= keep {
 		return err
 	}
-	var names []string
-	for _, e := range entries {
-		n := e.Name()
-		if !e.IsDir() && strings.HasPrefix(n, "ckpt-") && strings.HasSuffix(n, ".spck") {
-			names = append(names, n)
-		}
-	}
-	if len(names) <= keep {
-		return nil
-	}
-	sort.Strings(names)
 	for _, n := range names[:len(names)-keep] {
 		if err := os.Remove(filepath.Join(dir, n)); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// generations lists the snapshot files in dir, oldest first: os.ReadDir
+// sorts by name, and FileName zero-pads the iteration. A missing dir holds
+// none.
+func generations(dir string) ([]string, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		if os.IsNotExist(err) {
+			return nil, nil
+		}
+		return nil, err
+	}
+	var names []string
+	for _, e := range entries {
+		if n := e.Name(); !e.IsDir() && strings.HasPrefix(n, "ckpt-") && strings.HasSuffix(n, ".spck") {
+			names = append(names, n)
+		}
+	}
+	return names, nil
 }

@@ -3,11 +3,13 @@ package checkpoint
 import (
 	"bytes"
 	"errors"
+	"hash/fnv"
 	"io"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -122,6 +124,10 @@ func TestRoundTripSingular(t *testing.T) {
 	}
 }
 
+// TestWriteDeterministic also pins the bytes, on the EM layout (a Best
+// block, no singular values) and on the sketch layout (no Best, singular
+// values), so snapshots written by any version of the program compare
+// equal.
 func TestWriteDeterministic(t *testing.T) {
 	var a, b bytes.Buffer
 	if err := Write(&a, sampleSnapshot(7)); err != nil {
@@ -132,6 +138,70 @@ func TestWriteDeterministic(t *testing.T) {
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Fatal("two writes of the same snapshot differ")
+	}
+	sketch := sampleSnapshot(7)
+	sketch.Best = nil
+	sketch.Singular = []float64{12.5, math.Pi * 1e7, 1e-17, 5e-324}
+	for _, c := range []struct {
+		s    *Snapshot
+		want uint64
+	}{
+		{sampleSnapshot(7), 0xb8a11731f76c69d8},
+		{sketch, 0x464c52f45ff8d9c8},
+	} {
+		var buf bytes.Buffer
+		if err := Write(&buf, c.s); err != nil {
+			t.Fatal(err)
+		}
+		h := fnv.New64a()
+		h.Write(buf.Bytes())
+		if got := h.Sum64(); got != c.want {
+			t.Fatalf("snapshot fingerprint %#016x, pinned %#016x:\n%s", got, c.want, buf.Bytes())
+		}
+		got, err := Read(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got.Bytes = c.s.Bytes
+		if !reflect.DeepEqual(got, c.s) {
+			t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, c.s)
+		}
+	}
+}
+
+// shapedSnapshot is a snapshot with the shapes of a dims x d fit after five
+// iterations, as the MapReduce driver writes it every iteration.
+func shapedSnapshot(dims, d int) *Snapshot {
+	s := sampleSnapshot(5)
+	s.Dims, s.D, s.Best = dims, d, nil
+	s.Mean = make([]float64, dims)
+	s.C = matrix.NewDense(dims, d)
+	for i := range s.Mean {
+		s.Mean[i] = math.Sqrt(float64(i + 2))
+	}
+	for i := range s.C.Data {
+		s.C.Data[i] = 1 / float64(i+7)
+	}
+	s.History = make([]HistoryEntry, 5)
+	for i := range s.History {
+		s.History[i] = HistoryEntry{Iter: i + 1, Err: 1 / float64(i+3), Accuracy: 0.9, SS: 0.1, SimSeconds: float64(i) * 1.7}
+	}
+	return s
+}
+
+// TestWriteAllocs gates the writer's allocations: a fixed handful for the
+// buffers, none per float, so one bound holds at both shapes.
+func TestWriteAllocs(t *testing.T) {
+	for _, shape := range [][2]int{{200, 10}, {2000, 50}} {
+		s := shapedSnapshot(shape[0], shape[1])
+		allocs := testing.AllocsPerRun(5, func() {
+			if err := Write(io.Discard, s); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 10 {
+			t.Errorf("Write of a %dx%d snapshot: %.0f allocations, want at most 10", shape[0], shape[1], allocs)
+		}
 	}
 }
 
@@ -169,8 +239,10 @@ func toV1(t testing.TB, text string) string {
 	lines := strings.Split(toV2Body(t, text), "\n")
 	for i, l := range lines {
 		if strings.HasPrefix(l, "metrics ") {
-			f := strings.Fields(l)
-			lines[i] = strings.Join(f[:len(f)-2], " ")
+			for range 2 {
+				l = l[:strings.LastIndexByte(l, ' ')]
+			}
+			lines[i] = l
 		}
 	}
 	return strings.Replace(strings.Join(lines, "\n"), "spcackpt 2", "spcackpt 1", 1)
@@ -242,13 +314,23 @@ func TestReadRejectsCorruption(t *testing.T) {
 		"resealed truncated": reseal(t, body[:len(body)/2]),
 		"resealed bad float": reseal(t, strings.Replace(body, "ss ", "ss x", 1)),
 		// C.Data[0] serializes as "0.001 "; swap it for NaN.
-		"resealed nonfinite C": reseal(t, strings.Replace(body, "0.001 ", "NaN ", 1)),
+		"resealed nonfinite C":                  reseal(t, strings.Replace(body, "0.001 ", "NaN ", 1)),
+		"resealed history count past its lines": reseal(t, strings.Replace(body, "history 2\n", "history 1048576\n", 1)),
+		"resealed negative history count":       reseal(t, strings.Replace(body, "history 2\n", "history -1\n", 1)),
+		"resealed loose line":                   reseal(t, strings.Replace(body, "iter 7\n", "iter  7\n", 1)),
 	}
 	for name, in := range cases {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		if _, err := Read(strings.NewReader(in)); err == nil {
 			t.Errorf("%s: Read accepted corrupt input", name)
 		} else if !errors.Is(err, ErrBadSnapshot) {
 			t.Errorf("%s: error %v does not wrap ErrBadSnapshot", name, err)
+		}
+		// A rejected file costs memory in proportion to its bytes, never to
+		// the counts it declares.
+		if runtime.ReadMemStats(&after); after.TotalAlloc-before.TotalAlloc > 8<<20 {
+			t.Errorf("%s: rejecting %d bytes allocated %d", name, len(in), after.TotalAlloc-before.TotalAlloc)
 		}
 	}
 }

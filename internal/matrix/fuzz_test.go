@@ -117,3 +117,45 @@ func FuzzReadSparseBinary(f *testing.F) {
 		}
 	})
 }
+
+func FuzzReadDense(f *testing.F) {
+	m := NewDenseFromRows([][]float64{{1.5, -2.25, 0}, {1e-300, math.Pi, -0.0}})
+	var buf bytes.Buffer
+	if err := WriteDense(&buf, m); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Add([]byte("dmx 2 2\r\n1\t2\n 3  4 \n"))      // blanks and CRLF
+	f.Add([]byte("dmx 1 2\n1\n"))                   // short row
+	f.Add([]byte("dmx 1 2\n1 NaN\n"))               // non-finite
+	f.Add([]byte("dmx 2 1\n1\n"))                   // truncated
+	f.Add([]byte("dmx 99999999 99999999\n1\n"))     // implausible header
+	f.Add([]byte("dmx 3000000 1\n1\n"))             // large header, little data
+	f.Add([]byte("dmx 1 2 x\n0x1p-2 1_0\ntrail\n")) // header text, odd floats
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := ReadDense(bytes.NewReader(data))
+		if err != nil {
+			return // rejection is fine; panics are not
+		}
+		if m.R < 0 || m.C < 0 || len(m.Data) != m.R*m.C {
+			t.Fatalf("accepted %dx%d matrix with %d values", m.R, m.C, len(m.Data))
+		}
+		// Accepted input must re-serialize and re-parse to the same bits.
+		var out bytes.Buffer
+		if err := WriteDense(&out, m); err != nil {
+			t.Fatalf("re-serializing accepted matrix: %v", err)
+		}
+		m2, err := ReadDense(bytes.NewReader(out.Bytes()))
+		if err != nil {
+			t.Fatalf("re-parsing own output: %v", err)
+		}
+		if m2.R != m.R || m2.C != m.C {
+			t.Fatalf("round-trip changed shape: %dx%d -> %dx%d", m.R, m.C, m2.R, m2.C)
+		}
+		for i, v := range m.Data {
+			if v != v || math.IsInf(v, 0) || math.Float64bits(m2.Data[i]) != math.Float64bits(v) {
+				t.Fatalf("value %d: %v re-reads as %v", i, v, m2.Data[i])
+			}
+		}
+	})
+}

@@ -1,11 +1,9 @@
 package matrix
 
 import (
-	"bufio"
+	"errors"
 	"fmt"
-	"io"
 	"os"
-	"strings"
 )
 
 // RowSource provides repeated sequential scans over the rows of a (possibly
@@ -39,8 +37,7 @@ func (s SparseSource) Scan(fn func(int, SparseVector) error) error {
 // for every scan. Memory use is one row at a time, independent of N.
 type FileRowSource struct {
 	path string
-	rows int
-	cols int
+	spmxHeader
 	// budget is the per-scan bad-record allowance (0 = strict); skipped
 	// counts the records the most recent scan dropped against it. Because
 	// the file does not change between EM passes, every scan skips the same
@@ -64,74 +61,33 @@ func OpenFileRowSource(path string) (*FileRowSource, error) {
 		return nil, err
 	}
 	defer f.Close()
-	var rows, cols, nnz int
-	header, err := bufio.NewReader(f).ReadString('\n')
-	if err != nil {
-		return nil, fmt.Errorf("matrix: reading %s header: %w", path, err)
+	t := NewTextReader(f)
+	h := t.sparseHeader()
+	if err := t.Err(); err != nil {
+		return nil, fmt.Errorf("%w (in %s)", err, path)
 	}
-	if _, err := fmt.Sscanf(header, "spmx %d %d %d", &rows, &cols, &nnz); err != nil {
-		return nil, malformed("bad spmx header %q in %s", strings.TrimSpace(header), path)
-	}
-	if err := checkSparseHeader(int64(rows), int64(cols), int64(nnz)); err != nil {
-		return nil, err
-	}
-	return &FileRowSource{path: path, rows: rows, cols: cols}, nil
+	return &FileRowSource{path: path, spmxHeader: h}, nil
 }
 
 // Dims implements RowSource.
 func (s *FileRowSource) Dims() (int, int) { return s.rows, s.cols }
 
-// Scan implements RowSource.
+// Scan implements RowSource. It makes every check ReadSparseBudget makes,
+// with the same bad-record budget. The header's nnz can only be checked at
+// the end, so a file that ends short of it fails after its rows are emitted.
 func (s *FileRowSource) Scan(fn func(int, SparseVector) error) error {
 	f, err := os.Open(s.path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	if !sc.Scan() {
-		return fmt.Errorf("matrix: empty file %s: %w", s.path, sc.Err())
+	t := NewTextReader(f)
+	if h := t.sparseHeader(); h != s.spmxHeader {
+		t.Fail("header changed since the file was opened")
 	}
-
-	cur := 0
-	prevCol := -1
-	s.skipped = 0
-	var idx []int
-	var vals []float64
-	emitTo := func(row int) error {
-		for cur < row {
-			if err := fn(cur, SparseVector{Len: s.cols, Indices: idx, Values: vals}); err != nil {
-				return err
-			}
-			idx, vals = idx[:0], vals[:0]
-			cur++
-			prevCol = -1
-		}
-		return nil
+	s.skipped, err = t.scanSparse(s.spmxHeader, s.budget, fn)
+	if errors.Is(err, ErrMalformedMatrix) {
+		err = fmt.Errorf("%w (in %s)", err, s.path)
 	}
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		ri, ci, v, perr := parseTriplet(line, s.rows, s.cols, cur, prevCol)
-		if perr != nil {
-			if s.skipped < int64(s.budget) {
-				s.skipped++
-				continue
-			}
-			return fmt.Errorf("%w (in %s)", perr, s.path)
-		}
-		if err := emitTo(ri); err != nil {
-			return err
-		}
-		prevCol = ci
-		idx = append(idx, ci)
-		vals = append(vals, v)
-	}
-	if err := sc.Err(); err != nil && err != io.EOF {
-		return err
-	}
-	return emitTo(s.rows)
+	return err
 }

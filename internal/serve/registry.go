@@ -8,14 +8,17 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
 	"spca"
+	"spca/internal/checkpoint"
 	"spca/internal/matrix"
 )
 
@@ -63,7 +66,11 @@ type Registry struct {
 
 // NewRegistry returns an empty registry. If dir is non-empty, published
 // models persist there and existing model files are loaded, with the highest
-// version becoming live (the daemon's warm-restart path).
+// version becoming live (the daemon's warm-restart path). A file that fails
+// verification is quarantined (renamed aside with a ".quarantined" suffix)
+// rather than served, and any other load error fails the open. New versions
+// number above every model file name found, quarantined ones included, so a
+// version is never reused.
 func NewRegistry(dir string) (*Registry, error) {
 	r := &Registry{dir: dir}
 	r.state.Store(&state{byVer: map[uint64]*Entry{}})
@@ -73,35 +80,41 @@ func NewRegistry(dir string) (*Registry, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	names, err := filepath.Glob(filepath.Join(dir, "model-*.spcm"))
+	files, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
 	}
-	sort.Strings(names)
 	st := &state{byVer: map[uint64]*Entry{}}
-	for _, path := range names {
+	for _, f := range files {
 		var v uint64
-		if _, err := fmt.Sscanf(filepath.Base(path), "model-%d.spcm", &v); err != nil || v == 0 {
+		if _, err := fmt.Sscanf(f.Name(), "model-%d.spcm", &v); err != nil || v == 0 {
 			continue
 		}
+		r.next = max(r.next, v)
+		if f.IsDir() || !strings.HasSuffix(f.Name(), ".spcm") {
+			continue
+		}
+		path := filepath.Join(dir, f.Name())
 		m, err := spca.LoadModelFile(path)
-		if err != nil {
-			// A corrupt generation is quarantined, not fatal: the daemon
-			// keeps serving older generations, mirroring checkpoint recovery.
+		if errors.Is(err, spca.ErrBadSnapshot) {
+			// The daemon keeps serving older generations, mirroring
+			// checkpoint recovery.
+			if _, err := checkpoint.Quarantine(path); err != nil {
+				return nil, err
+			}
 			continue
 		}
-		fi, _ := os.Stat(path)
+		if err != nil {
+			return nil, err
+		}
 		e := &Entry{Version: v, Model: m, Path: path}
-		if fi != nil {
+		if fi, err := f.Info(); err == nil {
 			e.Bytes = fi.Size()
 		}
 		warm(m)
 		st.byVer[v] = e
 		if st.live == nil || v > st.live.Version {
 			st.live = e
-		}
-		if v >= r.next {
-			r.next = v
 		}
 	}
 	st.ordered = orderedEntries(st.byVer)
@@ -118,7 +131,7 @@ func warm(m *spca.Model) {
 }
 
 // Publish assigns the next version to m, persists it (atomic tmp+rename,
-// like checkpoint.Save), and swaps it in as the live model. Concurrent
+// checkpoint.WriteFile, as checkpoint.Save does), and swaps it in as the live model. Concurrent
 // readers keep whatever entry they already hold; new Latest calls see the
 // new generation.
 func (r *Registry) Publish(m *spca.Model) (*Entry, error) {
@@ -128,13 +141,7 @@ func (r *Registry) Publish(m *spca.Model) (*Entry, error) {
 	e := &Entry{Version: v, Model: m}
 	if r.dir != "" {
 		path := filepath.Join(r.dir, entryFile(v))
-		tmp := path + ".tmp"
-		if err := m.SaveFile(tmp); err != nil {
-			os.Remove(tmp)
-			return nil, fmt.Errorf("serve: persisting model v%d: %w", v, err)
-		}
-		if err := os.Rename(tmp, path); err != nil {
-			os.Remove(tmp)
+		if err := checkpoint.WriteFile(path, m.Save); err != nil {
 			return nil, fmt.Errorf("serve: persisting model v%d: %w", v, err)
 		}
 		if fi, err := os.Stat(path); err == nil {

@@ -105,16 +105,33 @@ func TestRegistryPersistRoundTrip(t *testing.T) {
 		t.Fatal("reloaded model does not re-serialize bit-identically")
 	}
 
-	// A corrupt generation is quarantined on open, not served.
-	if err := os.WriteFile(filepath.Join(dir, entryFile(3)), []byte("spcamodel 2\ngarbage\n"), 0o644); err != nil {
+	// A corrupt generation is quarantined on open, not served: renamed
+	// aside with its bytes kept. Its version number is never reused, even
+	// by a later open that finds it only under the quarantine name.
+	garbage := []byte("spcamodel 2\ngarbage\n")
+	if err := os.WriteFile(filepath.Join(dir, entryFile(3)), garbage, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	reg3, err := NewRegistry(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := reg3.Latest(); got == nil || got.Version != 2 {
-		t.Fatalf("corrupt v3 should be skipped; latest = %+v", got)
+	for reopen := 0; reopen < 2; reopen++ {
+		reg3, err := NewRegistry(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := reg3.Latest(); got == nil || got.Version != 2 {
+			t.Fatalf("reopen %d: latest = %+v, want v2", reopen, got)
+		}
+		kept, err := os.ReadFile(filepath.Join(dir, entryFile(3)+".quarantined"))
+		if err != nil || !bytes.Equal(kept, garbage) {
+			t.Fatalf("reopen %d: quarantined v3 = %q, %v; want its bytes kept", reopen, kept, err)
+		}
+		if _, err := os.Stat(filepath.Join(dir, entryFile(3))); !os.IsNotExist(err) {
+			t.Fatalf("reopen %d: corrupt v3 still under its own name (%v)", reopen, err)
+		}
+		if reopen == 1 {
+			if e, err := reg3.Publish(testModel(20, 4, 3)); err != nil || e.Version != 4 {
+				t.Fatalf("Publish after the quarantine = %+v, %v; want v4", e, err)
+			}
+		}
 	}
 }
 

@@ -1,14 +1,12 @@
 package spca
 
 import (
-	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
 	"io"
 	"os"
 	"strconv"
-	"strings"
 	"sync/atomic"
 
 	"spca/internal/checkpoint"
@@ -202,11 +200,12 @@ func (m *Model) ExplainedVariance(y *Sparse) ([]float64, error) {
 
 // Model persistence: a fitted model saved as a small self-describing text
 // file, so a model trained once can be served or reused without re-fitting.
-// Version 2 follows the internal/checkpoint snapshot discipline — every
-// float rendered with strconv.FormatFloat(v, 'g', -1, 64), which round-trips
-// every float64 exactly, and an FNV-64a "checksum" trailer verified before
-// any field is parsed — so Save/LoadModel round-trips are bit-identical and
-// a torn write or flipped bit is detected up front. The format is
+// Version 2 follows the internal/checkpoint snapshot discipline — written
+// through the one text codec of internal/matrix, whose floats take the
+// shortest form that parses back to the same float64, and finished with an
+// FNV-64a "checksum" trailer verified before any field is parsed — so
+// Save/LoadModel round-trips are bit-identical and a torn write or flipped
+// bit is detected up front. The format is
 //
 //	spcamodel 2
 //	algorithm <name>
@@ -231,29 +230,19 @@ const (
 // models, the property the registry's golden fingerprints pin.
 func (m *Model) Save(w io.Writer) error {
 	tw := checkpoint.NewTrailerWriter(w)
-	bw := bufio.NewWriter(tw)
-	fmt.Fprintf(bw, "%s %d\n", modelMagic, modelVersion)
-	fmt.Fprintf(bw, "algorithm %s\n", m.Algorithm)
-	fmt.Fprintf(bw, "orthonormal %v\n", m.orthonormal)
-	fmt.Fprintf(bw, "seed %d\n", m.Seed)
-	fmt.Fprintf(bw, "noise %s\n", strconv.FormatFloat(m.NoiseVariance, 'g', -1, 64))
-	fmt.Fprint(bw, "mean")
-	for _, v := range m.Mean {
-		fmt.Fprintf(bw, " %s", strconv.FormatFloat(v, 'g', -1, 64))
-	}
-	fmt.Fprintln(bw)
+	t := matrix.NewTextWriter(tw)
+	t.Word(modelMagic).Int(modelVersion).End()
+	t.Word("algorithm").Word(string(m.Algorithm)).End()
+	t.Word("orthonormal").Word(strconv.FormatBool(m.orthonormal)).End()
+	t.Word("seed").Uint(m.Seed).End()
+	t.Word("noise").Float(m.NoiseVariance).End()
+	t.Word("mean").Floats(m.Mean).End()
 	if len(m.SingularValues) > 0 {
-		fmt.Fprint(bw, "singular")
-		for _, v := range m.SingularValues {
-			fmt.Fprintf(bw, " %s", strconv.FormatFloat(v, 'g', -1, 64))
-		}
-		fmt.Fprintln(bw)
+		t.Word("singular").Floats(m.SingularValues).End()
 	}
-	fmt.Fprintln(bw, "components")
-	if err := bw.Flush(); err != nil {
-		return err
-	}
-	if err := matrix.WriteDense(tw, m.Components); err != nil {
+	t.Word("components").End()
+	t.Dense(m.Components)
+	if err := t.Flush(); err != nil {
 		return err
 	}
 	return tw.WriteTrailer()
@@ -274,96 +263,61 @@ func (m *Model) SaveFile(path string) error {
 
 // LoadModel reads a model previously written with Save. The returned Model
 // supports Transform, Reconstruct and ExplainedVariance; fit history and
-// metrics belong to the fitting run's Result, not the model.
+// metrics belong to the fitting run's Result, not the model. Every line must
+// be exactly as Save writes it, and every value finite. Any failure other
+// than a read error wraps ErrBadSnapshot.
 func LoadModel(r io.Reader) (*Model, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("spca: reading model: %w", err)
 	}
-	nl := bytes.IndexByte(data, '\n')
-	if nl < 0 {
-		return nil, fmt.Errorf("spca: not a model file (no header)")
+	t := matrix.NewTextReader(bytes.NewReader(data))
+	t.Expect(modelMagic)
+	if ver := t.Int(); t.Err() != nil {
+		return nil, fmt.Errorf("%w: not a model file: %v", ErrBadSnapshot, t.Err())
+	} else if ver != modelVersion {
+		return nil, fmt.Errorf("%w: unsupported model version %d (have %d)", ErrBadSnapshot, ver, modelVersion)
 	}
-	var ver int
-	if _, err := fmt.Sscanf(string(data[:nl]), modelMagic+" %d", &ver); err != nil {
-		return nil, fmt.Errorf("spca: not a model file (header %q)", string(data[:nl]))
-	}
-	if ver != modelVersion {
-		return nil, fmt.Errorf("spca: unsupported model version %d (have %d)", ver, modelVersion)
-	}
-	body, err := checkpoint.VerifyTrailer(data)
-	if err != nil {
+	if _, err := checkpoint.VerifyTrailer(data); err != nil {
 		return nil, fmt.Errorf("spca: corrupt model file: %w", err)
 	}
-	br := bufio.NewReader(bytes.NewReader(body))
-	line := func() (string, error) {
-		s, err := br.ReadString('\n')
-		if err != nil && s == "" {
-			return "", err
-		}
-		return strings.TrimRight(s, "\n"), nil
+	// Save ends every line with a bare '\n'. The line reader drops a '\r'
+	// before one, so a file holding one is refused rather than read as
+	// another model.
+	if bytes.IndexByte(data, '\r') >= 0 {
+		return nil, fmt.Errorf("%w: carriage return in model file", ErrBadSnapshot)
 	}
-	if _, err := line(); err != nil { // header, already parsed
-		return nil, fmt.Errorf("spca: truncated model: %w", err)
+	// The components block ends the parse, so the trailer line is never read.
+	m := &Model{Algorithm: Algorithm(t.Raw("algorithm "))}
+	if t.Expect("orthonormal"); t.Is("true") {
+		m.orthonormal = true
+	} else if !t.Is("false") {
+		t.Fail("orthonormal is neither true nor false")
 	}
-	m := &Model{}
-	for {
-		l, err := line()
-		if err != nil {
-			return nil, fmt.Errorf("spca: truncated model: %w", err)
+	t.Expect("seed")
+	m.Seed = t.Uint()
+	t.Expect("noise")
+	m.NoiseVariance = t.Float()
+	t.Expect("mean")
+	m.Mean = t.Floats(nil)
+	if t.Expect(""); t.Is("singular") {
+		if m.SingularValues = t.Floats(nil); len(m.SingularValues) == 0 {
+			t.Fail("empty singular line")
 		}
-		switch {
-		case strings.HasPrefix(l, "algorithm "):
-			m.Algorithm = Algorithm(strings.TrimPrefix(l, "algorithm "))
-		case strings.HasPrefix(l, "orthonormal "):
-			m.orthonormal = strings.TrimPrefix(l, "orthonormal ") == "true"
-		case strings.HasPrefix(l, "seed "):
-			v, err := strconv.ParseUint(strings.TrimPrefix(l, "seed "), 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("spca: bad seed line: %w", err)
-			}
-			m.Seed = v
-		case strings.HasPrefix(l, "noise "):
-			v, err := strconv.ParseFloat(strings.TrimPrefix(l, "noise "), 64)
-			if err != nil {
-				return nil, fmt.Errorf("spca: bad noise line: %w", err)
-			}
-			m.NoiseVariance = v
-		case strings.HasPrefix(l, "singular"):
-			fields := strings.Fields(strings.TrimPrefix(l, "singular"))
-			m.SingularValues = make([]float64, len(fields))
-			for i, f := range fields {
-				v, err := strconv.ParseFloat(f, 64)
-				if err != nil {
-					return nil, fmt.Errorf("spca: bad singular entry: %w", err)
-				}
-				m.SingularValues[i] = v
-			}
-		case strings.HasPrefix(l, "mean"):
-			fields := strings.Fields(strings.TrimPrefix(l, "mean"))
-			m.Mean = make([]float64, len(fields))
-			for i, f := range fields {
-				v, err := strconv.ParseFloat(f, 64)
-				if err != nil {
-					return nil, fmt.Errorf("spca: bad mean entry: %w", err)
-				}
-				m.Mean[i] = v
-			}
-		case l == "components":
-			comps, err := matrix.ReadDense(br)
-			if err != nil {
-				return nil, fmt.Errorf("spca: bad components: %w", err)
-			}
-			m.Components = comps
-			if len(m.Mean) != comps.R {
-				return nil, fmt.Errorf("spca: model mean length %d != components rows %d",
-					len(m.Mean), comps.R)
-			}
-			return m, nil
-		default:
-			return nil, fmt.Errorf("spca: unexpected model line %q", l)
-		}
+		t.Expect("")
 	}
+	if !t.Is("components") {
+		t.Fail("want the components line")
+	}
+	m.Components = t.Dense()
+	if err := t.Err(); err != nil {
+		return nil, fmt.Errorf("%w: bad model file: %v", ErrBadSnapshot, err)
+	}
+	if len(m.Mean) != m.Components.R {
+		return nil, fmt.Errorf("%w: model mean length %d != components rows %d",
+			ErrBadSnapshot, len(m.Mean), m.Components.R)
+	}
+	return m, nil
 }
 
 // LoadModelFile reads a model from path.

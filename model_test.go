@@ -3,9 +3,12 @@ package spca
 import (
 	"bytes"
 	"errors"
+	"io"
+	"math"
 	"path/filepath"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"spca/internal/checkpoint"
 	"spca/internal/matrix"
@@ -77,7 +80,7 @@ func TestModelFileRoundTrip(t *testing.T) {
 
 // sealModel appends a valid checksum trailer to a model body, so malformed
 // fields reach the parser instead of being caught by the checksum.
-func sealModel(t *testing.T, body string) string {
+func sealModel(t testing.TB, body string) string {
 	t.Helper()
 	var buf bytes.Buffer
 	tw := checkpoint.NewTrailerWriter(&buf)
@@ -90,7 +93,21 @@ func sealModel(t *testing.T, body string) string {
 	return buf.String()
 }
 
+// modelBody is a well-formed model file body, without its checksum trailer.
+const modelBody = "spcamodel 2\nalgorithm ppca-local\northonormal false\nseed 7\nnoise 0.5\n" +
+	"mean 1 2\nsingular 3 1\ncomponents\ndmx 2 1\n1\n2\n"
+
 func TestLoadModelErrors(t *testing.T) {
+	if _, err := LoadModel(strings.NewReader(sealModel(t, modelBody))); err != nil {
+		t.Fatalf("the base case must load: %v", err)
+	}
+	edit := func(old, new string) string {
+		t.Helper()
+		if !strings.Contains(modelBody, old) {
+			t.Fatalf("model body has no %q", old)
+		}
+		return sealModel(t, strings.Replace(modelBody, old, new, 1))
+	}
 	cases := []string{
 		"",
 		"not a model",
@@ -99,10 +116,25 @@ func TestLoadModelErrors(t *testing.T) {
 		sealModel(t, "spcamodel 2\nmean 1 2\ncomponents\ndmx 3 1\n1\n2\n3\n"), // mean/components mismatch
 		sealModel(t, "spcamodel 2\nalgorithm x\n"),                            // truncated
 		"spcamodel 2\nalgorithm x\n",                                          // no checksum trailer
+		// Every value is finite, as the components block always required.
+		edit("noise 0.5", "noise NaN"),
+		edit("mean 1 2", "mean Inf 2"),
+		edit("singular 3 1", "singular 3 -Inf"),
+		edit("\n1\n2\n", "\n1\nNaN\n"),
+		// Every line is as Save writes it.
+		edit("mean 1 2", "mean 1 2 3"),
+		edit("seed 7", "seed  7"),
+		edit("noise 0.5", "noise 0.5 1"),
+		edit("orthonormal false", "orthonormal yes"),
+		edit("singular 3 1", "singular"),
+		edit("components", "components\r"),
+		edit("seed 7\n", ""),
 	}
 	for _, c := range cases {
 		if _, err := LoadModel(strings.NewReader(c)); err == nil {
 			t.Fatalf("expected error for %q", c)
+		} else if !errors.Is(err, ErrBadSnapshot) {
+			t.Fatalf("error for %q does not wrap ErrBadSnapshot: %v", c, err)
 		}
 	}
 	// Version 1 had no checksum; a well-formed v1 file is rejected outright.
@@ -110,9 +142,91 @@ func TestLoadModelErrors(t *testing.T) {
 	if _, err := LoadModel(strings.NewReader(v1)); err == nil || !strings.Contains(err.Error(), "unsupported model version") {
 		t.Fatalf("v1 model error = %v, want unsupported model version", err)
 	}
-	if _, err := LoadModelFile("/nonexistent/model"); err == nil {
-		t.Fatal("expected error for missing file")
+	// A read error is an I/O failure, not a bad model.
+	if _, err := LoadModelFile("/nonexistent/model"); err == nil || errors.Is(err, ErrBadSnapshot) {
+		t.Fatalf("missing file = %v, want an I/O error", err)
 	}
+	if _, err := LoadModel(iotest.ErrReader(io.ErrUnexpectedEOF)); err == nil || errors.Is(err, ErrBadSnapshot) {
+		t.Fatalf("failing reader = %v, want an I/O error", err)
+	}
+}
+
+// savedModel is a small fitted-shape model with a spectrum, saved.
+func savedModel(tb testing.TB, dims, d int) (*Model, []byte) {
+	rng := matrix.NewRNG(uint64(dims*d + 1))
+	m := &Model{Algorithm: RSVDSpark, Components: matrix.NewDense(dims, d), Mean: make([]float64, dims),
+		NoiseVariance: 0.125, SingularValues: make([]float64, d), Seed: 1<<63 + 5}
+	for i := range m.Components.Data {
+		m.Components.Data[i] = rng.NormFloat64()
+	}
+	for i := range m.Mean {
+		m.Mean[i] = rng.Float64() * 1e-3
+	}
+	for i := range m.SingularValues {
+		m.SingularValues[i] = float64(d-i) * math.Pi
+	}
+	var buf bytes.Buffer
+	if err := m.Save(&buf); err != nil {
+		tb.Fatal(err)
+	}
+	return m, buf.Bytes()
+}
+
+// TestModelSaveAllocs gates the model writer's allocations: a fixed
+// handful for the buffers, none per float, so one bound holds at both
+// shapes.
+func TestModelSaveAllocs(t *testing.T) {
+	for _, shape := range [][2]int{{200, 10}, {2000, 50}} {
+		m, _ := savedModel(t, shape[0], shape[1])
+		allocs := testing.AllocsPerRun(5, func() {
+			if err := m.Save(io.Discard); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 10 {
+			t.Errorf("Save of a %dx%d model: %.0f allocations, want at most 10", shape[0], shape[1], allocs)
+		}
+	}
+}
+
+// FuzzLoadModel hammers the model reader as FuzzReadSnapshot hammers the
+// snapshot reader: any input may be rejected, none may panic, and an
+// accepted one must re-serialize and re-parse to the same bits. With seal
+// set the input is given a valid checksum trailer first, so mutations reach
+// the field parser instead of stopping at the checksum.
+func FuzzLoadModel(f *testing.F) {
+	_, valid := savedModel(f, 6, 2)
+	f.Add(valid, false)
+	f.Add(valid[:len(valid)/2], false)                 // truncated
+	f.Add(valid[:len(valid)-26], true)                 // resealed body
+	f.Add([]byte(modelBody), true)                     // with a singular line
+	f.Add([]byte("spcamodel 2\nnoise NaN\n"), true)    // non-finite
+	f.Add([]byte("spcamodel 1\nalgorithm x\n"), false) // version 1
+	f.Add([]byte(strings.Replace(modelBody, "dmx 2 1", "dmx 2 1 x", 1)), true)
+	f.Fuzz(func(t *testing.T, data []byte, seal bool) {
+		if seal {
+			data = []byte(sealModel(t, string(data)))
+		}
+		m, err := LoadModel(bytes.NewReader(data))
+		if err != nil {
+			return // rejection is fine; panics are not
+		}
+		if len(m.Mean) != m.Components.R || len(m.Components.Data) != m.Components.R*m.Components.C {
+			t.Fatalf("accepted model with mean %d, components %dx%d (%d values)",
+				len(m.Mean), m.Components.R, m.Components.C, len(m.Components.Data))
+		}
+		var out, again bytes.Buffer
+		if err := m.Save(&out); err != nil {
+			t.Fatalf("re-serializing accepted model: %v", err)
+		}
+		m2, err := LoadModel(bytes.NewReader(out.Bytes()))
+		if err != nil {
+			t.Fatalf("re-parsing own output: %v", err)
+		}
+		if err := m2.Save(&again); err != nil || !bytes.Equal(out.Bytes(), again.Bytes()) {
+			t.Fatalf("round trip changed the model (err %v)", err)
+		}
+	})
 }
 
 // fnv64a fingerprints a byte stream the same way the snapshot trailer does.

@@ -302,12 +302,19 @@ func TestFitStreamFileFacade(t *testing.T) {
 	if _, err := FitStreamFileConfig(filepath.Join(t.TempDir(), "missing"), Config{Components: 3, MaxIter: 5}); err == nil {
 		t.Fatal("expected error for missing file")
 	}
-	corrupt := filepath.Join(t.TempDir(), "bad.spmx")
-	if err := os.WriteFile(corrupt, []byte("not a matrix\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := FitStreamFileConfig(corrupt, Config{Components: 3, MaxIter: 5}); !errors.Is(err, ErrMalformedMatrix) {
-		t.Fatalf("corrupt file = %v, want ErrMalformedMatrix", err)
+	// A corrupt file, and a truncated one whose triplets fall short of its
+	// header's nnz, fail as ReadSparse fails them.
+	for name, text := range map[string]string{
+		"corrupt":   "not a matrix\n",
+		"truncated": "spmx 3 3 4\n0 0 1\n1 1 1\n2 2 1\n",
+	} {
+		bad := filepath.Join(t.TempDir(), name+".spmx")
+		if err := os.WriteFile(bad, []byte(text), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := FitStreamFileConfig(bad, Config{Components: 2, MaxIter: 5}); !errors.Is(err, ErrMalformedMatrix) {
+			t.Fatalf("%s file = %v, want ErrMalformedMatrix", name, err)
+		}
 	}
 }
 
