@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test race serve-smoke chaos corrupt-smoke fuzz-smoke trace-smoke bench bench-kernels bench-json bench-smoke bench-compare bench-compare-smoke kernel-layout experiments
+.PHONY: check fmt vet build cross test race serve-smoke chaos corrupt-smoke fuzz-smoke trace-smoke bench bench-kernels bench-json bench-smoke bench-compare bench-compare-smoke kernel-layout experiments
 
-check: fmt vet build test race serve-smoke chaos corrupt-smoke fuzz-smoke trace-smoke bench-smoke bench-compare-smoke
+check: fmt vet build cross test race serve-smoke chaos corrupt-smoke fuzz-smoke trace-smoke bench-smoke bench-compare-smoke
 
 # Every tracked Go file must be gofmt-clean. The benchmark's build directory
 # .bench_build/ is ignored by git, and excluded here as well.
@@ -18,6 +18,12 @@ vet:
 build:
 	$(GO) build ./...
 
+# The row kernels have AVX assembly on amd64 and Go loops everywhere else;
+# vet and build two other architectures so the Go-only path cannot rot.
+cross:
+	GOARCH=arm64 $(GO) vet ./...
+	GOARCH=386 $(GO) build ./...
+
 test:
 	$(GO) test ./...
 
@@ -27,7 +33,9 @@ test:
 # jobs run through mapred's map store, the MLlib baseline's rdd jobs, the
 # shared column-mean pass, the accuracy metric (each block of sampled rows
 # forms its reconstructions with one product on the pool), the iterative
-# driver (final-flush retry) and the cluster (interrupt watchdog).
+# driver (final-flush retry) and the cluster (interrupt watchdog). A race
+# build runs the matrix row kernels as Go loops, not AVX assembly, so the
+# detector sees every element they touch.
 race:
 	$(GO) test -race ./internal/rdd ./internal/mapred ./internal/parallel ./internal/ppca ./internal/rsvd ./internal/serve \
 		./internal/ssvd ./internal/svdbidiag ./internal/covpca ./internal/colmean ./internal/accuracy ./internal/driver \
@@ -105,8 +113,8 @@ bench-json:
 # load-independent); to validate a PR under ambient drift, regenerate both
 # sides in one sitting (`git stash` the change for the old side) or raise
 # -ns-tol via `go run ./cmd/benchjson -compare -ns-tol 0.5 old new`.
-BENCH_OLD ?= BENCH_19.json
-BENCH_NEW ?= BENCH_20.json
+BENCH_OLD ?= BENCH_23.json
+BENCH_NEW ?= BENCH_24.json
 bench-compare:
 	$(GO) run ./cmd/benchjson -compare $(BENCH_OLD) $(BENCH_NEW)
 
@@ -126,26 +134,36 @@ bench-smoke:
 	@rm -f .bench-smoke.json
 
 # Code layout of the hot kernels in the benchmark's binary: address, size and
-# address mod 64 of each, from `go tool nm`. A loop that straddles a 64-byte
-# line can run much slower, and an edit to any package linked before
-# internal/matrix or internal/ppca (internal/checkpoint is) can move the
-# kernels' phase, so compare this output with the parent's when a change
-# shifts a kernel's share of a profile. The binary is built as
-# perfbench/run.sh builds it, into a temporary directory.
+# address mod 64 of each, from `go tool nm`, and the address mod 64 of each
+# loop head (every backward branch target, in address order) from `go tool
+# objdump`. A loop that straddles a 64-byte line can run much slower, and an
+# edit to any package linked before internal/matrix or internal/ppca
+# (internal/checkpoint is) can move the Go kernels' phase, so compare this
+# output with the parent's when a change shifts a kernel's share of a
+# profile. The AVX kernels (the .abi0 symbols) align their loop heads with
+# PCALIGN, so theirs read 0. The binary is built as perfbench/run.sh builds
+# it, into a temporary directory.
 LAYOUT_SYMS = 'matrix.SymOuterAdd' 'matrix.(*mulBody).Run' 'matrix.(*mulTBody).Run' \
-	'matrix.(*mulBTBody).Run' 'matrix.(*Dense).CenteredMulInto' 'ppca.(*partial).add' \
-	'ppca.(*partial).scatter' 'ppca.(*rowScratch).latent' 'ppca.(*rowScratch).ss3Term' \
-	'ppca.localPass.func1' 'ppca.localSS3.func1'
+	'matrix.(*mulBTBody).Run' 'matrix.(*Dense).CenteredMulInto' 'matrix.axpyAVX.abi0' \
+	'matrix.axpy4AVX.abi0' 'ppca.(*partial).add' 'ppca.(*partial).scatter' \
+	'ppca.(*rowScratch).latent' 'ppca.(*rowScratch).ss3Term' 'ppca.localPass.func1' \
+	'ppca.localSS3.func1'
+LOOP_HEADS = function hex(s,  n, i) { n = 0; for (i = 3; i <= length(s); i++) \
+	n = n * 16 + index("0123456789abcdef", substr(s, i, 1)) - 1; return n } \
+	$$4 ~ /^J/ && $$5 ~ /^0x[0-9a-f]+$$/ { t = hex($$5); if (t <= hex($$2)) print t }
 kernel-layout:
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; b="$(CURDIR)/.bench_build"; \
 	(cd perfbench && GOCACHE="$$b/gocache" GOPATH="$$b/gopath" GOTOOLCHAIN=local GOPROXY=off \
 		XDG_CONFIG_HOME="$$b/config" $(GO) build -o "$$tmp/perfbench" .) || exit 1; \
 	$(GO) tool nm -n -size "$$tmp/perfbench" > "$$tmp/nm" || exit 1; \
-	printf '%-32s %10s %6s %6s\n' symbol address size mod64; \
+	printf '%-32s %10s %6s %6s  %s\n' symbol address size mod64 'loop heads mod64'; \
 	for sym in $(LAYOUT_SYMS); do \
 		set -- $$(awk -v s="spca/internal/$$sym" '$$4 == s { print $$1, $$2 }' "$$tmp/nm"); \
 		if [ $$# -ne 2 ]; then echo "kernel-layout: $$sym not in the binary" >&2; exit 1; fi; \
-		printf '%-32s %10s %6s %6d\n' "$$sym" "$$1" "$$2" $$((0x$$1 % 64)); \
+		re=$$(printf '%s' "spca/internal/$$sym" | sed 's/[][().*]/\\&/g'); \
+		heads=$$($(GO) tool objdump -s "^$$re\$$" "$$tmp/perfbench" | awk '$(LOOP_HEADS)' | sort -n -u | \
+			awk '{ printf "%s%d", (NR > 1 ? " " : ""), $$1 % 64 }'); \
+		printf '%-32s %10s %6s %6d  %s\n' "$$sym" "$$1" "$$2" $$((0x$$1 % 64)) "$${heads:--}"; \
 	done
 
 experiments:

@@ -58,12 +58,12 @@ func Copy(n, dims, want int, seed uint64, row func(int) matrix.SparseVector) *ma
 const errBlockFloats = 1 << 15
 
 // Sample is the rows fits are graded on, with the scratch Err reuses: Ym·P,
-// and one block of latent rows X with their images X·Cᵀ.
+// Cᵀ, and one block of latent rows X with their images X·Cᵀ.
 type Sample struct {
-	y      *matrix.Sparse
-	block  int // rows per block
-	pm     []float64
-	xs, rs matrix.Dense
+	y          *matrix.Sparse
+	block      int // rows per block
+	pm         []float64
+	ct, xs, rs matrix.Dense
 }
 
 // New grades fits on the rows of y.
@@ -80,19 +80,27 @@ func Draw(rows []matrix.SparseVector, dims int, seed uint64) *Sample {
 // Err is the relative 1-norm reconstruction error Σ|Yi−Ŷi| / Σ|Yi| over the
 // sampled rows, with Ŷi = ((Yi−Ym)·P)·Cᵀ + Ym computed without densifying
 // Yi−Ym. An orthonormal fit passes P = C = W; the EM step passes P = C·M⁻¹
-// and C. The latent scratch is sized on the first call and reused after.
+// and C. Its scratch (Ym·P, a block of latent rows and Cᵀ) is one
+// allocation, sized on the first call and reused after.
 //
 // Rows go a block at a time: their latent rows Xi = (Yi−Ym)·P fill X, one
-// MulBTInto forms X·Cᵀ on the parallel pool, and the terms are summed over
-// columns in ascending order, rows in order. Each element of X·Cᵀ is the
-// same dot product a row-by-row evaluation takes, so the error is
-// bit-identical to one.
+// MulInto over a copy of Cᵀ forms X·Cᵀ on the parallel pool, and the terms
+// are summed over columns in ascending order, rows in order. Each element of
+// X·Cᵀ sums k ascending from +0, as the dot product of a row-by-row
+// evaluation does, so the error is bit-identical to one. MulInto skips a
+// zero latent entry where the dot product adds its product ±0; while C is
+// finite (the EM engines check it before grading) that moves no bit, since a
+// sum that starts at +0 is never −0 and adding ±0 leaves it as it is.
 func (s *Sample) Err(mean []float64, p, c *matrix.Dense) float64 {
 	block := s.block
-	if len(s.pm) != p.C {
-		s.pm = make([]float64, p.C)
-		s.xs = matrix.Dense{C: p.C, Data: make([]float64, block*p.C)}
+	if s.ct.R != p.C || s.ct.C != s.y.C {
+		d, dims := p.C, s.y.C
+		buf := make([]float64, d+block*d+d*dims)
+		s.pm = buf[:d:d]
+		s.xs = matrix.Dense{C: d, Data: buf[d : d+block*d : d+block*d]}
+		s.ct = matrix.Dense{R: d, C: dims, Data: buf[d+block*d:]}
 	}
+	ct := c.TInto(&s.ct)
 	pm := p.MulVecTInto(mean, s.pm) // Ym·P
 	var num, den float64
 	for base := 0; base < s.y.R; base += block {
@@ -109,7 +117,7 @@ func (s *Sample) Err(mean []float64, p, c *matrix.Dense) float64 {
 				matrix.AXPY(row.Values[k], p.Row(j), xi)
 			}
 		}
-		xs.MulBTInto(c, rs)
+		xs.MulInto(ct, rs)
 		for t := 0; t < n; t++ {
 			row, nz := s.y.Row(base+t), 0
 			for j, xc := range rs.Row(t) {

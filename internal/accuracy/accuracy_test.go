@@ -61,25 +61,57 @@ func TestErrMatchesDenseReconstruction(t *testing.T) {
 	}
 }
 
+// rowByRowErr is Err evaluated one sampled row at a time, each element of
+// Xi·Cᵀ one dot product over k ascending from +0.
+func rowByRowErr(y *matrix.Sparse, mean []float64, p, c *matrix.Dense) float64 {
+	pm := p.MulVecT(mean)
+	var num, den float64
+	for i := 0; i < y.R; i++ {
+		row := y.Row(i)
+		xi := make([]float64, p.C)
+		for k := range xi {
+			xi[k] = -pm[k]
+		}
+		for k, j := range row.Indices {
+			matrix.AXPY(row.Values[k], p.Row(j), xi)
+		}
+		dense := row.Dense()
+		for j := 0; j < c.R; j++ {
+			recon := mean[j] + matrix.Dot(xi, c.Row(j))
+			num += math.Abs(dense[j] - recon)
+			den += math.Abs(dense[j])
+		}
+	}
+	return num / den
+}
+
 // TestErrParallelBitIdentical: Err forms each block's images X·Cᵀ with one
-// MulBTInto, which splits the block's rows across the pool. At D = 2000 a
+// MulInto, which splits the block's rows across the pool. At D = 2000 a
 // block holds 16 rows, and one row is a whole chunk at d = 8, so the 40 rows
 // run as three blocks, each chunked on four workers; the error must equal
-// the sequential evaluation bit for bit. The chunked path is also what
-// `make race` checks.
+// the sequential evaluation and the row-by-row one bit for bit. The chunked
+// path is also what `make race` checks. Two columns of P are zero, so every
+// latent row has zero entries: MulInto skips them where the dot product
+// adds ±0, which must move no bit.
 func TestErrParallelBitIdentical(t *testing.T) {
 	rng := matrix.NewRNG(5)
 	const n, dims, d = 40, 2000, 8
 	y := randomSparse(rng, n, dims, 0.01)
 	mean := y.ColMeans()
 	p, c := matrix.NormRnd(rng, dims, d), matrix.NormRnd(rng, dims, d)
+	for j := 0; j < dims; j++ {
+		p.Set(j, 2, 0)
+		p.Set(j, 5, 0)
+	}
+	want := rowByRowErr(y, mean, p, c)
 	parallel.SetSequential(true)
 	seq := New(y).Err(mean, p, c)
 	parallel.SetSequential(false)
 	parallel.SetWorkers(4)
 	defer parallel.SetWorkers(0)
-	if par := New(y).Err(mean, p, c); par != seq {
-		t.Fatalf("parallel Err %v, sequential %v", par, seq)
+	par := New(y).Err(mean, p, c)
+	if math.Float64bits(seq) != math.Float64bits(want) || math.Float64bits(par) != math.Float64bits(want) {
+		t.Fatalf("Err sequential %v, parallel %v, row by row %v", seq, par, want)
 	}
 }
 
@@ -102,7 +134,7 @@ func TestErrNonNegative(t *testing.T) {
 // Err allocates nothing of its own. Sequential, it allocates nothing at all.
 // On two workers (set explicitly, since AllocsPerRun pins GOMAXPROCS to 1)
 // only the pool's dispatch allocates, at most two allocations per chunked
-// MulBTInto: one per block of rows (16 rows at D = 2000), not one per row.
+// MulInto: one per block of rows (16 rows at D = 2000), not one per row.
 func TestErrSteadyStateAllocs(t *testing.T) {
 	rng := matrix.NewRNG(3)
 	for _, c := range []struct {

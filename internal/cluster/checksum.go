@@ -18,9 +18,11 @@ import "errors"
 // ErrCorruptPayload is the typed error surfaced when a payload fails
 // checksum verification at consume time. The engines convert a bounded
 // number of detected corruptions into re-executions of the producing
-// attempt; an unrecoverable payload (every re-fetch corrupted, or a real
-// in-memory mismatch between producer and consumer digests) unwraps to this
-// sentinel so callers can match it with errors.Is.
+// attempt; an unrecoverable payload (every re-fetch corrupted, or a
+// committed payload whose entry sizes or count changed before it was
+// consumed) unwraps to this sentinel so callers can match it with errors.Is.
+// A value changed in place after commit is not detected: the digest covers
+// sizes, not value bits.
 var ErrCorruptPayload = errors.New("cluster: payload failed checksum verification")
 
 // checksumOffset/checksumPrime are the FNV-64a parameters, shared with

@@ -396,12 +396,14 @@ func tally(stats *cluster.PhaseStats, recs []taskRecord) (bytes int64, exhausted
 }
 
 // consume verifies each committed payload of a phase as its reader does: it
-// re-runs the walk that stamped the payload at commit and compares. A mismatch means
-// the output was damaged between commit and consume — a real integrity
-// violation, not an injected one. Then the plan decides whether the payload
-// arrives corrupted; each detected corruption re-executes the producing
-// attempt and re-ships the payload, up to maxAtt re-fetches. what names
-// task t's payload in the error that ends the job.
+// re-runs the walk that stamped the payload at commit and compares. The walk
+// digests the entries' modeled key and value sizes and their count, not the
+// value bits (see cluster/checksum.go), so a mismatch means an entry was
+// added, dropped or resized between commit and consume; a value changed in
+// place passes. Then the plan decides whether the payload arrives corrupted;
+// each detected corruption re-executes the producing attempt and re-ships
+// the payload, up to maxAtt re-fetches. what names task t's payload in the
+// error that ends the job.
 func consume(stats *cluster.PhaseStats, plan *cluster.FaultPlan, phase string, maxAtt int, recs []taskRecord,
 	walk func(t int) (int64, uint64), what func(t int) string) error {
 	for t := range recs {

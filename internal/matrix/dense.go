@@ -112,15 +112,9 @@ func Diag(d []float64) *Dense {
 }
 
 // T returns the transpose of m as a new matrix.
+// It allocates the output and delegates to TInto.
 func (m *Dense) T() *Dense {
-	out := NewDense(m.C, m.R)
-	for i := 0; i < m.R; i++ {
-		row := m.Row(i)
-		for j, v := range row {
-			out.Data[j*m.R+i] = v
-		}
-	}
-	return out
+	return m.TInto(NewDense(m.C, m.R))
 }
 
 // Add returns m + b as a new matrix.
@@ -373,14 +367,12 @@ func Dot(a, b []float64) float64 {
 	return dot(a, b)
 }
 
-// AXPY computes y += a*x in place.
+// AXPY computes y += a*x in place (see kernels.go).
 func AXPY(a float64, x, y []float64) {
 	if len(x) != len(y) {
 		panic("matrix: AXPY length mismatch")
 	}
-	for i, v := range x {
-		y[i] += a * v
-	}
+	axpy(a, x, y)
 }
 
 // VecNorm2 returns the Euclidean norm of x.
@@ -433,10 +425,10 @@ func VecSub(a, b []float64) []float64 {
 // one of the two twins skips a term the other adds as ±0; a sum that starts
 // at +0 never becomes −0, so that term changes nothing.)
 //
-// Rows are taken four per sweep of out, so a block of rows reads and writes
-// each element once per four rows; a single row, or the rest of a block,
-// sweeps on its own. The EM engines' XtX update is the hottest loop of a
-// fit, and the kernel stays out of line so the loop's code placement does
+// Rows are taken four per sweep of out (AXPY4), so a block of rows reads and
+// writes each element once per four rows; a single row, or the rest of a
+// block, sweeps on its own (axpy). The EM engines' XtX update is the hottest
+// loop of a fit, and the kernel stays out of line so its code placement does
 // not move with every edit to its callers: when inlined, unrelated changes
 // to the caller shifted the loop across a 64-byte boundary and slowed it by
 // up to ~60% on a 2-core Xeon.
@@ -461,14 +453,7 @@ func SymOuterAdd(out *Dense, xs []float64) {
 				symRowAdd(row, a3, x3[a:])
 				continue
 			}
-			y0, y1, y2, y3 := x0[a:][:len(row)], x1[a:][:len(row)], x2[a:][:len(row)], x3[a:][:len(row)]
-			for b, v := range row {
-				v += a0 * y0[b]
-				v += a1 * y1[b]
-				v += a2 * y2[b]
-				v += a3 * y3[b]
-				row[b] = v
-			}
+			AXPY4(a0, a1, a2, a3, x0[a:], x1[a:], x2[a:], x3[a:], row)
 		}
 	}
 	for ; r < n; r++ {
@@ -485,10 +470,7 @@ func symRowAdd(row []float64, av float64, y []float64) {
 	if av == 0 {
 		return
 	}
-	y = y[:len(row)] // no per-element bounds check
-	for b, yv := range y {
-		row[b] += av * yv
-	}
+	axpy(av, y[:len(row)], row)
 }
 
 // MirrorUpper copies the upper triangle of the square m onto its lower one:

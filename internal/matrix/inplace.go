@@ -45,10 +45,7 @@ func (t *mulBody) Run(lo, hi int) {
 				if a == 0 {
 					continue // semantic, not only speed: 0·Inf would be NaN
 				}
-				brow := b.Row(k)
-				for j, bv := range brow {
-					orow[j] += a * bv
-				}
+				axpy(a, b.Row(k), orow)
 			}
 		}
 	}
@@ -117,10 +114,7 @@ func (t *mulTBody) Run(lo, hi int) {
 			if a == 0 {
 				continue // semantic, not only speed: 0·Inf would be NaN
 			}
-			orow := out.Row(k)
-			for j, bv := range brow {
-				orow[j] += a * bv
-			}
+			axpy(a, brow, out.Row(k))
 		}
 	}
 }
@@ -206,10 +200,7 @@ func (m *Dense) MulVecTInto(x, out []float64) []float64 {
 		if xi == 0 {
 			continue
 		}
-		row := m.Row(i)
-		for j, v := range row {
-			out[j] += xi * v
-		}
+		axpy(xi, m.Row(i), out)
 	}
 	return out
 }
@@ -376,7 +367,7 @@ func InverseInto(a, out, w *Dense) error {
 // state of same-sized solves allocates nothing.
 type SPDWorkspace struct {
 	l    *Dense
-	subs [][]float64 // per worker: y then x, each length n
+	subs [][]float64 // per worker: four forward-substitution rows of n
 	// run is built once and reused so the ForWorker closure does not escape
 	// (and allocate) on every solve; b/out/n carry the per-call arguments.
 	run    func(w, lo, hi int)
@@ -393,20 +384,61 @@ func (ws *SPDWorkspace) ensure(n int) {
 		ws.subs = append(ws.subs, nil)
 	}
 	for w := 0; w < workers; w++ {
-		if len(ws.subs[w]) < 2*n {
-			ws.subs[w] = make([]float64, 2*n)
+		if len(ws.subs[w]) < 4*n {
+			ws.subs[w] = make([]float64, 4*n)
 		}
 	}
 	if ws.run == nil {
 		ws.run = func(w, lo, hi int) {
 			l, b, out, n := ws.l, ws.b, ws.out, ws.n
-			sub := ws.subs[w]
-			y, x := sub[:n], sub[n:2*n]
-			for i := lo; i < hi; i++ {
-				CholeskySolveInto(l, b.Row(i), y, x)
+			sub := ws.subs[w][:4*n]
+			i := lo
+			for ; i+4 <= hi; i += 4 {
+				cholSolve4(l, b, out, i, sub)
+			}
+			for ; i < hi; i++ {
+				x := sub[n : 2*n]
+				CholeskySolveInto(l, b.Row(i), sub[:n], x)
 				copy(out.Row(i), x)
 			}
 		}
+	}
+}
+
+// cholSolve4 is CholeskySolveInto for rows i..i+3 of b at once, into the
+// same rows of out, with y (4n) as forward-substitution scratch. Each row
+// takes CholeskySolveInto's operations in their order, so its solution is
+// bit-identical; the four share every load of the factor l.
+func cholSolve4(l, b, out *Dense, i int, y []float64) {
+	n := l.R
+	b0, b1, b2, b3 := b.Row(i), b.Row(i+1), b.Row(i+2), b.Row(i+3)
+	y0, y1, y2, y3 := y[:n], y[n:2*n], y[2*n:3*n], y[3*n:4*n]
+	// Forward substitution L·y = b.
+	for r := 0; r < n; r++ {
+		lr := l.Data[r*n : r*n+r]
+		s0, s1, s2, s3 := b0[r], b1[r], b2[r], b3[r]
+		for k, lk := range lr {
+			s0 -= lk * y0[k]
+			s1 -= lk * y1[k]
+			s2 -= lk * y2[k]
+			s3 -= lk * y3[k]
+		}
+		d := l.Data[r*n+r]
+		y0[r], y1[r], y2[r], y3[r] = s0/d, s1/d, s2/d, s3/d
+	}
+	// Back substitution Lᵀ·x = y, reading column r of L below the diagonal.
+	x0, x1, x2, x3 := out.Row(i), out.Row(i+1), out.Row(i+2), out.Row(i+3)
+	for r := n - 1; r >= 0; r-- {
+		s0, s1, s2, s3 := y0[r], y1[r], y2[r], y3[r]
+		for k := r + 1; k < n; k++ {
+			lk := l.Data[k*n+r]
+			s0 -= lk * x0[k]
+			s1 -= lk * x1[k]
+			s2 -= lk * x2[k]
+			s3 -= lk * x3[k]
+		}
+		d := l.Data[r*n+r]
+		x0[r], x1[r], x2[r], x3[r] = s0/d, s1/d, s2/d, s3/d
 	}
 }
 
@@ -433,7 +465,8 @@ func SolveSPDInto(a, b, out *Dense, ws *SPDWorkspace) error {
 	}
 	// Each right-hand-side row solves independently against the shared
 	// (read-only) factor, so rows parallelize bit-identically; the worker
-	// index selects private substitution scratch.
+	// index selects private substitution scratch. A worker solves its rows
+	// four per sweep of the factor (cholSolve4), and the rest one by one.
 	ws.b, ws.out, ws.n = b, out, n
 	parallel.ForWorker(b.R, flopGrain(2*b.C*b.C), ws.run)
 	ws.b, ws.out = nil, nil
@@ -612,4 +645,17 @@ func DensifyCenteredInto(row SparseVector, mean []float64, idx []int, vals []flo
 		vals[j] += row.Values[k]
 	}
 	return SparseVector{Len: row.Len, Indices: idx, Values: vals}
+}
+
+// TInto writes the transpose of m into out (dims m.C x m.R), overwriting it.
+func (m *Dense) TInto(out *Dense) *Dense {
+	if out.R != m.C || out.C != m.R {
+		panic(fmt.Sprintf("matrix: TInto out dims %dx%d, want %dx%d", out.R, out.C, m.C, m.R))
+	}
+	for i := 0; i < m.R; i++ {
+		for j, v := range m.Row(i) {
+			out.Data[j*m.R+i] = v
+		}
+	}
+	return out
 }

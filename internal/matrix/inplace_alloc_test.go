@@ -8,7 +8,7 @@ import (
 
 // TestInPlaceKernelsZeroAllocs is the allocation gate for the hot in-place
 // kernels: on warm workspaces MulInto, MulTInto, MulBTInto, the XtX update
-// (SymOuterAdd and MirrorUpper) and SolveSPDInto must perform zero
+// (SymOuterAdd and MirrorUpper), AXPY4 and SolveSPDInto must perform zero
 // allocations per call. The gate measures the dispatch path, so it forces
 // sequential mode: the truly-parallel path inevitably
 // allocates for its worker goroutines (on every kernel, including
@@ -38,6 +38,7 @@ func TestInPlaceKernelsZeroAllocs(t *testing.T) {
 		{"MulTInto", func() { a.MulTInto(b, out) }},
 		{"MulBTInto", func() { a.MulBTInto(b, out) }},
 		{"SymOuterAdd+MirrorUpper", func() { SymOuterAdd(out, b.Data); MirrorUpper(out) }},
+		{"AXPY4", func() { AXPY4(1, 2, 3, 4, a.Row(0), a.Row(1), a.Row(2), a.Row(3), out.Row(0)) }},
 		{"SolveSPDInto", func() {
 			if err := SolveSPDInto(spd, rhs, sol, &ws); err != nil {
 				t.Fatal(err)

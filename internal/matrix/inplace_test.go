@@ -1,6 +1,7 @@
 package matrix
 
 import (
+	"fmt"
 	"math"
 	"strconv"
 	"testing"
@@ -246,6 +247,37 @@ func TestSolveSPDIntoMatchesSolveSPDAndReusesScratch(t *testing.T) {
 		t.Fatal(err)
 	}
 	bitsEqual(t, "SolveSPDInto", out, want)
+
+	// Four right-hand sides go per sweep of the factor: every remainder, and
+	// the serve fit's 1000 rows, must match CholeskySolveInto row by row, on
+	// one worker and on four.
+	for _, n := range []int{6, 50} {
+		g := randDense(n, n, 13)
+		spd := g.MulT(g).AddScaledIdentity(1.5)
+		l, err := Cholesky(spd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rows := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 1000} {
+			rhs := randDense(rows, n, uint64(rows))
+			want := NewDense(rows, n)
+			y := make([]float64, n)
+			for i := 0; i < rows; i++ {
+				CholeskySolveInto(l, rhs.Row(i), y, want.Row(i))
+			}
+			for _, workers := range []int{1, 4} {
+				parallel.SetWorkers(workers)
+				var ws SPDWorkspace
+				got := NewDense(rows, n)
+				err := SolveSPDInto(spd, rhs, got, &ws)
+				parallel.SetWorkers(0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				bitsEqual(t, fmt.Sprintf("SolveSPDInto n=%d rows=%d workers=%d", n, rows, workers), got, want)
+			}
+		}
+	}
 
 	// Warm workspace: repeated same-size solves must not allocate. Force the
 	// pool sequential so goroutine scheduling doesn't count against us.

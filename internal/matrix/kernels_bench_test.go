@@ -2,6 +2,7 @@ package matrix
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"spca/internal/parallel"
@@ -93,8 +94,13 @@ func BenchmarkKernelsSymEigen(b *testing.B) {
 // XtXUpdate and MulBTInto time the two hottest loops of an EM iteration at
 // perfbench's shape, with the pool sequential so they read the loop alone at
 // 0 allocs/op: XtXUpdate folds one block of 256 latent rows (d = 50, the
-// local pass's block) into XtX and mirrors it; MulBTInto forms one block of
-// the sampled error's images X·Cᵀ (16 rows, d = 50, D = 2000).
+// local pass's block) into XtX and mirrors it; MulBTInto forms X·Cᵀ for one
+// block of 16 rows (d = 50, D = 2000). The last three cases time the row
+// kernels the same way: AXPY4 at d = 50 (1024 calls per op); LatentRows,
+// the latent rows of 2000 Tweets-like rows (about 8 nonzeros each over
+// D = 2000, popular columns more often) at d = 50, four nonzeros per AXPY4
+// as the EM row kernel takes them; and SolveSPDIntoServeFit, the M-step
+// solve at the served model's shape (1000 right-hand sides, d = 50).
 func BenchmarkKernelsInPlace(b *testing.B) {
 	rng := NewRNG(7)
 	const n = 192
@@ -151,4 +157,87 @@ func BenchmarkKernelsInPlace(b *testing.B) {
 			}
 		}
 	})
+	b.Run("AXPY4", func(b *testing.B) {
+		xs, y := NormRnd(rng, 4, 50), make([]float64, 50)
+		parallel.SetSequential(true)
+		defer parallel.SetSequential(false)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for range 1024 { // one op is 1024 calls, so the timer's resolution does not show
+				benchAXPY4(0.5, -0.25, 0.125, 2, xs.Row(0), xs.Row(1), xs.Row(2), xs.Row(3), y)
+			}
+		}
+	})
+	b.Run("LatentRows", func(b *testing.B) {
+		const rows, dims, d = 2000, 2000, 50
+		sp := tweetsLikeRows(rng, rows, dims)
+		cm, xs := NormRnd(rng, dims, d), NewDense(rows, d)
+		parallel.SetSequential(true)
+		defer parallel.SetSequential(false)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for r := 0; r < rows; r++ {
+				row, xi := sp.Row(r), xs.Row(r)
+				clear(xi)
+				k := 0
+				for ; k+4 <= len(row.Indices); k += 4 {
+					idx, v := row.Indices[k:k+4], row.Values[k:k+4]
+					benchAXPY4(v[0], v[1], v[2], v[3], cm.Row(idx[0]), cm.Row(idx[1]), cm.Row(idx[2]), cm.Row(idx[3]), xi)
+				}
+				for ; k < len(row.Indices); k++ {
+					AXPY(row.Values[k], cm.Row(row.Indices[k]), xi)
+				}
+			}
+		}
+	})
+	b.Run("SolveSPDIntoServeFit", func(b *testing.B) {
+		g := NormRnd(rng, 50, 50)
+		spd := g.MulT(g).AddScaledIdentity(50)
+		rhs, sol := NormRnd(rng, 1000, 50), NewDense(1000, 50)
+		var ws SPDWorkspace
+		parallel.SetSequential(true)
+		defer parallel.SetSequential(false)
+		if err := SolveSPDInto(spd, rhs, sol, &ws); err != nil { // warm the workspace
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := SolveSPDInto(spd, rhs, sol, &ws); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// benchAXPY4 is y += a0·x0 + a1·x1 + a2·x2 + a3·x3, added in that order.
+func benchAXPY4(a0, a1, a2, a3 float64, x0, x1, x2, x3, y []float64) {
+	AXPY4(a0, a1, a2, a3, x0, x1, x2, x3, y)
+}
+
+// tweetsLikeRows draws n sparse rows over dims columns with 4–12 distinct
+// nonzeros each (about 8), a column's chance falling with its index.
+func tweetsLikeRows(rng *RNG, n, dims int) *Sparse {
+	sb := NewSparseBuilder(dims)
+	seen := make([]bool, dims)
+	for i := 0; i < n; i++ {
+		var idx []int
+		for nnz := 4 + rng.Intn(9); len(idx) < nnz; {
+			u := rng.Float64()
+			if j := int(float64(dims) * u * u * u); !seen[j] {
+				seen[j] = true
+				idx = append(idx, j)
+			}
+		}
+		slices.Sort(idx)
+		vals := make([]float64, len(idx))
+		for k, j := range idx {
+			seen[j] = false
+			vals[k] = 1
+		}
+		sb.AddRow(idx, vals)
+	}
+	return sb.Build()
 }

@@ -46,9 +46,37 @@ func TestReduceSumVecReturnsFreshSlice(t *testing.T) {
 	}
 }
 
+// TestReduceSumVecMatchesAXPYLoop holds reduceSumVec's four-value sweep to a
+// per-value AXPY loop, bit for bit, at 1–9 values, and its op charge to one
+// op per element of every value.
+func TestReduceSumVecMatchesAXPYLoop(t *testing.T) {
+	rng := matrix.NewRNG(43)
+	const d = 13
+	for n := 1; n <= 9; n++ {
+		vs := make([][]float64, n)
+		for i := range vs {
+			vs[i] = matrix.NormRnd(rng, 1, d).Data
+		}
+		var ops countOps
+		got := reduceSumVec(0, vs, &ops)
+		want := make([]float64, d)
+		for _, v := range vs {
+			matrix.AXPY(1, v, want)
+		}
+		sameBits(t, "reduceSumVec", got, want)
+		if ops != countOps(n*d) {
+			t.Fatalf("%d values: charged %d ops, want %d", n, ops, n*d)
+		}
+	}
+}
+
 type nopOps struct{}
 
 func (nopOps) AddOps(int64) {}
+
+type countOps int64
+
+func (c *countOps) AddOps(n int64) { *c += countOps(n) }
 
 // retainMapper emits one shared accumulator slice per task — the in-mapper
 // combining pattern — and keeps a reference to it after Cleanup, modelling a

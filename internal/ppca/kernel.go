@@ -24,8 +24,22 @@ func latentRow(row matrix.SparseVector, em *emDriver, meanProp bool, xi []float6
 	} else {
 		clear(xi)
 	}
-	for k, j := range row.Indices {
-		matrix.AXPY(row.Values[k], em.cm.Row(j), xi)
+	addRows(row, em.cm, xi)
+}
+
+// addRows adds Σ y_j·M_j over row's nonzeros y_j into out, in nonzero
+// order: four nonzeros per AXPY4, then the rest one AXPY each. Every element
+// of out sees the additions of a per-nonzero AXPY loop in the same order, so
+// the sum is bit-identical to one.
+func addRows(row matrix.SparseVector, m *matrix.Dense, out []float64) {
+	idx, vals := row.Indices, row.Values[:len(row.Indices)]
+	k := 0
+	for ; k+4 <= len(idx); k += 4 {
+		matrix.AXPY4(vals[k], vals[k+1], vals[k+2], vals[k+3],
+			m.Row(idx[k]), m.Row(idx[k+1]), m.Row(idx[k+2]), m.Row(idx[k+3]), out)
+	}
+	for ; k < len(idx); k++ {
+		matrix.AXPY(vals[k], m.Row(idx[k]), out)
 	}
 }
 
@@ -77,9 +91,7 @@ func (s *rowScratch) ss3Term(row matrix.SparseVector, c *matrix.Dense, assoc boo
 	nnz, d := int64(row.NNZ()), int64(len(s.xi))
 	if assoc {
 		clear(s.ct)
-		for k, j := range row.Indices {
-			matrix.AXPY(row.Values[k], c.Row(j), s.ct)
-		}
+		addRows(row, c, s.ct)
 		return matrix.Dot(s.xi, s.ct), 2*nnz*d + d
 	}
 	if len(s.xc) != c.R {
