@@ -24,8 +24,12 @@ cross:
 	GOARCH=arm64 $(GO) vet ./...
 	GOARCH=386 $(GO) build ./...
 
+# The rdd accumulator folds each task's value once every lower-numbered task
+# is folded: at one worker it never waits, at four tasks finish out of order.
+# Run the engines that lean on it at both.
 test:
 	$(GO) test ./...
+	$(GO) test -count=1 -cpu 1,4 ./internal/rdd ./internal/ppca
 
 # The two distributed engines run real goroutines; keep them race-clean,
 # along with the kernel worker pool, the EM and sketch engines that fan out

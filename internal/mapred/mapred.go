@@ -29,9 +29,9 @@ import (
 	"sort"
 	"strconv"
 	"sync"
-	"sync/atomic"
 
 	"spca/internal/cluster"
+	"spca/internal/parallel"
 	"spca/internal/trace"
 )
 
@@ -474,25 +474,6 @@ func partPayload[K comparable, R any](kbf func(K) int64, rbf func(R) int64, keys
 	return total, dig.Sum()
 }
 
-// runTasks runs fn for every task in [0, n) on at most workers goroutines,
-// each claiming the next task from a shared counter. Fault draws are keyed
-// by (phase, task, attempt), so which worker runs a task changes no charge.
-func runTasks(n, workers int, fn func(task int)) {
-	workers = min(workers, n)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for t := int(next.Add(1)) - 1; t < n; t = int(next.Add(1)) - 1 {
-				fn(t)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
 // sortKeys puts keys in the order the reduce partitioner splits: the string
 // order of fmt.Sprint, so runs are deterministic regardless of map
 // iteration. Int keys (every job's keys but the string-keyed tests') are
@@ -571,7 +552,9 @@ func Run[I any, K comparable, V any, R any](e *Engine, job Job[I, K, V, R], inpu
 	}
 	mapRecs := make([]taskRecord, splits)
 	mapWalk := func(t int) (int64, uint64) { return st.payload(t, kbf, vbf) }
-	runTasks(splits, e.Cluster.TotalCores(), func(t int) {
+	// Fault draws are keyed by (phase, task, attempt), so which worker runs a
+	// task changes no charge.
+	parallel.Tasks(splits, e.Cluster.TotalCores(), func(t int) {
 		split := input[t*len(input)/splits : (t+1)*len(input)/splits]
 		mapRecs[t].attempts(plan, mapPhase, t, maxAtt, func() int64 {
 			em, ops := st.emitter(t)
@@ -656,7 +639,7 @@ func Run[I any, K comparable, V any, R any](e *Engine, job Job[I, K, V, R], inpu
 		return partPayload(kbf, rbf, keys[lo:hi], rs[lo:hi])
 	}
 	st.reducers(redTasks)
-	runTasks(redTasks, min(reducers, e.Cluster.TotalCores()), func(t int) {
+	parallel.Tasks(redTasks, min(reducers, e.Cluster.TotalCores()), func(t int) {
 		lo, hi := part(t)
 		oc := &ocs[t]
 		redRecs[t].attempts(plan, redPhase, t, maxAtt, func() int64 {

@@ -30,6 +30,9 @@ type mulBody struct {
 
 var mulBodies = parallel.NewPool(func() *mulBody { return new(mulBody) })
 
+// Run gathers each row's nonzero coefficients in ascending k and adds their
+// terms four per AXPY4, the last few one axpy each: every output element
+// sums the same terms in the same order as one axpy per nonzero.
 func (t *mulBody) Run(lo, hi int) {
 	m, b, out, kBlock := t.m, t.b, t.out, t.kBlock
 	for k0 := 0; k0 < m.C; k0 += kBlock {
@@ -40,12 +43,21 @@ func (t *mulBody) Run(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			arow := m.Row(i)
 			orow := out.Row(i)
+			var ks [4]int
+			n := 0
 			for k := k0; k < k1; k++ {
-				a := arow[k]
-				if a == 0 {
+				if arow[k] == 0 {
 					continue // semantic, not only speed: 0·Inf would be NaN
 				}
-				axpy(a, b.Row(k), orow)
+				ks[n] = k
+				if n++; n == 4 {
+					AXPY4(arow[ks[0]], arow[ks[1]], arow[ks[2]], arow[ks[3]],
+						b.Row(ks[0]), b.Row(ks[1]), b.Row(ks[2]), b.Row(ks[3]), orow)
+					n = 0
+				}
+			}
+			for _, k := range ks[:n] {
+				axpy(arow[k], b.Row(k), orow)
 			}
 		}
 	}
@@ -104,18 +116,43 @@ type mulTBody struct {
 
 var mulTBodies = parallel.NewPool(func() *mulTBody { return new(mulTBody) })
 
+// Run takes four rows i per pass: where all four coefficients at k are
+// nonzero their terms go through one AXPY4, otherwise the nonzero ones go
+// one axpy each, in row order. Every output element sums its terms over i in
+// ascending order either way.
 func (t *mulTBody) Run(lo, hi int) {
 	m, b, out := t.m, t.b, t.out
-	for i := 0; i < m.R; i++ {
+	i := 0
+	for ; i+4 <= m.R; i += 4 {
+		a0r, a1r, a2r, a3r := m.Row(i)[:hi], m.Row(i + 1)[:hi], m.Row(i + 2)[:hi], m.Row(i + 3)[:hi]
+		b0, b1, b2, b3 := b.Row(i), b.Row(i+1), b.Row(i+2), b.Row(i+3)
+		for k := lo; k < hi; k++ {
+			a0, a1, a2, a3 := a0r[k], a1r[k], a2r[k], a3r[k]
+			orow := out.Row(k)
+			if a0 == 0 || a1 == 0 || a2 == 0 || a3 == 0 {
+				mulTTerm(orow, a0, b0)
+				mulTTerm(orow, a1, b1)
+				mulTTerm(orow, a2, b2)
+				mulTTerm(orow, a3, b3)
+				continue
+			}
+			AXPY4(a0, a1, a2, a3, b0, b1, b2, b3, orow)
+		}
+	}
+	for ; i < m.R; i++ {
 		arow := m.Row(i)
 		brow := b.Row(i)
 		for k := lo; k < hi; k++ {
-			a := arow[k]
-			if a == 0 {
-				continue // semantic, not only speed: 0·Inf would be NaN
-			}
-			axpy(a, brow, out.Row(k))
+			mulTTerm(out.Row(k), arow[k], brow)
 		}
+	}
+}
+
+// mulTTerm is one term of mulTBody: orow += a·brow, skipped when a is 0
+// (semantic, not only speed: 0·Inf would be NaN).
+func mulTTerm(orow []float64, a float64, brow []float64) {
+	if a != 0 {
+		axpy(a, brow, orow)
 	}
 }
 

@@ -24,8 +24,7 @@ func TestInPlaceKernelsZeroAllocs(t *testing.T) {
 	a := NormRnd(rng, n, n)
 	b := NormRnd(rng, n, n)
 	out := NewDense(n, n)
-	spd := a.MulT(a)
-	spd.AddScaledIdentity(float64(n))
+	spd := a.MulT(a).AddScaledIdentity(float64(n))
 	rhs := NormRnd(rng, 16, n)
 	sol := NewDense(16, n)
 	var ws SPDWorkspace

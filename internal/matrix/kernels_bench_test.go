@@ -101,6 +101,9 @@ func BenchmarkKernelsSymEigen(b *testing.B) {
 // D = 2000, popular columns more often) at d = 50, four nonzeros per AXPY4
 // as the EM row kernel takes them; and SolveSPDIntoServeFit, the M-step
 // solve at the served model's shape (1000 right-hand sides, d = 50).
+// MulIntoServe times the served transform's product, sequential: 1 or 4
+// Tweets-like rows (about 8 nonzeros in D = 1000) travelling dense, times
+// the 1000×50 projection, 256 products per op.
 func BenchmarkKernelsInPlace(b *testing.B) {
 	rng := NewRNG(7)
 	const n = 192
@@ -141,8 +144,7 @@ func BenchmarkKernelsInPlace(b *testing.B) {
 		}
 	})
 	b.Run("SolveSPDInto", func(b *testing.B) {
-		spd := a.MulT(a)
-		spd.AddScaledIdentity(float64(n))
+		spd := a.MulT(a).AddScaledIdentity(float64(n))
 		rhs := NormRnd(rng, 64, n)
 		sol := NewDense(64, n)
 		var ws SPDWorkspace
@@ -210,6 +212,28 @@ func BenchmarkKernelsInPlace(b *testing.B) {
 			}
 		}
 	})
+	for _, rows := range []int{1, 4} {
+		b.Run(fmt.Sprintf("MulIntoServe/rows=%d", rows), func(b *testing.B) {
+			const dims, d = 1000, 50
+			sp := tweetsLikeRows(rng, rows, dims)
+			y, p, out := NewDense(rows, dims), NormRnd(rng, dims, d), NewDense(rows, d)
+			for r := 0; r < rows; r++ {
+				row := sp.Row(r)
+				for k, j := range row.Indices {
+					y.Set(r, j, row.Values[k])
+				}
+			}
+			parallel.SetSequential(true)
+			defer parallel.SetSequential(false)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for range 256 {
+					y.MulInto(p, out)
+				}
+			}
+		})
+	}
 }
 
 // benchAXPY4 is y += a0·x0 + a1·x1 + a2·x2 + a3·x3, added in that order.

@@ -162,3 +162,32 @@ func (c *claims[B]) loop(w int) {
 		c.b.run(w, lo, min(lo+c.chunk, c.n))
 	}
 }
+
+// Tasks runs fn(t) for every task t in [0, n) on at most workers
+// goroutines, and returns when all have run. Each worker claims the next
+// index from a shared counter, so tasks start in ascending order, one at a
+// time: unlike For's chunks, a task that finishes late holds back only
+// itself. At one worker the tasks run inline, in order. The engines run
+// their map tasks and partitions on it; the abort flag is not consulted,
+// since every task's result is kept.
+func Tasks(n, workers int, fn func(task int)) {
+	workers = min(workers, n)
+	if workers <= 1 {
+		for t := 0; t < n; t++ {
+			fn(t)
+		}
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for t := int(next.Add(1)) - 1; t < n; t = int(next.Add(1)) - 1 {
+				fn(t)
+			}
+		}()
+	}
+	wg.Wait()
+}

@@ -3,8 +3,10 @@ package ppca
 import (
 	"testing"
 
+	"spca/internal/accuracy"
 	"spca/internal/cluster"
 	"spca/internal/dataset"
+	"spca/internal/driver"
 	"spca/internal/mapred"
 	"spca/internal/matrix"
 	"spca/internal/parallel"
@@ -81,7 +83,7 @@ func TestSS3MapperMapZeroAllocSteadyState(t *testing.T) {
 // out with into) allocates nothing once the target has claimed its rows.
 func TestPartialMergeIntoZeroAllocSteadyState(t *testing.T) {
 	y, em := allocTestDriver(t, 60, 24, 4)
-	parts := newPartials(3, em.d, y.C)
+	parts := []*partial{newPartial(em.d, y.C), newPartial(em.d, y.C), newPartial(em.d, y.C)}
 	for i := 0; i < y.R; i++ {
 		p := parts[i%len(parts)]
 		p.add(p.latent(y.Row(i), em, true), p.xi)
@@ -147,12 +149,14 @@ func (f allocFit) allocs(t *testing.T, iters int) float64 {
 }
 
 // TestFitAllocBounds bounds a whole three-iteration fit's allocations on
-// each distributed engine. A Spark fit makes 3.1k allocations and a
-// MapReduce fit 7.3k; 3.9k and 8.0k while the sampled error allocated once
-// per sampled row. With map-keyed Spark partials, a freelist and vector
-// stealing, BenchmarkFit*Pooled read 21.7k and 8.2k allocs/op.
+// each distributed engine. AllocsPerRun runs the fit at GOMAXPROCS 1, so
+// Spark's tasks run inline and share one pooled partial: a Spark fit makes
+// ~835 allocations (3.1k with a partial per partition) and a MapReduce fit
+// 7.1k; 3.9k and 8.0k while the sampled error allocated once per sampled
+// row. With map-keyed Spark partials, a freelist and vector stealing,
+// BenchmarkFit*Pooled read 21.7k and 8.2k allocs/op.
 func TestFitAllocBounds(t *testing.T) {
-	max := map[string]float64{"spark": 3400, "mapreduce": 7600}
+	max := map[string]float64{"spark": 900, "mapreduce": 7600}
 	for _, c := range allocFits() {
 		allocs := c.allocs(t, 3)
 		t.Logf("%s fit: %v allocations", c.name, allocs)
@@ -164,16 +168,47 @@ func TestFitAllocBounds(t *testing.T) {
 
 // TestFitAllocsPerIteration bounds what one more EM iteration allocates on
 // each distributed engine: a four-iteration fit minus a three-iteration one.
-// It reads 557 on Spark and 1013 on MapReduce. Graded row by row, the
-// sampled error made one more allocation per sampled row (256), and the
-// difference read 813 and 1271.
+// It reads 20 on Spark (557 while each partition held its own partial) and
+// 1013 on MapReduce. Graded row by row, the sampled error made one more
+// allocation per sampled row (256), and the difference read 813 and 1271.
 func TestFitAllocsPerIteration(t *testing.T) {
-	max := map[string]float64{"spark": 600, "mapreduce": 1070}
+	max := map[string]float64{"spark": 40, "mapreduce": 1070}
 	for _, c := range allocFits() {
 		extra := c.allocs(t, 4) - c.allocs(t, 3)
 		t.Logf("%s: %v allocations per extra iteration", c.name, extra)
 		if extra > max[c.name] {
 			t.Errorf("%s: one more iteration allocated %v times, want at most %v", c.name, extra, max[c.name])
+		}
+	}
+}
+
+// TestSparkFitPoolsPartials: at one worker each Spark task's partial is
+// folded into the YtX accumulator as soon as the task merges it and goes
+// back to the pool, so a whole fit's tasks take turns with one pooled
+// partial. The accumulator's fold target is the only other one. The fit is
+// FitSpark's EM loop on FitSpark's engine; at the pool's default width
+// (GOMAXPROCS workers) the count depends on the schedule and is logged.
+func TestSparkFitPoolsPartials(t *testing.T) {
+	defer parallel.SetWorkers(0)
+	y := dataset.MustGenerate(dataset.Spec{Kind: dataset.KindTweets, Rows: 2000, Cols: 500, Seed: 1})
+	rows := dataset.Rows(y)
+	opt := DefaultOptions(10)
+	opt.MaxIter, opt.Tol = 3, 0
+	mean := y.ColMeans()
+	for _, workers := range []int{1, 0} {
+		parallel.SetWorkers(workers)
+		ctx := rdd.NewContext(cluster.MustNew(cluster.DefaultConfig()))
+		yr := rdd.Parallelize(ctx, "Y", rows, mapred.BytesOfSparseVec).Persist()
+		em := newEMDriver(opt, len(rows), y.C, mean, y.CenteredFrobeniusSq(mean))
+		e := newSparkEngine(ctx, yr, y.C, opt)
+		run := driver.New("spca-spark", opt.Options, ctx.Cluster(), ctx)
+		if _, err := em.fit(run, e, accuracy.Draw(rows, y.C, accuracy.Seed(opt.Seed))); err != nil {
+			t.Fatal(err)
+		}
+		made := e.parts.made.Load()
+		t.Logf("%d workers: %d pooled partials over %d partitions", parallel.Workers(), made, yr.NumPartitions())
+		if workers == 1 && made != 1 {
+			t.Errorf("a one-worker Spark fit allocated %d pooled partials, want 1", made)
 		}
 	}
 }

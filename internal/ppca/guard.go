@@ -186,6 +186,7 @@ func (em *emDriver) observeDivergence(stat *IterationStat, opt Options, hist []I
 	}
 	if em.haveBest && em.rising >= opt.DivergeWindow {
 		copy(em.c.Data, em.bestC.Data)
+		em.ctcValid = false
 		em.ss = em.bestSS
 		em.ridgeLevel++
 		em.rising = 0
@@ -298,6 +299,7 @@ func (em *emDriver) buildSnapshot(iter int, res *Result) *checkpoint.Snapshot {
 // already restored and charged the clock.
 func (em *emDriver) restore(snap *checkpoint.Snapshot, res *Result) {
 	copy(em.c.Data, snap.C.Data)
+	em.ctcValid = false
 	em.ss = snap.SS
 	em.ridgeLevel = snap.RidgeLevel
 	em.rising = snap.Rising

@@ -293,3 +293,46 @@ func TestGuardArmedDeterministic(t *testing.T) {
 		t.Fatal("guard-armed fit is not deterministic")
 	}
 }
+
+// TestPrepareFormsCtCAfterRollback: prepare starts M from the CᵀC that
+// update formed for the new C, so a rollback, which writes C, must make the
+// next prepare form CᵀC again. M must equal a fresh CᵀC + ss·I bit for bit
+// after a plain iteration and after a rollback.
+func TestPrepareFormsCtCAfterRollback(t *testing.T) {
+	rng := matrix.NewRNG(5)
+	y := randomSparseMat(rng, 60, 24, 0.3)
+	opt := DefaultOptions(4)
+	opt.DivergeWindow = 1
+	mean := y.ColMeans()
+	em := newEMDriver(opt, y.R, y.C, mean, y.CenteredFrobeniusSq(mean))
+	scr := newLocalScratch(y.C, em.d)
+	var hist []IterationStat
+	iterate := func(errV float64) {
+		if err := em.prepare(); err != nil {
+			t.Fatal(err)
+		}
+		cNew, err := em.update(localPass(y, em, scr))
+		if err != nil {
+			t.Fatal(err)
+		}
+		em.finishVariance(localSS3(y, em, cNew, scr))
+		s := IterationStat{Iter: len(hist) + 1, Err: errV}
+		em.observeDivergence(&s, opt, hist)
+		hist = append(hist, s)
+	}
+	checkM := func(name string) {
+		if err := em.prepare(); err != nil {
+			t.Fatal(err)
+		}
+		want := em.c.MulT(em.c)
+		addDiag(want, em.ss)
+		sameBits(t, name, em.mWork.Data, want.Data)
+	}
+	iterate(1)
+	checkM("M after an iteration")
+	iterate(2) // the error rose: back to the first iteration's C
+	if !hist[1].Rollback {
+		t.Fatal("a rise over a one-iteration window did not roll back")
+	}
+	checkM("M after a rollback")
+}

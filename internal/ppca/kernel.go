@@ -2,9 +2,11 @@ package ppca
 
 import (
 	"math/bits"
+	"sync/atomic"
 
 	"spca/internal/mapred"
 	"spca/internal/matrix"
+	"spca/internal/parallel"
 )
 
 // The per-row math of sPCA's consolidated pass (Alg. 4/5, §3.2), written
@@ -111,13 +113,19 @@ const blockFloats = 4096
 
 // partial is one task's share of the consolidated pass: Σ Yiᵀ·Xi_c over the
 // columns its rows touch, Σ Xi_cᵀ·Xi_c and Σ Xi_c, plus the task's row
-// scratch. Engines keep one per task for the whole fit and reuse it for the
-// ss3 pass: MapReduce's mappers emit it, Spark's accumulator merges it, and
-// the local and streaming engines copy it out.
+// scratch. The distributed engines hand them out from a per-fit
+// partialPool: MapReduce's mappers emit one and return it, Spark's tasks
+// merge one into the accumulator, which returns it. The local and streaming
+// engines keep one for the fit and copy it out.
 //
 // YtX rows are claimed on first touch from fixed blocks indexed by claim
 // order. Blocks are kept across passes, so a claimed row never moves and
 // growth never copies; only claimed rows are emitted, merged or charged.
+//
+// XtX takes the latent rows four at a time: add copies each row into buf,
+// and flush sweeps the buffered rows through SymOuterAdd, whose four-row
+// sweep adds every element's terms in row order, bit-identical to one call
+// per row. Everything that reads XtX flushes first.
 type partial struct {
 	rowScratch
 	d       int
@@ -127,40 +135,47 @@ type partial struct {
 	blocks  [][]float64  // YtX rows, claim order
 	xtx     matrix.Dense // d x d
 	sumX    []float64
+	buf     []float64 // up to four latent rows not yet in XtX, 4·d
+	nbuf    int       // rows in buf
 }
 
-func newPartial(d, dims int) *partial { return newPartials(1, d, dims)[0] }
-
-// newPartials makes one partial per task. Their fixed-size buffers are
-// carved from shared arenas, so a fit's partials cost a handful of
-// allocations rather than several per task; the row blocks come on demand.
-func newPartials(tasks, d, dims int) []*partial {
-	ps := make([]*partial, tasks)
-	all := make([]partial, tasks)
-	floats := make([]float64, tasks*(d*d+3*d))
-	ints := make([]int32, tasks*2*dims)
-	for j := range ints {
-		ints[j] = -1
-	}
+// newPartial makes an empty partial. Its float buffers share one
+// allocation; the row blocks come on demand.
+func newPartial(d, dims int) *partial {
+	floats := make([]float64, d*d+7*d)
 	carve := func(n int) []float64 {
 		v := floats[:n:n]
 		floats = floats[n:]
 		return v
 	}
-	shift := uint(bits.Len(uint(max(blockFloats/d, 1))) - 1)
-	nb := (dims + 1<<shift - 1) >> shift // blocks a task can claim
-	blocks := make([][]float64, tasks*nb)
-	for t := range ps {
-		p := &all[t]
-		p.d, p.shift = d, shift
-		p.xtx = matrix.Dense{R: d, C: d, Data: carve(d * d)}
-		p.sumX, p.xi, p.ct = carve(d), carve(d), carve(d)
-		p.off, p.touched = ints[:dims:dims], ints[dims:dims:2*dims]
-		p.blocks = blocks[t*nb : t*nb : (t+1)*nb]
-		ints = ints[2*dims:]
-		ps[t] = p
+	ints := make([]int32, 2*dims)
+	for j := range ints[:dims] {
+		ints[j] = -1
 	}
-	return ps
+	shift := uint(bits.Len(uint(max(blockFloats/d, 1))) - 1)
+	p := &partial{d: d, shift: shift}
+	p.xtx = matrix.Dense{R: d, C: d, Data: carve(d * d)}
+	p.sumX, p.xi, p.ct, p.buf = carve(d), carve(d), carve(d), carve(4*d)
+	p.off, p.touched = ints[:dims:dims], ints[dims:dims:2*dims]
+	p.blocks = make([][]float64, 0, (dims+1<<shift-1)>>shift)
+	return p
+}
+
+// partialPool hands out one fit's task partials and takes them back, so a
+// fit allocates only as many as its tasks hold at once; made counts them.
+// Values come back as their last user left them: reset before use.
+type partialPool struct {
+	*parallel.Pool[*partial]
+	made atomic.Int64
+}
+
+func newPartialPool(d, dims int) *partialPool {
+	pp := new(partialPool)
+	pp.Pool = parallel.NewPool(func() *partial {
+		pp.made.Add(1)
+		return newPartial(d, dims)
+	})
+	return pp
 }
 
 // reset empties the partial for a new pass or task attempt. The blocks stay.
@@ -171,6 +186,7 @@ func (p *partial) reset() {
 	p.touched = p.touched[:0]
 	p.xtx.Zero()
 	clear(p.sumX)
+	p.nbuf = 0
 }
 
 // row returns column j's YtX row, claiming a zeroed one on first touch.
@@ -207,19 +223,34 @@ func (p *partial) scatter(row matrix.SparseVector, xi []float64) int64 {
 }
 
 // add folds one row with latent row xi into YtX, XtX and ΣX and returns its
-// op charge. A row without entries adds only XtX and ΣX. XtX fills only its
-// upper triangle; into, or the engine's assembly of the emitted partials,
-// mirrors it once per pass. The charge is that of the full d×d update.
+// op charge. A row without entries adds only XtX and ΣX. xi joins the XtX
+// buffer, which goes through SymOuterAdd once it holds four rows. XtX fills
+// only its upper triangle; into, or the engine's assembly of the emitted
+// partials, mirrors it once per pass. The charge is that of the full d×d
+// update.
 func (p *partial) add(row matrix.SparseVector, xi []float64) int64 {
 	ops := p.scatter(row, xi)
-	matrix.SymOuterAdd(&p.xtx, xi)
+	copy(p.buf[p.nbuf*p.d:(p.nbuf+1)*p.d], xi)
+	if p.nbuf++; p.nbuf == 4 {
+		p.flush()
+	}
 	matrix.AXPY(1, xi, p.sumX)
 	d := int64(p.d)
 	return 2*ops + d*d + d
 }
 
+// flush adds the buffered latent rows to XtX, in the order they came.
+func (p *partial) flush() {
+	if p.nbuf > 0 {
+		matrix.SymOuterAdd(&p.xtx, p.buf[:p.nbuf*p.d])
+		p.nbuf = 0
+	}
+}
+
 // merge adds o into p, claiming o's columns in o's claim order.
 func (p *partial) merge(o *partial) {
+	p.flush()
+	o.flush()
 	for _, j := range o.touched {
 		matrix.AXPY(1, o.row(int(j)), p.row(int(j)))
 	}
@@ -237,6 +268,7 @@ func (p *partial) bytes() int64 {
 // into overwrites s with the partial's sums, XtX mirrored to the full
 // matrix, and returns it.
 func (p *partial) into(s jobSums) jobSums {
+	p.flush()
 	s.ytx.Zero()
 	for _, j := range p.touched {
 		copy(s.ytx.Row(int(j)), p.row(int(j)))
@@ -254,6 +286,13 @@ func (p *partial) emitRows(out mapred.Emitter[int, []float64]) {
 	for _, j := range p.touched {
 		out.Emit(int(j), p.row(int(j)))
 	}
+}
+
+// emitXtX flushes the XtX buffer and emits XtX and ΣX.
+func (p *partial) emitXtX(out mapred.Emitter[int, []float64]) {
+	p.flush()
+	out.Emit(keyXtX, p.xtx.Data)
+	out.Emit(keySumX, p.sumX)
 }
 
 // fnormPartial is one task's share of ||Y - Ym||²_F. MapReduce's FnormJob

@@ -77,3 +77,87 @@ func TestRowProductsMatchPerNonzeroAXPY(t *testing.T) {
 		}
 	}
 }
+
+// recEmitter keeps a copy of the last value emitted under each key.
+type recEmitter map[int][]float64
+
+func (r recEmitter) Emit(k int, v []float64) { r[k] = slices.Clone(v) }
+func (recEmitter) AddOps(int64)              {}
+
+// TestPartialXtXBufferMatchesPerRow: a partial takes XtX's latent rows four
+// at a time, and every reader of XtX sees what one SymOuterAdd per row
+// makes, bit for bit, at 0–9 rows (every remainder of the buffer): merge,
+// into an empty partial and into one with rows of its own still buffered;
+// into; and the XtX emits of ytxMapper and xtxMapper. A quarter of the
+// latent entries are zero, so SymOuterAdd's one-row path runs too.
+func TestPartialXtXBufferMatchesPerRow(t *testing.T) {
+	rng := matrix.NewRNG(43)
+	const dims, d = 40, 7
+	for n := 0; n <= 9; n++ {
+		rows := make([]matrix.SparseVector, n)
+		xs := make([][]float64, n)
+		want := matrix.NewDense(d, d)
+		for i := range rows {
+			rows[i] = kernelRow(rng, dims, rng.Intn(5))
+			xs[i] = make([]float64, d)
+			for k := range xs[i] {
+				if rng.Intn(4) > 0 {
+					xs[i][k] = rng.NormFloat64()
+				}
+			}
+			matrix.SymOuterAdd(want, xs[i])
+		}
+		fill := func(p *partial) *partial {
+			for i := range rows {
+				p.add(rows[i], xs[i])
+			}
+			return p
+		}
+		mirrored := want.Clone()
+		matrix.MirrorUpper(mirrored)
+		sameBits(t, "into", fill(newPartial(d, dims)).into(newJobSums(dims, d)).xtx.Data, mirrored.Data)
+
+		acc := newPartial(d, dims)
+		acc.merge(fill(newPartial(d, dims)))
+		sameBits(t, "merge", acc.xtx.Data, want.Data)
+		own := fill(newPartial(d, dims))
+		own.merge(fill(newPartial(d, dims)))
+		twice := want.Clone()
+		matrix.AXPY(1, want.Data, twice.Data)
+		sameBits(t, "merge into a buffered partial", own.xtx.Data, twice.Data)
+
+		pool := newPartialPool(d, dims)
+		m := &ytxMapper{p: pool.Get(), pool: pool}
+		m.p.reset()
+		fill(m.p)
+		out := recEmitter{}
+		m.Cleanup(out)
+		sameBits(t, "ytxMapper emit", out[keyXtX], want.Data)
+
+		xm := &xtxMapper{d: d}
+		out = recEmitter{}
+		for _, x := range xs {
+			xm.Map(pairYX{x: x}, out)
+		}
+		xm.Cleanup(out)
+		if n > 0 {
+			sameBits(t, "xtxMapper emit", out[keyXtX], want.Data)
+		}
+	}
+}
+
+// TestNaiveMapperEmitsFlushedXtX: the naive mapper emits each row's own
+// XtX, a single buffered row, so it must flush before the emit.
+func TestNaiveMapperEmitsFlushedXtX(t *testing.T) {
+	y, em := allocTestDriver(t, 8, 24, 4)
+	m := &ytxNaiveMapper{em: em, meanProp: true, p: newPartial(em.d, y.C)}
+	for i := 0; i < y.R; i++ {
+		out := recEmitter{}
+		m.Map(y.Row(i), out)
+		xi := make([]float64, em.d)
+		latentRow(y.Row(i), em, true, xi)
+		want := matrix.NewDense(em.d, em.d)
+		matrix.SymOuterAdd(want, xi)
+		sameBits(t, "ytxNaiveMapper emit", out[keyXtX], want.Data)
+	}
+}

@@ -168,6 +168,7 @@ func smartGuess(n, dims int, row func(int) matrix.SparseVector, opt Options, em 
 		cl.AddDriverCompute(int64(subOpt.MaxIter) * 2 * int64(sample.NNZ()) * int64(opt.Components))
 	}
 	em.c = res.Components
+	em.ctcValid = false
 	em.ss = res.SS
 	return nil
 }

@@ -64,11 +64,11 @@ func FitMapReduce(eng *mapred.Engine, rows []matrix.SparseVector, dims int, opt 
 		}
 	}
 
-	// Per-task partials, shared by the YtX and ss3 jobs, plus the driver-side
-	// job sums, allocated once and recycled every iteration.
+	// The mappers' partials, shared by the YtX and ss3 jobs, plus the
+	// driver-side job sums, allocated once and recycled every iteration.
 	return em.fit(run, &mrEngine{
 		eng: eng, rows: rows, dims: dims, opt: opt,
-		parts: newPartials(eng.NumSplits(len(rows)), em.d, dims),
+		parts: newPartialPool(em.d, dims),
 		// A stable spec pointer per job lets the engine's slab pool take its
 		// cheap same-spec reset path every iteration. The YtXJob's keys are
 		// [keySumX, dims) of d-wide rows, with the d²-wide XtX partial as a
@@ -88,7 +88,7 @@ type mrEngine struct {
 	rows             []matrix.SparseVector
 	dims             int
 	opt              Options
-	parts            []*partial // per map task
+	parts            *partialPool // the mappers' partials
 	ytxSpec, ss3Spec *mapred.DenseSpec
 	sums             jobSums
 }
@@ -149,9 +149,9 @@ func ytxJob(e *mrEngine, em *emDriver) (jobSums, error) {
 		Name: "YtXJob",
 		NewMapper: func(task int) mapred.Mapper[matrix.SparseVector, int, []float64] {
 			if e.opt.StatefulCombiner {
-				p := e.parts[task]
+				p := e.parts.Get()
 				p.reset()
-				return &ytxMapper{em: em, meanProp: meanProp, p: p}
+				return &ytxMapper{em: em, meanProp: meanProp, p: p, pool: e.parts}
 			}
 			return &ytxNaiveMapper{em: em, meanProp: meanProp, p: newPartial(em.d, e.dims)}
 		},
@@ -194,6 +194,7 @@ func (m *ytxNaiveMapper) Map(row matrix.SparseVector, out mapred.Emitter[int, []
 	p := m.p
 	p.reset()
 	out.AddOps(p.add(p.latent(row, m.em, m.meanProp), p.xi))
+	p.flush()
 	for _, j := range p.touched {
 		out.Emit(int(j), slices.Clone(p.row(int(j))))
 	}
@@ -270,11 +271,14 @@ func reduceSumVec(k int, vs [][]float64, o mapred.Ops) []float64 {
 }
 
 // ytxMapper is the stateful-combiner mapper of the YtXJob: it folds every
-// row of its task into the task's partial and flushes it from Cleanup.
+// row of its task into a partial from the pool and emits it from Cleanup.
+// The job's slab store copies every emit, so Cleanup then puts the partial
+// back.
 type ytxMapper struct {
 	em       *emDriver
 	meanProp bool
 	p        *partial
+	pool     *partialPool
 }
 
 func (m *ytxMapper) Map(row matrix.SparseVector, out mapred.Emitter[int, []float64]) {
@@ -284,8 +288,8 @@ func (m *ytxMapper) Map(row matrix.SparseVector, out mapred.Emitter[int, []float
 
 func (m *ytxMapper) Cleanup(out mapred.Emitter[int, []float64]) {
 	m.p.emitRows(out)
-	out.Emit(keyXtX, m.p.xtx.Data)
-	out.Emit(keySumX, m.p.sumX)
+	m.p.emitXtX(out)
+	m.pool.Put(m.p)
 }
 
 // ss3Job recomputes X on demand and accumulates Σ Xi_c·(Cᵀ·Yiᵀ), in the
@@ -294,7 +298,8 @@ func ss3Job(e *mrEngine, em *emDriver, cNew *matrix.Dense) (float64, error) {
 	job := mapred.Job[matrix.SparseVector, int, float64, float64]{
 		Name: "ss3Job",
 		NewMapper: func(task int) mapred.Mapper[matrix.SparseVector, int, float64] {
-			return &ss3Mapper{em: em, c: cNew, meanProp: e.opt.MeanPropagation, assoc: e.opt.AssociativeSS3, p: e.parts[task]}
+			return &ss3Mapper{em: em, c: cNew, meanProp: e.opt.MeanPropagation, assoc: e.opt.AssociativeSS3,
+				p: e.parts.Get(), pool: e.parts}
 		},
 		Combine:    sumFloat,
 		Reduce:     reduceSumFloat,
@@ -310,13 +315,14 @@ func ss3Job(e *mrEngine, em *emDriver, cNew *matrix.Dense) (float64, error) {
 	return out[keySS3], nil
 }
 
-// ss3Mapper sums its task's ss3 terms. It uses only the row scratch of the
-// task's partial, whose YtX rows the previous job already flushed.
+// ss3Mapper sums its task's ss3 terms. It uses only the row scratch of a
+// partial from the pool, and puts it back from Cleanup.
 type ss3Mapper struct {
 	em              *emDriver
 	c               *matrix.Dense
 	meanProp, assoc bool
 	p               *partial
+	pool            *partialPool
 	sum             float64
 }
 
@@ -326,7 +332,10 @@ func (m *ss3Mapper) Map(row matrix.SparseVector, out mapred.Emitter[int, float64
 	out.AddOps(ops)
 }
 
-func (m *ss3Mapper) Cleanup(out mapred.Emitter[int, float64]) { out.Emit(keySS3, m.sum) }
+func (m *ss3Mapper) Cleanup(out mapred.Emitter[int, float64]) {
+	out.Emit(keySS3, m.sum)
+	m.pool.Put(m.p)
+}
 
 // pairYX is the record type of the unoptimized pipeline, where the
 // materialized X must be read back alongside Y.
@@ -434,11 +443,9 @@ func (m *xtxMapper) Map(pr pairYX, out mapred.Emitter[int, []float64]) {
 }
 
 func (m *xtxMapper) Cleanup(out mapred.Emitter[int, []float64]) {
-	if m.p == nil {
-		return
+	if m.p != nil {
+		m.p.emitXtX(out)
 	}
-	out.Emit(keyXtX, m.p.xtx.Data)
-	out.Emit(keySumX, m.p.sumX)
 }
 
 // ytxJoinMapper folds Y joined with the stored X into YtX rows.

@@ -173,6 +173,10 @@ type emDriver struct {
 	ctc     *matrix.Dense // d x d: CᵀC for the ss2 trace
 	ctym    []float64     // d: Cᵀ·Ym
 	spdWS   matrix.SPDWorkspace
+	// ctcValid marks ctc as CᵀC of the current C, so the next prepare
+	// copies it instead of forming it again. update sets it; whatever else
+	// writes C (a rollback, a restore, SmartGuess) clears it.
+	ctcValid bool
 
 	// Numerical-guard state (see guard.go). ridgeLevel is the standing ridge
 	// escalation from divergence rollbacks; lastRidge and iterRidgeRetries
@@ -224,7 +228,11 @@ func newEMDriver(opt Options, n, dims int, mean []float64, ss1 float64) *emDrive
 // is applied to M's diagonal (equivalent to temporarily inflating ss).
 func (em *emDriver) prepare() error {
 	// M = CᵀC + ss·I, M⁻¹, CM = C·M⁻¹, all into driver scratch.
-	em.c.MulTInto(em.c, em.mWork)
+	if em.ctcValid {
+		copy(em.mWork.Data, em.ctc.Data)
+	} else {
+		em.c.MulTInto(em.c, em.mWork)
+	}
 	for i := 0; i < em.d; i++ {
 		em.mWork.Data[i*em.d+i] += em.ss
 	}
@@ -283,8 +291,10 @@ func (em *emDriver) update(s jobSums) (*matrix.Dense, error) {
 	em.c, em.cNext = em.cNext, em.c
 	cNew := em.c
 
-	// ss2 = trace(XtX · Cᵀ·C), without materializing the product.
+	// ss2 = trace(XtX · Cᵀ·C), without materializing the product. The next
+	// prepare starts M from the same CᵀC.
 	cNew.MulTInto(cNew, em.ctc)
+	em.ctcValid = true
 	em.pendingSS2 = matrix.TraceMul(xtx, em.ctc)
 	em.pendingSumX = s.sumX
 	return cNew, nil

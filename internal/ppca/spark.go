@@ -61,15 +61,7 @@ func FitSpark(ctx *rdd.Context, rows []matrix.SparseVector, dims int, opt Option
 		}
 	}
 
-	// Per-partition partials, shared by the YtX and ss3 passes, the YtX
-	// accumulator's fold target and the driver-side sums, allocated once and
-	// recycled every iteration.
-	return em.fit(run, &sparkEngine{
-		ctx: ctx, y: y, dims: dims, opt: opt,
-		parts: newPartials(y.NumPartitions(), em.d, dims),
-		acc:   newPartial(em.d, dims),
-		sums:  newJobSums(dims, em.d),
-	}, accuracy.Draw(rows, dims, accuracy.Seed(opt.Seed)))
+	return em.fit(run, newSparkEngine(ctx, y, dims, opt), accuracy.Draw(rows, dims, accuracy.Seed(opt.Seed)))
 }
 
 // sparkEngine adapts the RDD jobs to the shared guarded EM step.
@@ -78,9 +70,21 @@ type sparkEngine struct {
 	y     *rdd.RDD[matrix.SparseVector]
 	dims  int
 	opt   Options
-	parts []*partial // per partition
-	acc   *partial
+	parts *partialPool // the tasks' partials, shared by the YtX and ss3 passes
+	acc   *partial     // the YtX accumulator's fold target
 	sums  jobSums
+}
+
+// newSparkEngine allocates the engine's pass state once; it is recycled
+// every iteration.
+func newSparkEngine(ctx *rdd.Context, y *rdd.RDD[matrix.SparseVector], dims int, opt Options) *sparkEngine {
+	d := opt.Components
+	return &sparkEngine{
+		ctx: ctx, y: y, dims: dims, opt: opt,
+		parts: newPartialPool(d, dims),
+		acc:   newPartial(d, dims),
+		sums:  newJobSums(dims, d),
+	}
 }
 
 func (e *sparkEngine) prepared(em *emDriver) {
@@ -128,14 +132,24 @@ func mergePartial(into, from *partial) *partial {
 	return into
 }
 
+// foldPartial is the fold of the YtX accumulator: it merges a task's
+// partial and hands it back to the pool.
+func (e *sparkEngine) foldPartial(into, from *partial) *partial {
+	into.merge(from)
+	e.parts.Put(from)
+	return into
+}
+
 // sparkYtXJob is Algorithm 5: one map pass computing X on demand, folding
 // XtX/YtX/ΣX partials into accumulators inside the map (no reduce stage).
-// Only the claimed YtX rows of each partial cross the network (§4.2).
+// Only the claimed YtX rows of each partial cross the network (§4.2). The
+// accumulator folds each task's partial as soon as the tasks before it are
+// folded, so the pass holds a few partials, not one per partition.
 func sparkYtXJob(e *sparkEngine, em *emDriver) (jobSums, error) {
 	e.acc.reset()
-	acc := rdd.NewAccumulator(e.ctx, "YtXSum", e.acc, mergePartial, (*partial).bytes)
+	acc := rdd.NewAccumulator(e.ctx, "YtXSum", e.acc, e.foldPartial, (*partial).bytes)
 	err := e.y.ForeachPartition("YtXJob", func(task int, part []matrix.SparseVector, ops *rdd.TaskOps) {
-		p := e.parts[task]
+		p := e.parts.Get()
 		p.reset()
 		for _, row := range part {
 			ops.AddOps(p.add(p.latent(row, em, e.opt.MeanPropagation), p.xi))
@@ -154,13 +168,14 @@ func sparkSS3Job(e *sparkEngine, em *emDriver, cNew *matrix.Dense) (float64, err
 		func(float64) int64 { return 8 },
 	)
 	err := e.y.ForeachPartition("ss3Job", func(task int, part []matrix.SparseVector, ops *rdd.TaskOps) {
-		p := e.parts[task]
+		p := e.parts.Get() // only its row scratch
 		var local float64
 		for _, row := range part {
 			t, n := p.ss3Term(p.latent(row, em, e.opt.MeanPropagation), cNew, e.opt.AssociativeSS3)
 			local += t
 			ops.AddOps(n)
 		}
+		e.parts.Put(p)
 		acc.Merge(task, local)
 	})
 	if err != nil {

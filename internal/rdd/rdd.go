@@ -25,6 +25,7 @@ import (
 	"sync"
 
 	"spca/internal/cluster"
+	"spca/internal/parallel"
 	"spca/internal/trace"
 )
 
@@ -490,6 +491,18 @@ func (r *RDD[T]) scanDiskBytes() int64 {
 	return r.spillBytes
 }
 
+// taskWorkers is how many goroutines run an action's tasks: the width of
+// the kernel pool (parallel.Workers), one under parallel.SetSequential. Each
+// claims the next partition in ascending order (parallel.Tasks), which keeps
+// an accumulator's in-order fold close behind the running tasks. The
+// simulated cluster's cores only set the charges.
+func taskWorkers() int {
+	if parallel.Sequential() {
+		return 1
+	}
+	return parallel.Workers()
+}
+
 // ForeachPartition runs f once per partition in parallel and charges one
 // phase: the tasks' arithmetic, a scan's disk traffic, and task overheads.
 // It is the engine primitive behind every distributed job in this repo.
@@ -508,18 +521,9 @@ func (r *RDD[T]) ForeachPartition(name string, f func(task int, part []T, ops *T
 		tr.Begin(name, trace.KindAction, trace.I("partitions", int64(len(r.parts))))
 	}
 	opsPer := make([]TaskOps, len(r.parts))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, r.ctx.cl.TotalCores())
-	for p := range r.parts {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			f(p, r.parts[p], &opsPer[p])
-		}(p)
-	}
-	wg.Wait()
+	parallel.Tasks(len(r.parts), taskWorkers(), func(p int) {
+		f(p, r.parts[p], &opsPer[p])
+	})
 	var totalOps int64
 	taskOps := make([]int64, len(opsPer))
 	for i := range opsPer {
@@ -564,22 +568,13 @@ func Map[T, U any](r *RDD[T], name string, f func(T) U, sizeOf func(U) int64, op
 		// the parent's partition.
 		parent: r, recomputeOpsPerRec: opsPerRec,
 	}
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, r.ctx.cl.TotalCores())
-	for p := range r.parts {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			dst := make([]U, len(r.parts[p]))
-			for i, rec := range r.parts[p] {
-				dst[i] = f(rec)
-			}
-			out.parts[p] = dst
-		}(p)
-	}
-	wg.Wait()
+	parallel.Tasks(len(r.parts), taskWorkers(), func(p int) {
+		dst := make([]U, len(r.parts[p]))
+		for i, rec := range r.parts[p] {
+			dst[i] = f(rec)
+		}
+		out.parts[p] = dst
+	})
 	outBytes := out.totalBytes()
 	taskOps := make([]int64, len(r.parts))
 	for p := range r.parts {
@@ -676,22 +671,13 @@ func AggregateInto[T, U any](r *RDD[T], name string, zero func(task int) U, seq 
 	}
 	partials := make([]U, len(r.parts))
 	opsPer := make([]TaskOps, len(r.parts))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, r.ctx.cl.TotalCores())
-	for p := range r.parts {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			acc := zero(p)
-			for _, rec := range r.parts[p] {
-				acc = seq(acc, rec, &opsPer[p])
-			}
-			partials[p] = acc
-		}(p)
-	}
-	wg.Wait()
+	parallel.Tasks(len(r.parts), taskWorkers(), func(p int) {
+		acc := zero(p)
+		for _, rec := range r.parts[p] {
+			acc = seq(acc, rec, &opsPer[p])
+		}
+		partials[p] = acc
+	})
 
 	var totalOps, shuffle int64
 	taskOps := make([]int64, len(opsPer))
@@ -777,9 +763,15 @@ func Broadcast(ctx *Context, name string, bytes int64) {
 // build a local value and publish it with Merge, which charges the value's
 // serialized size as network traffic to the driver.
 //
-// Partials are buffered per task and folded in ascending task order when the
-// driver reads Value. Folding on arrival would sum floats in goroutine
-// scheduling order, making repeated runs differ in the last bits.
+// Values fold in ascending task order, so repeated runs sum floats in the
+// same order whatever the goroutine schedule. As Spark merges a task's update
+// when the task completes, Merge folds eagerly: a task's value is folded as
+// soon as every lower-numbered task's has been, so the accumulator holds only
+// the values that finished ahead of a slower task. Value folds what is left,
+// still in ascending order (a task that never merged only delays the eager
+// fold), and starts the order afresh for the next action.
+//
+// Each task merges at most once per action; a second Merge for a task panics.
 type Accumulator[T any] struct {
 	ctx   *Context
 	name  string
@@ -788,8 +780,10 @@ type Accumulator[T any] struct {
 
 	mu      sync.Mutex
 	value   T
-	parts   map[int]T
-	pending int64 // shuffle bytes accumulated since last Value() read
+	parts   map[int]T // merged values not yet folded, by task
+	next    int       // the lowest task not yet folded
+	folding bool      // a Merge call is folding; the others only store
+	pending int64     // shuffle bytes accumulated since last Value() read
 }
 
 // NewAccumulator creates an accumulator with initial value zero.
@@ -797,22 +791,44 @@ func NewAccumulator[T any](ctx *Context, name string, zero T, merge func(into, f
 	return &Accumulator[T]{ctx: ctx, name: name, merge: merge, size: size, value: zero, parts: make(map[int]T)}
 }
 
-// Merge folds a task-local partial into the accumulator. The task index
-// (from ForeachPartition) fixes the fold order at the driver.
+// Merge publishes task's local value. The task index (from ForeachPartition)
+// fixes the fold order. The call that stores the lowest unfolded task's value
+// folds it, and every consecutive value present after it, outside the lock:
+// other tasks' Merge calls only store and return meanwhile.
 func (a *Accumulator[T]) Merge(task int, local T) {
 	b := a.size(local)
 	a.mu.Lock()
-	defer a.mu.Unlock()
-	if prev, ok := a.parts[task]; ok {
-		a.parts[task] = a.merge(prev, local)
-	} else {
-		a.parts[task] = local
+	if _, dup := a.parts[task]; dup || task < a.next {
+		a.mu.Unlock()
+		panic(fmt.Sprintf("rdd: accumulator %s: task %d merged twice in one action", a.name, task))
 	}
+	a.parts[task] = local
 	a.pending += b
+	if a.folding {
+		a.mu.Unlock()
+		return
+	}
+	a.folding = true
+	for {
+		v, ok := a.parts[a.next]
+		if !ok {
+			break
+		}
+		delete(a.parts, a.next)
+		a.next++
+		value := a.value
+		a.mu.Unlock()
+		value = a.merge(value, v)
+		a.mu.Lock()
+		a.value = value
+	}
+	a.folding = false
+	a.mu.Unlock()
 }
 
-// Value reads the accumulated value at the driver, charging the pending
-// network traffic of all merges since the previous read.
+// Value reads the accumulated value at the driver once the action's tasks
+// have returned, charging the pending network traffic of all merges since
+// the previous read.
 func (a *Accumulator[T]) Value() T {
 	a.mu.Lock()
 	tasks := make([]int, 0, len(a.parts))
@@ -824,6 +840,7 @@ func (a *Accumulator[T]) Value() T {
 		a.value = a.merge(a.value, a.parts[t])
 	}
 	clear(a.parts)
+	a.next = 0
 	pending := a.pending
 	a.pending = 0
 	v := a.value
