@@ -26,15 +26,19 @@ cross:
 
 # The rdd accumulator folds each task's value once every lower-numbered task
 # is folded: at one worker it never waits, at four tasks finish out of order.
-# Run the engines that lean on it at both.
+# mapred runs its tasks on the same worker count, and the sketch engines'
+# mappers come from per-fit pools. Run the engines that lean on them at both.
 test:
 	$(GO) test ./...
-	$(GO) test -count=1 -cpu 1,4 ./internal/rdd ./internal/ppca
+	$(GO) test -count=1 -cpu 1,4 ./internal/rdd ./internal/ppca ./internal/mapred ./internal/rsvd \
+		./internal/ssvd ./internal/colmean
 
 # The two distributed engines run real goroutines; keep them race-clean,
 # along with the kernel worker pool, the EM and sketch engines that fan out
-# across both platforms, the Mahout and SVD-bidiagonalization baselines whose
-# jobs run through mapred's map store, the MLlib baseline's rdd jobs, the
+# across both platforms (the sketch mappers come from per-fit pools), the
+# Mahout baseline, whose projection job is rsvd's on the slab store and whose
+# Bt job runs through mapred's map store, the SVD-bidiagonalization baseline
+# on the map store, the MLlib baseline's rdd jobs, the
 # shared column-mean pass, the accuracy metric (each block of sampled rows
 # forms its reconstructions with one product on the pool), the iterative
 # driver (final-flush retry) and the cluster (interrupt watchdog). A race
@@ -145,13 +149,16 @@ bench-smoke:
 # (internal/checkpoint is) can move the Go kernels' phase, so compare this
 # output with the parent's when a change shifts a kernel's share of a
 # profile. The AVX kernels (the .abi0 symbols) align their loop heads with
-# PCALIGN, so theirs read 0. The binary is built as perfbench/run.sh builds
-# it, into a temporary directory.
+# PCALIGN, so theirs read 0. The sparse-row kernels (MulAdd, RowBlocks'
+# Scatter, SubOuter's body) sit in internal/matrix; the ppca symbols are
+# their EM callers. A symbol missing from the binary fails the target, so
+# CI runs it. The binary is built as perfbench/run.sh builds it, into a
+# temporary directory.
 LAYOUT_SYMS = 'matrix.SymOuterAdd' 'matrix.(*mulBody).Run' 'matrix.(*mulTBody).Run' \
 	'matrix.(*mulBTBody).Run' 'matrix.(*Dense).CenteredMulInto' 'matrix.axpyAVX.abi0' \
-	'matrix.axpy4AVX.abi0' 'ppca.(*partial).add' 'ppca.(*partial).scatter' \
-	'ppca.(*rowScratch).latent' 'ppca.(*rowScratch).ss3Term' 'ppca.localPass.func1' \
-	'ppca.localSS3.func1'
+	'matrix.axpy4AVX.abi0' 'matrix.SparseVector.MulAdd' 'matrix.(*RowBlocks).Scatter' \
+	'matrix.(*subOuterBody).Run' 'ppca.(*partial).add' 'ppca.(*rowScratch).latent' \
+	'ppca.(*rowScratch).ss3Term' 'ppca.localPass.func1' 'ppca.localSS3.func1'
 LOOP_HEADS = function hex(s,  n, i) { n = 0; for (i = 3; i <= length(s); i++) \
 	n = n * 16 + index("0123456789abcdef", substr(s, i, 1)) - 1; return n } \
 	$$4 ~ /^J/ && $$5 ~ /^0x[0-9a-f]+$$/ { t = hex($$5); if (t <= hex($$2)) print t }

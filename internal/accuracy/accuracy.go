@@ -113,9 +113,7 @@ func (s *Sample) Err(mean []float64, p, c *matrix.Dense) float64 {
 			for k := range xi {
 				xi[k] = -pm[k]
 			}
-			for k, j := range row.Indices {
-				matrix.AXPY(row.Values[k], p.Row(j), xi)
-			}
+			row.MulAdd(p, xi)
 		}
 		xs.MulInto(ct, rs)
 		for t := 0; t < n; t++ {

@@ -552,9 +552,9 @@ func Run[I any, K comparable, V any, R any](e *Engine, job Job[I, K, V, R], inpu
 	}
 	mapRecs := make([]taskRecord, splits)
 	mapWalk := func(t int) (int64, uint64) { return st.payload(t, kbf, vbf) }
-	// Fault draws are keyed by (phase, task, attempt), so which worker runs a
-	// task changes no charge.
-	parallel.Tasks(splits, e.Cluster.TotalCores(), func(t int) {
+	// Map tasks run on the kernel pool's width. Fault draws are keyed by
+	// (phase, task, attempt), so which worker runs a task changes no charge.
+	parallel.Tasks(splits, parallel.TaskWorkers(), func(t int) {
 		split := input[t*len(input)/splits : (t+1)*len(input)/splits]
 		mapRecs[t].attempts(plan, mapPhase, t, maxAtt, func() int64 {
 			em, ops := st.emitter(t)
@@ -621,7 +621,7 @@ func Run[I any, K comparable, V any, R any](e *Engine, job Job[I, K, V, R], inpu
 	// Keys are partitioned into the configured number of reduce tasks (like
 	// Hadoop's partitioner), so Engine.Reducers governs scheduling, not just
 	// the charged task overhead. Task concurrency is bounded by the reduce
-	// slots and the cluster's cores, whichever is smaller.
+	// slots and the kernel pool's width, whichever is smaller.
 	reducers := e.Reducers
 	if reducers <= 0 {
 		reducers = e.Cluster.TotalCores()
@@ -639,7 +639,7 @@ func Run[I any, K comparable, V any, R any](e *Engine, job Job[I, K, V, R], inpu
 		return partPayload(kbf, rbf, keys[lo:hi], rs[lo:hi])
 	}
 	st.reducers(redTasks)
-	parallel.Tasks(redTasks, min(reducers, e.Cluster.TotalCores()), func(t int) {
+	parallel.Tasks(redTasks, min(reducers, parallel.TaskWorkers()), func(t int) {
 		lo, hi := part(t)
 		oc := &ocs[t]
 		redRecs[t].attempts(plan, redPhase, t, maxAtt, func() int64 {

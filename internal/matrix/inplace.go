@@ -222,7 +222,10 @@ func (t *mulBTBody) Run(lo, hi int) {
 	}
 }
 
-// MulVecTInto computes out = mᵀ*x, overwriting out (length m.C).
+// MulVecTInto computes out = mᵀ*x, overwriting out (length m.C): the rows
+// of m scaled by the nonzero x_i, added in ascending i. With x the column
+// means and m = B it is mean propagation's image Ym·B, which every engine
+// forms through it.
 func (m *Dense) MulVecTInto(x, out []float64) []float64 {
 	if m.R != len(x) {
 		panic(fmt.Sprintf("matrix: MulVecT dims %dx%dᵀ * %d", m.R, m.C, len(x)))
@@ -523,11 +526,7 @@ var sparseMulBodies = parallel.NewPool(func() *sparseMulBody { return new(sparse
 func (t *sparseMulBody) Run(lo, hi int) {
 	m, b, out := t.m, t.b, t.out
 	for i := lo; i < hi; i++ {
-		row := m.Row(i)
-		orow := out.Row(i)
-		for k, j := range row.Indices {
-			AXPY(row.Values[k], b.Row(j), orow)
-		}
+		m.Row(i).MulAdd(b, out.Row(i))
 	}
 }
 
@@ -542,7 +541,7 @@ func (m *Sparse) MulDenseInto(b, out *Dense) *Dense {
 	}
 	out.Zero()
 	// Row-parallel: every output row depends only on its own sparse row, so
-	// chunks are disjoint and each row's AXPY sequence is unchanged.
+	// chunks are disjoint and each row's MulAdd is unchanged.
 	perRow := 2 * b.C
 	if m.R > 0 {
 		perRow = 2 * (m.NNZ()/m.R + 1) * b.C
@@ -575,31 +574,8 @@ func (t *subRowBody) Run(lo, hi int) {
 	}
 }
 
-// MeanMulInto computes out = meanᵀ*b (a 1 x b.C row vector), overwriting out.
-// It skips zero mean entries and accumulates in ascending j with AXPY —
-// exactly the loop CenteredMulDense historically ran per call — so callers
-// that precompute the mean's image stay bit-identical to the allocating path.
-func MeanMulInto(mean []float64, b *Dense, out []float64) []float64 {
-	if len(mean) != b.R {
-		panic(fmt.Sprintf("matrix: MeanMulInto mean len %d, matrix %dx%d", len(mean), b.R, b.C))
-	}
-	if len(out) != b.C {
-		panic(fmt.Sprintf("matrix: MeanMulInto out len %d, want %d", len(out), b.C))
-	}
-	for j := range out {
-		out[j] = 0
-	}
-	for j, mj := range mean {
-		if mj == 0 {
-			continue
-		}
-		AXPY(mj, b.Row(j), out)
-	}
-	return out
-}
-
 // CenteredMulDenseInto computes out = (Y - 1·meanᵀ)·b via mean propagation
-// with the mean's image meanB = meanᵀ·b already computed (see MeanMulInto):
+// with the mean's image meanB = meanᵀ·b already computed (b.MulVecTInto):
 // out = Y·b, then meanB subtracted from every row. Allocation-free, and
 // bit-identical to CenteredMulDense, which delegates here.
 func (m *Sparse) CenteredMulDenseInto(b, out *Dense, meanB []float64) *Dense {

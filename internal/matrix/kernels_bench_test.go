@@ -98,8 +98,8 @@ func BenchmarkKernelsSymEigen(b *testing.B) {
 // block of 16 rows (d = 50, D = 2000). The last three cases time the row
 // kernels the same way: AXPY4 at d = 50 (1024 calls per op); LatentRows,
 // the latent rows of 2000 Tweets-like rows (about 8 nonzeros each over
-// D = 2000, popular columns more often) at d = 50, four nonzeros per AXPY4
-// as the EM row kernel takes them; and SolveSPDIntoServeFit, the M-step
+// D = 2000, popular columns more often) at d = 50 through MulAdd, the row
+// kernel of every engine; and SolveSPDIntoServeFit, the M-step
 // solve at the served model's shape (1000 right-hand sides, d = 50).
 // MulIntoServe times the served transform's product, sequential: 1 or 4
 // Tweets-like rows (about 8 nonzeros in D = 1000) travelling dense, times
@@ -181,16 +181,9 @@ func BenchmarkKernelsInPlace(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for r := 0; r < rows; r++ {
-				row, xi := sp.Row(r), xs.Row(r)
+				xi := xs.Row(r)
 				clear(xi)
-				k := 0
-				for ; k+4 <= len(row.Indices); k += 4 {
-					idx, v := row.Indices[k:k+4], row.Values[k:k+4]
-					benchAXPY4(v[0], v[1], v[2], v[3], cm.Row(idx[0]), cm.Row(idx[1]), cm.Row(idx[2]), cm.Row(idx[3]), xi)
-				}
-				for ; k < len(row.Indices); k++ {
-					AXPY(row.Values[k], cm.Row(row.Indices[k]), xi)
-				}
+				sp.Row(r).MulAdd(cm, xi)
 			}
 		}
 	})

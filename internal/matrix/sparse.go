@@ -303,7 +303,7 @@ func (m *Sparse) CenteredFrobeniusSq(mean []float64) float64 {
 // propagation: Yc*B = Y*B - Ym*B (the paper's §3.1 identity). It allocates
 // the output and the mean's image and delegates to CenteredMulDenseInto.
 func (m *Sparse) CenteredMulDense(mean []float64, b *Dense) *Dense {
-	mb := MeanMulInto(mean, b, make([]float64, b.C)) // mean' * B, a 1 x K row
+	mb := b.MulVecT(mean) // mean' * B, a 1 x K row
 	return m.CenteredMulDenseInto(b, NewDense(m.R, b.C), mb)
 }
 

@@ -163,6 +163,17 @@ func (c *claims[B]) loop(w int) {
 	}
 }
 
+// TaskWorkers is how many goroutines the engines run their tasks on: the
+// width of the kernel pool (Workers), one under SetSequential. rdd runs an
+// action's partitions and mapred a job's map and reduce tasks on it; the
+// simulated cluster's cores only set the charges.
+func TaskWorkers() int {
+	if Sequential() {
+		return 1
+	}
+	return Workers()
+}
+
 // Tasks runs fn(t) for every task t in [0, n) on at most workers
 // goroutines, and returns when all have run. Each worker claims the next
 // index from a shared counter, so tasks start in ascending order, one at a

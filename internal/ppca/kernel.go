@@ -1,7 +1,6 @@
 package ppca
 
 import (
-	"math/bits"
 	"sync/atomic"
 
 	"spca/internal/mapred"
@@ -26,23 +25,7 @@ func latentRow(row matrix.SparseVector, em *emDriver, meanProp bool, xi []float6
 	} else {
 		clear(xi)
 	}
-	addRows(row, em.cm, xi)
-}
-
-// addRows adds Σ y_j·M_j over row's nonzeros y_j into out, in nonzero
-// order: four nonzeros per AXPY4, then the rest one AXPY each. Every element
-// of out sees the additions of a per-nonzero AXPY loop in the same order, so
-// the sum is bit-identical to one.
-func addRows(row matrix.SparseVector, m *matrix.Dense, out []float64) {
-	idx, vals := row.Indices, row.Values[:len(row.Indices)]
-	k := 0
-	for ; k+4 <= len(idx); k += 4 {
-		matrix.AXPY4(vals[k], vals[k+1], vals[k+2], vals[k+3],
-			m.Row(idx[k]), m.Row(idx[k+1]), m.Row(idx[k+2]), m.Row(idx[k+3]), out)
-	}
-	for ; k < len(idx); k++ {
-		matrix.AXPY(vals[k], m.Row(idx[k]), out)
-	}
+	row.MulAdd(em.cm, xi)
 }
 
 // rowScratch is one task's per-row working set. Every buffer is overwritten
@@ -93,7 +76,7 @@ func (s *rowScratch) ss3Term(row matrix.SparseVector, c *matrix.Dense, assoc boo
 	nnz, d := int64(row.NNZ()), int64(len(s.xi))
 	if assoc {
 		clear(s.ct)
-		addRows(row, c, s.ct)
+		row.MulAdd(c, s.ct)
 		return matrix.Dot(s.xi, s.ct), 2*nnz*d + d
 	}
 	if len(s.xc) != c.R {
@@ -107,10 +90,6 @@ func (s *rowScratch) ss3Term(row matrix.SparseVector, c *matrix.Dense, assoc boo
 	return t, nnz*d + int64(c.R)*d + nnz
 }
 
-// blockFloats is the target size of one block of YtX rows. A block holds the
-// largest power of two of d-wide rows that fits, at least one.
-const blockFloats = 4096
-
 // partial is one task's share of the consolidated pass: Σ Yiᵀ·Xi_c over the
 // columns its rows touch, Σ Xi_cᵀ·Xi_c and Σ Xi_c, plus the task's row
 // scratch. The distributed engines hand them out from a per-fit
@@ -118,9 +97,8 @@ const blockFloats = 4096
 // merge one into the accumulator, which returns it. The local and streaming
 // engines keep one for the fit and copy it out.
 //
-// YtX rows are claimed on first touch from fixed blocks indexed by claim
-// order. Blocks are kept across passes, so a claimed row never moves and
-// growth never copies; only claimed rows are emitted, merged or charged.
+// YtX rows live in a matrix.RowBlocks, claimed on first touch and kept
+// across passes; only claimed rows are emitted, merged or charged.
 //
 // XtX takes the latent rows four at a time: add copies each row into buf,
 // and flush sweeps the buffered rows through SymOuterAdd, whose four-row
@@ -128,15 +106,12 @@ const blockFloats = 4096
 // per row. Everything that reads XtX flushes first.
 type partial struct {
 	rowScratch
-	d       int
-	shift   uint         // a block holds 1<<shift rows
-	off     []int32      // per column: claim index, -1 while untouched
-	touched []int32      // claimed columns, in claim order
-	blocks  [][]float64  // YtX rows, claim order
-	xtx     matrix.Dense // d x d
-	sumX    []float64
-	buf     []float64 // up to four latent rows not yet in XtX, 4·d
-	nbuf    int       // rows in buf
+	d    int
+	ytx  matrix.RowBlocks // YtX rows, d wide, keyed by column
+	xtx  matrix.Dense     // d x d
+	sumX []float64
+	buf  []float64 // up to four latent rows not yet in XtX, 4·d
+	nbuf int       // rows in buf
 }
 
 // newPartial makes an empty partial. Its float buffers share one
@@ -148,16 +123,9 @@ func newPartial(d, dims int) *partial {
 		floats = floats[n:]
 		return v
 	}
-	ints := make([]int32, 2*dims)
-	for j := range ints[:dims] {
-		ints[j] = -1
-	}
-	shift := uint(bits.Len(uint(max(blockFloats/d, 1))) - 1)
-	p := &partial{d: d, shift: shift}
+	p := &partial{d: d, ytx: matrix.NewRowBlocks(d, dims)}
 	p.xtx = matrix.Dense{R: d, C: d, Data: carve(d * d)}
 	p.sumX, p.xi, p.ct, p.buf = carve(d), carve(d), carve(d), carve(4*d)
-	p.off, p.touched = ints[:dims:dims], ints[dims:dims:2*dims]
-	p.blocks = make([][]float64, 0, (dims+1<<shift-1)>>shift)
 	return p
 }
 
@@ -180,45 +148,15 @@ func newPartialPool(d, dims int) *partialPool {
 
 // reset empties the partial for a new pass or task attempt. The blocks stay.
 func (p *partial) reset() {
-	for _, j := range p.touched {
-		p.off[j] = -1
-	}
-	p.touched = p.touched[:0]
+	p.ytx.Reset()
 	p.xtx.Zero()
 	clear(p.sumX)
 	p.nbuf = 0
 }
 
-// row returns column j's YtX row, claiming a zeroed one on first touch.
-func (p *partial) row(j int) []float64 {
-	if o := p.off[j]; o >= 0 {
-		return p.slot(int(o))
-	}
-	return p.claim(j)
-}
-
-func (p *partial) claim(j int) []float64 {
-	o := len(p.touched)
-	if o>>p.shift == len(p.blocks) {
-		p.blocks = append(p.blocks, make([]float64, p.d<<p.shift))
-	}
-	p.off[j] = int32(o)
-	p.touched = append(p.touched, int32(j))
-	r := p.slot(o)
-	clear(r)
-	return r
-}
-
-func (p *partial) slot(o int) []float64 {
-	k := (o & (1<<p.shift - 1)) * p.d
-	return p.blocks[o>>p.shift][k : k+p.d : k+p.d]
-}
-
 // scatter adds row's YtX contribution Yiᵀ·xi and returns its op charge.
 func (p *partial) scatter(row matrix.SparseVector, xi []float64) int64 {
-	for k, j := range row.Indices {
-		matrix.AXPY(row.Values[k], xi, p.row(j))
-	}
+	p.ytx.Scatter(row, xi)
 	return int64(row.NNZ()) * int64(p.d)
 }
 
@@ -251,8 +189,8 @@ func (p *partial) flush() {
 func (p *partial) merge(o *partial) {
 	p.flush()
 	o.flush()
-	for _, j := range o.touched {
-		matrix.AXPY(1, o.row(int(j)), p.row(int(j)))
+	for _, j := range o.ytx.Touched() {
+		matrix.AXPY(1, o.ytx.Row(int(j)), p.ytx.Row(int(j)))
 	}
 	matrix.AXPY(1, o.xtx.Data, p.xtx.Data)
 	matrix.AXPY(1, o.sumX, p.sumX)
@@ -262,7 +200,7 @@ func (p *partial) merge(o *partial) {
 // and ΣX.
 func (p *partial) bytes() int64 {
 	d := int64(p.d)
-	return int64(len(p.touched))*(8+d*8) + d*d*8 + d*8
+	return int64(len(p.ytx.Touched()))*(8+d*8) + d*d*8 + d*8
 }
 
 // into overwrites s with the partial's sums, XtX mirrored to the full
@@ -270,8 +208,8 @@ func (p *partial) bytes() int64 {
 func (p *partial) into(s jobSums) jobSums {
 	p.flush()
 	s.ytx.Zero()
-	for _, j := range p.touched {
-		copy(s.ytx.Row(int(j)), p.row(int(j)))
+	for _, j := range p.ytx.Touched() {
+		copy(s.ytx.Row(int(j)), p.ytx.Row(int(j)))
 	}
 	copy(s.xtx.Data, p.xtx.Data)
 	matrix.MirrorUpper(s.xtx)
@@ -283,8 +221,8 @@ func (p *partial) into(s jobSums) jobSums {
 // once per task, so the engine's in-place combiner merge never writes into
 // the partial.
 func (p *partial) emitRows(out mapred.Emitter[int, []float64]) {
-	for _, j := range p.touched {
-		out.Emit(int(j), p.row(int(j)))
+	for _, j := range p.ytx.Touched() {
+		out.Emit(int(j), p.ytx.Row(int(j)))
 	}
 }
 

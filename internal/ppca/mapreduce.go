@@ -195,8 +195,8 @@ func (m *ytxNaiveMapper) Map(row matrix.SparseVector, out mapred.Emitter[int, []
 	p.reset()
 	out.AddOps(p.add(p.latent(row, m.em, m.meanProp), p.xi))
 	p.flush()
-	for _, j := range p.touched {
-		out.Emit(int(j), slices.Clone(p.row(int(j))))
+	for _, j := range p.ytx.Touched() {
+		out.Emit(int(j), slices.Clone(p.ytx.Row(int(j))))
 	}
 	out.Emit(keyXtX, slices.Clone(p.xtx.Data))
 	out.Emit(keySumX, slices.Clone(p.sumX))

@@ -247,14 +247,7 @@ func (em *emDriver) prepare() error {
 		err = matrix.InverseInto(em.mWork, em.minv, em.invWork)
 	}
 	em.c.MulInto(em.minv, em.cm)
-	for k := range em.xm {
-		em.xm[k] = 0
-	}
-	for j, mj := range em.mean {
-		if mj != 0 {
-			matrix.AXPY(mj, em.cm.Row(j), em.xm)
-		}
-	}
+	em.cm.MulVecTInto(em.mean, em.xm)
 	return nil
 }
 
@@ -270,22 +263,14 @@ type jobSums struct {
 // new C. ss is updated after the ss3 pass via finishVariance.
 func (em *emDriver) update(s jobSums) (*matrix.Dense, error) {
 	// YtX = Σ Yiᵀ Xi_c - Ymᵀ (Σ Xi_c)   (mean propagation, §3.1). The caller
-	// rebuilds s every pass, so the correction runs in place on s.ytx, on the
-	// parallel pool (its rows are disjoint).
-	ytx := s.ytx
-	parallel.For(len(em.mean), 2048/(em.d+1)+1, func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			if mj := em.mean[j]; mj != 0 {
-				matrix.AXPY(-mj, s.sumX, ytx.Row(j))
-			}
-		}
-	})
+	// rebuilds s every pass, so the correction runs in place on s.ytx.
+	s.ytx.SubOuter(em.mean, s.sumX)
 	// XtX = Σ Xi_cᵀ Xi_c + ss·M⁻¹ (the two-statement AddScaledInto rounding
 	// matches the Scale-then-Add composition bit for bit).
 	xtx := matrix.AddScaledInto(em.mWork, s.xtx, em.ss, em.minv)
 	// Solve into the spare components buffer, then swap it in: the previous
 	// C's storage becomes next iteration's solve output.
-	if err := em.solveGuarded(xtx, ytx, em.cNext, &em.spdWS); err != nil {
+	if err := em.solveGuarded(xtx, s.ytx, em.cNext, &em.spdWS); err != nil {
 		return nil, err
 	}
 	em.c, em.cNext = em.cNext, em.c

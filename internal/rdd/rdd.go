@@ -491,18 +491,6 @@ func (r *RDD[T]) scanDiskBytes() int64 {
 	return r.spillBytes
 }
 
-// taskWorkers is how many goroutines run an action's tasks: the width of
-// the kernel pool (parallel.Workers), one under parallel.SetSequential. Each
-// claims the next partition in ascending order (parallel.Tasks), which keeps
-// an accumulator's in-order fold close behind the running tasks. The
-// simulated cluster's cores only set the charges.
-func taskWorkers() int {
-	if parallel.Sequential() {
-		return 1
-	}
-	return parallel.Workers()
-}
-
 // ForeachPartition runs f once per partition in parallel and charges one
 // phase: the tasks' arithmetic, a scan's disk traffic, and task overheads.
 // It is the engine primitive behind every distributed job in this repo.
@@ -521,7 +509,7 @@ func (r *RDD[T]) ForeachPartition(name string, f func(task int, part []T, ops *T
 		tr.Begin(name, trace.KindAction, trace.I("partitions", int64(len(r.parts))))
 	}
 	opsPer := make([]TaskOps, len(r.parts))
-	parallel.Tasks(len(r.parts), taskWorkers(), func(p int) {
+	parallel.Tasks(len(r.parts), parallel.TaskWorkers(), func(p int) {
 		f(p, r.parts[p], &opsPer[p])
 	})
 	var totalOps int64
@@ -568,7 +556,7 @@ func Map[T, U any](r *RDD[T], name string, f func(T) U, sizeOf func(U) int64, op
 		// the parent's partition.
 		parent: r, recomputeOpsPerRec: opsPerRec,
 	}
-	parallel.Tasks(len(r.parts), taskWorkers(), func(p int) {
+	parallel.Tasks(len(r.parts), parallel.TaskWorkers(), func(p int) {
 		dst := make([]U, len(r.parts[p]))
 		for i, rec := range r.parts[p] {
 			dst[i] = f(rec)
@@ -647,17 +635,6 @@ func (r *RDD[T]) Collect() ([]T, error) {
 // when the result is no longer needed.
 // This is the communication pattern of MLlib's Gramian computation.
 func Aggregate[T, U any](r *RDD[T], name string, zero func() U, seq func(U, T, *TaskOps) U, comb func(U, U) U, sizeOf func(U) int64) (U, error) {
-	return AggregateInto(r, name, func(int) U { return zero() }, seq, comb, sizeOf)
-}
-
-// AggregateInto is Aggregate with a task-indexed zero: zero(p) builds the
-// fold target of partition p and zero(-1) the driver-side result, letting
-// callers hand out pooled per-task accumulators (reused across repeated
-// actions) instead of allocating fresh ones per call. Partition indices are
-// stable for the life of the RDD and each partition's fold runs on a single
-// goroutine, so a caller-owned zero value is touched by exactly one task per
-// action.
-func AggregateInto[T, U any](r *RDD[T], name string, zero func(task int) U, seq func(U, T, *TaskOps) U, comb func(U, U) U, sizeOf func(U) int64) (U, error) {
 	// Entry poll, before the action draws its fault epoch (see
 	// ForeachPartition).
 	if err := r.ctx.cl.Interrupted(); err != nil {
@@ -671,8 +648,8 @@ func AggregateInto[T, U any](r *RDD[T], name string, zero func(task int) U, seq 
 	}
 	partials := make([]U, len(r.parts))
 	opsPer := make([]TaskOps, len(r.parts))
-	parallel.Tasks(len(r.parts), taskWorkers(), func(p int) {
-		acc := zero(p)
+	parallel.Tasks(len(r.parts), parallel.TaskWorkers(), func(p int) {
+		acc := zero()
 		for _, rec := range r.parts[p] {
 			acc = seq(acc, rec, &opsPer[p])
 		}
@@ -685,7 +662,7 @@ func AggregateInto[T, U any](r *RDD[T], name string, zero func(task int) U, seq 
 		totalOps += opsPer[i].ops
 		taskOps[i] = opsPer[i].ops
 	}
-	result := zero(-1)
+	result := zero()
 	for _, part := range partials {
 		shuffle += sizeOf(part)
 		result = comb(result, part)

@@ -353,58 +353,3 @@ func TestForeachRecordsCharged(t *testing.T) {
 		t.Fatalf("records = %d, want 42", last.Records)
 	}
 }
-
-// TestAggregateIntoReusesCallerZeroValues: AggregateInto hands each partition
-// the caller's zero(task) value and uses zero(-1) as the driver-side result
-// seed, so a caller can pool per-partition accumulators across repeated
-// aggregations (what the ppca engines do every EM iteration) and observe the
-// fold results in the buffers it provided.
-func TestAggregateIntoReusesCallerZeroValues(t *testing.T) {
-	ctx := newTestContext()
-	r := Parallelize(ctx, "ints", rangeInts(100), intSize)
-	parts := r.NumPartitions()
-	pooled := make([]*[]int, parts)
-	for i := range pooled {
-		s := []int{}
-		pooled[i] = &s
-	}
-	driverZero := []int{}
-	sliceSize := func(*[]int) int64 { return 8 }
-	for pass := 0; pass < 3; pass++ {
-		for _, p := range pooled {
-			*p = (*p)[:0] // recycle capacity, as pooled scratch does
-		}
-		driverZero = driverZero[:0]
-		got, err := AggregateInto(r, "gather",
-			func(task int) *[]int {
-				if task < 0 {
-					return &driverZero
-				}
-				return pooled[task]
-			},
-			func(acc *[]int, v int, _ *TaskOps) *[]int { *acc = append(*acc, v); return acc },
-			func(a, b *[]int) *[]int { *a = append(*a, *b...); return a },
-			sliceSize,
-		)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != &driverZero {
-			t.Fatal("AggregateInto did not seed the driver result with zero(-1)")
-		}
-		if len(*got) != 100 {
-			t.Fatalf("pass %d gathered %d values, want 100", pass, len(*got))
-		}
-		total := 0
-		seen := 0
-		for _, p := range pooled {
-			seen += len(*p)
-			for _, v := range *p {
-				total += v
-			}
-		}
-		if seen != 100 || total != 4950 {
-			t.Fatalf("pass %d: pooled accumulators hold %d values summing %d", pass, seen, total)
-		}
-	}
-}

@@ -6,6 +6,7 @@ import (
 	"spca/internal/colmean"
 	"spca/internal/mapred"
 	"spca/internal/matrix"
+	"spca/internal/parallel"
 	"spca/internal/trace"
 )
 
@@ -13,10 +14,10 @@ import (
 // broadcast a seeded Gaussian test matrix Ω, project P = Yc·Ω, orthonormalize
 // with a charged QR phase, refine with q QR re-orthonormalized power
 // iterations (Q ← QR(Yc·(YcᵀQ))), then take the small SVD of B = YcᵀQ on the
-// driver. Unlike the Mahout baseline in internal/ssvd, the B job uses
-// in-mapper combining (one k-vector per column per task instead of one per
-// non-zero), and every mapper runs on per-task pooled scratch with zero
-// steady-state allocations.
+// driver. The projection job is the Projector Mahout-PCA runs too. Unlike
+// the Mahout baseline in internal/ssvd, the B job uses in-mapper combining
+// (one k-vector per column per task instead of one per non-zero). Both
+// jobs' mappers come from per-fit pools.
 func FitMapReduce(eng *mapred.Engine, rows []matrix.SparseVector, dims int, opt Options) (*Result, error) {
 	if err := opt.Validate(len(rows), dims); err != nil {
 		return nil, err
@@ -32,25 +33,28 @@ func FitMapReduce(eng *mapred.Engine, rows []matrix.SparseVector, dims int, opt 
 	return FitSketch("rsvd-mapreduce", opt, rows, dims, cl, eng,
 		func() ([]float64, error) { return colmean.MapReduce(eng, "rsvd-mean", rows, dims) },
 		func(mean []float64) RoundEngine {
+			indexed := IndexRows(rows)
 			return &mrEngine{
-				eng: eng, opt: opt, dims: dims, indexed: IndexRows(rows), mean: mean,
-				scr: newMRScratch(eng.NumSplits(len(rows))),
+				eng: eng, opt: opt, dims: dims, indexed: indexed, mean: mean,
+				proj: NewProjector(eng, indexed, mean),
 			}
 		})
 }
 
 // mrEngine implements one randomized-SVD sketch round as MapReduce jobs. The
-// projection matrix P (N x k), the small matrix B (D x k), and all per-task
-// mapper scratch are allocated on the first round and reused afterwards.
+// B job's mapper pool and slab spec, the small matrix B (D x k) and Q's
+// column sums are made on the first round and reused afterwards.
 type mrEngine struct {
 	eng     *mapred.Engine
 	opt     Options
 	dims    int
 	mean    []float64
 	indexed []IndexedRow
-	scr     *mrScratch
-	p       *matrix.Dense // N x k projection, refilled by every project job
+	proj    *Projector
+	bt      *parallel.Pool[*btMapper]
+	bSpec   *mapred.DenseSpec
 	b       *matrix.Dense // D x k, refilled by every B job
+	colSum  []float64     // column sums of Q, k
 }
 
 func (e *mrEngine) Round(round, k int) (*matrix.Dense, []float64, error) {
@@ -60,10 +64,10 @@ func (e *mrEngine) Round(round, k int) (*matrix.Dense, []float64, error) {
 	omega := matrix.NormRnd(matrix.NewRNG(matrix.DeriveSeed(e.opt.Seed, "rsvd/omega", uint64(round))), e.dims, k)
 	mapred.Broadcast(e.eng, "rsvd/omega", mapred.BytesOfDense(omega))
 
-	if err := e.projectJob("rsvd-range", omega); err != nil {
+	if err := e.proj.Run("rsvd-range", omega); err != nil {
 		return nil, nil, err
 	}
-	q := QRPhase(cl, "rsvd/qr", e.p)
+	q := QRPhase(cl, "rsvd/qr", e.proj.P)
 
 	// Power iterations: Q ← QR(Yc·(YcᵀQ)), re-orthonormalizing after every
 	// application so the basis never degenerates (Halko's recommendation).
@@ -72,10 +76,10 @@ func (e *mrEngine) Round(round, k int) (*matrix.Dense, []float64, error) {
 			return nil, nil, err
 		}
 		mapred.Broadcast(e.eng, "rsvd/b", mapred.BytesOfDense(e.b))
-		if err := e.projectJob(fmt.Sprintf("rsvd-power-%d", pi), e.b); err != nil {
+		if err := e.proj.Run(fmt.Sprintf("rsvd-power-%d", pi), e.b); err != nil {
 			return nil, nil, err
 		}
-		q = QRPhase(cl, "rsvd/qr", e.p)
+		q = QRPhase(cl, "rsvd/qr", e.proj.P)
 	}
 
 	// B = YcᵀQ (D x k), then the small SVD on the driver: principal
@@ -88,59 +92,27 @@ func (e *mrEngine) Round(round, k int) (*matrix.Dense, []float64, error) {
 	return w, s, nil
 }
 
-// projectJob computes P = Yc·B for an in-memory D x k matrix B with mean
-// propagation, filling the reused e.p. Each mapper emits one pooled k-vector
-// per row — zero allocations once the per-task freelists are warm.
-func (e *mrEngine) projectJob(name string, b *matrix.Dense) error {
-	k := b.C
-	// Ym·B, subtracted from every projected row (mean propagation).
-	mb := e.scr.mb(k)
-	for j, mj := range e.mean {
-		if mj != 0 {
-			matrix.AXPY(mj, b.Row(j), mb)
-		}
-	}
-	job := mapred.Job[IndexedRow, int, []float64, []float64]{
-		Name: name,
-		NewMapper: func(task int) mapred.Mapper[IndexedRow, int, []float64] {
-			m := e.scr.proj[task]
-			m.reset(k, b, mb) // reset handles fault replays too
-			return m
-		},
-		Reduce:      func(_ int, vs [][]float64, _ mapred.Ops) []float64 { return vs[0] },
-		InputBytes:  func(r IndexedRow) int64 { return mapred.BytesOfSparseVec(r.Row) },
-		KeyBytes:    mapred.BytesOfInt,
-		ValueBytes:  mapred.BytesOfVec,
-		ResultBytes: mapred.BytesOfVec,
-		Dense:       e.scr.denseProj(len(e.indexed), k),
-	}
-	out, err := mapred.Run(e.eng, job, e.indexed)
-	if err != nil {
-		return err
-	}
-	if e.p == nil {
-		e.p = matrix.NewDense(len(e.indexed), k)
-	}
-	for i := range e.indexed {
-		v, ok := out[i]
-		if !ok {
-			return fmt.Errorf("rsvd: %s lost row %d", name, i)
-		}
-		copy(e.p.Row(i), v)
-	}
-	return nil
-}
-
 // bJob computes B = YcᵀQ (D x k) with in-mapper combining: each task folds
-// its rows into a column-keyed accumulator map and emits one k-vector per
-// touched column in Cleanup — the combining Mahout's Bt job lacks.
+// its rows into column-keyed rows and emits one k-vector per touched column
+// in Cleanup — the combining Mahout's Bt job lacks.
 func (e *mrEngine) bJob(q *matrix.Dense) error {
 	k := q.C
+	if e.b == nil || e.b.C != k {
+		e.b = matrix.NewDense(e.dims, k)
+		e.colSum = make([]float64, k)
+		e.bSpec = &mapred.DenseSpec{MinKey: 0, Keys: e.dims, Width: k}
+		var pool *parallel.Pool[*btMapper]
+		pool = parallel.NewPool(func() *btMapper {
+			return &btMapper{pool: pool, rows: matrix.NewRowBlocks(k, e.dims)}
+		})
+		e.bt = pool
+	}
 	job := mapred.Job[IndexedRow, int, []float64, []float64]{
 		Name: "rsvd-b",
-		NewMapper: func(task int) mapred.Mapper[IndexedRow, int, []float64] {
-			m := e.scr.bt[task]
-			m.reset(k, q)
+		NewMapper: func(int) mapred.Mapper[IndexedRow, int, []float64] {
+			m := e.bt.Get()
+			m.rows.Reset() // a fault replay's mapper starts over too
+			m.q = q
 			return m
 		},
 		Combine: func(a, b []float64) []float64 {
@@ -161,180 +133,133 @@ func (e *mrEngine) bJob(q *matrix.Dense) error {
 		KeyBytes:    mapred.BytesOfInt,
 		ValueBytes:  mapred.BytesOfVec,
 		ResultBytes: mapred.BytesOfVec,
-		Dense:       e.scr.denseB(e.dims, k),
+		Dense:       e.bSpec,
 	}
 	out, err := mapred.Run(e.eng, job, e.indexed)
 	if err != nil {
 		return err
-	}
-	if e.b == nil {
-		e.b = matrix.NewDense(e.dims, k)
 	}
 	e.b.Zero()
 	for j, v := range out {
 		copy(e.b.Row(j), v)
 	}
 	// Mean propagation on the driver: B = YᵀQ - Ym ⊗ colSum(Q).
-	colSum := e.scr.mb(k) // reuse of the k-sized driver buffer is safe here
+	clear(e.colSum)
 	for i := 0; i < q.R; i++ {
-		matrix.AXPY(1, q.Row(i), colSum)
+		matrix.AXPY(1, q.Row(i), e.colSum)
 	}
-	for j, mj := range e.mean {
-		if mj != 0 {
-			matrix.AXPY(-mj, colSum, e.b.Row(j))
-		}
-	}
+	e.b.SubOuter(e.mean, e.colSum)
 	e.eng.Cluster.AddDriverCompute(int64(q.R)*int64(k) + int64(e.dims)*int64(k))
 	return nil
 }
 
-// mrScratch owns every reused mapper-side buffer, indexed by task.
-type mrScratch struct {
-	proj  []*projMapper
-	bt    []*btMapper
-	mbBuf []float64
-	// Flat-slab shuffle specs, one stable pointer per job shape so every
-	// round reuses the engine's pooled slabs via the cheap same-spec reset.
-	projSpec *mapred.DenseSpec
-	bSpec    *mapred.DenseSpec
-}
-
-// denseProj is the projection job's spec: one k-wide row per input row.
-func (s *mrScratch) denseProj(n, k int) *mapred.DenseSpec {
-	if s.projSpec == nil || s.projSpec.Keys != n || s.projSpec.Width != k {
-		s.projSpec = &mapred.DenseSpec{MinKey: 0, Keys: n, Width: k}
-	}
-	return s.projSpec
-}
-
-// denseB is the Bᵀ job's spec: one k-wide row per touched column.
-func (s *mrScratch) denseB(dims, k int) *mapred.DenseSpec {
-	if s.bSpec == nil || s.bSpec.Keys != dims || s.bSpec.Width != k {
-		s.bSpec = &mapred.DenseSpec{MinKey: 0, Keys: dims, Width: k}
-	}
-	return s.bSpec
-}
-
-func newMRScratch(tasks int) *mrScratch {
-	s := &mrScratch{proj: make([]*projMapper, tasks), bt: make([]*btMapper, tasks)}
-	for i := range s.proj {
-		s.proj[i] = &projMapper{}
-		s.bt[i] = &btMapper{}
-	}
-	return s
-}
-
-// mb returns the zeroed driver-side k-vector.
-func (s *mrScratch) mb(k int) []float64 {
-	if cap(s.mbBuf) < k {
-		s.mbBuf = make([]float64, k)
-	}
-	s.mbBuf = s.mbBuf[:k]
-	for i := range s.mbBuf {
-		s.mbBuf[i] = 0
-	}
-	return s.mbBuf
-}
-
-// projMapper emits one pooled k-vector per input row. reset reclaims every
-// vector handed out by the previous job (or a failed attempt of this one).
-type projMapper struct {
-	k    int
-	b    *matrix.Dense
-	mb   []float64
-	free [][]float64
-	out  [][]float64
-}
-
-func (m *projMapper) reset(k int, b *matrix.Dense, mb []float64) {
-	if m.k != k {
-		m.free, m.out, m.k = nil, nil, k
-	}
-	m.free = append(m.free, m.out...)
-	m.out = m.out[:0]
-	m.b, m.mb = b, mb
-}
-
-func (m *projMapper) vec() []float64 {
-	var v []float64
-	if n := len(m.free); n > 0 {
-		v = m.free[n-1]
-		m.free = m.free[:n-1]
-		for i := range v {
-			v[i] = 0
-		}
-	} else {
-		v = make([]float64, m.k)
-	}
-	m.out = append(m.out, v)
-	return v
-}
-
-func (m *projMapper) Map(rec IndexedRow, out mapred.Emitter[int, []float64]) {
-	p := m.vec()
-	for t, j := range rec.Row.Indices {
-		matrix.AXPY(rec.Row.Values[t], m.b.Row(j), p)
-	}
-	matrix.AXPY(-1, m.mb, p)
-	out.Emit(rec.Idx, p)
-	out.AddOps(int64(rec.Row.NNZ()*m.k + m.k))
-}
-
-func (m *projMapper) Cleanup(mapred.Emitter[int, []float64]) {}
-
-// btMapper folds B-contributions into a column-keyed map (in-mapper
-// combining) and emits once per touched column in Cleanup. Emission order is
-// the map's, which is fine: every column is emitted at most once per task,
-// and the reducer's value list is ordered by task, so the fold stays
-// deterministic.
+// btMapper folds its task's B-contributions into column-keyed rows
+// (in-mapper combining) and emits each touched column once from Cleanup, in
+// claim order. The reducer's value list is ordered by task, so the fold is
+// deterministic. The slab store copies every emit, so Cleanup then puts the
+// mapper back in its pool.
 type btMapper struct {
-	k    int
+	pool *parallel.Pool[*btMapper]
 	q    *matrix.Dense
-	bt   map[int][]float64
-	free [][]float64
-}
-
-func (m *btMapper) reset(k int, q *matrix.Dense) {
-	if m.k != k {
-		m.bt, m.free, m.k = nil, nil, k
-	}
-	if m.bt == nil {
-		m.bt = map[int][]float64{}
-	}
-	for j, v := range m.bt {
-		m.free = append(m.free, v)
-		delete(m.bt, j)
-	}
-	m.q = q
-}
-
-func (m *btMapper) vec() []float64 {
-	if n := len(m.free); n > 0 {
-		v := m.free[n-1]
-		m.free = m.free[:n-1]
-		for i := range v {
-			v[i] = 0
-		}
-		return v
-	}
-	return make([]float64, m.k)
+	rows matrix.RowBlocks
 }
 
 func (m *btMapper) Map(rec IndexedRow, out mapred.Emitter[int, []float64]) {
-	qi := m.q.Row(rec.Idx)
-	for t, j := range rec.Row.Indices {
-		v := m.bt[j]
-		if v == nil {
-			v = m.vec()
-			m.bt[j] = v
-		}
-		matrix.AXPY(rec.Row.Values[t], qi, v)
-	}
-	out.AddOps(int64(rec.Row.NNZ() * m.k))
+	m.rows.Scatter(rec.Row, m.q.Row(rec.Idx))
+	out.AddOps(int64(rec.Row.NNZ() * m.q.C))
 }
 
 func (m *btMapper) Cleanup(out mapred.Emitter[int, []float64]) {
-	for j, v := range m.bt {
-		out.Emit(j, v)
+	for _, j := range m.rows.Touched() {
+		out.Emit(int(j), m.rows.Row(int(j)))
 	}
+	m.q = nil
+	m.pool.Put(m)
+}
+
+// Projector is the projection job of both MapReduce sketch engines, rsvd's
+// and Mahout-PCA's Q and power jobs: P = Yc·B for an in-memory D x k matrix
+// B with mean propagation, materialized as one k-wide row per input row.
+// Its mappers come from a per-fit pool and project each row into one
+// scratch row, which the job's slab store copies on emit.
+type Projector struct {
+	// P is the N x k projection, refilled by every Run.
+	P       *matrix.Dense
+	eng     *mapred.Engine
+	indexed []IndexedRow
+	mean    []float64
+	mb      []float64 // Ym·B
+	spec    *mapred.DenseSpec
+	mappers *parallel.Pool[*projMapper]
+}
+
+// NewProjector returns the projection job of indexed centered by mean. P
+// and the mappers are made on the first Run.
+func NewProjector(eng *mapred.Engine, indexed []IndexedRow, mean []float64) *Projector {
+	return &Projector{eng: eng, indexed: indexed, mean: mean}
+}
+
+// Run fills P = Yc·B as the job named name.
+func (pr *Projector) Run(name string, b *matrix.Dense) error {
+	k := b.C
+	if pr.P == nil || pr.P.C != k {
+		pr.P = matrix.NewDense(len(pr.indexed), k)
+		pr.mb = make([]float64, k)
+		pr.spec = &mapred.DenseSpec{MinKey: 0, Keys: len(pr.indexed), Width: k}
+		var pool *parallel.Pool[*projMapper]
+		pool = parallel.NewPool(func() *projMapper {
+			return &projMapper{pool: pool, p: make([]float64, k)}
+		})
+		pr.mappers = pool
+	}
+	// Ym·B, subtracted from every projected row (mean propagation).
+	b.MulVecTInto(pr.mean, pr.mb)
+	job := mapred.Job[IndexedRow, int, []float64, []float64]{
+		Name: name,
+		NewMapper: func(int) mapred.Mapper[IndexedRow, int, []float64] {
+			m := pr.mappers.Get()
+			m.b, m.mb = b, pr.mb
+			return m
+		},
+		Reduce:      func(_ int, vs [][]float64, _ mapred.Ops) []float64 { return vs[0] },
+		InputBytes:  func(r IndexedRow) int64 { return mapred.BytesOfSparseVec(r.Row) },
+		KeyBytes:    mapred.BytesOfInt,
+		ValueBytes:  mapred.BytesOfVec,
+		ResultBytes: mapred.BytesOfVec,
+		Dense:       pr.spec,
+	}
+	out, err := mapred.Run(pr.eng, job, pr.indexed)
+	if err != nil {
+		return err
+	}
+	for i := range pr.indexed {
+		v, ok := out[i]
+		if !ok {
+			return fmt.Errorf("rsvd: %s lost row %d", name, i)
+		}
+		copy(pr.P.Row(i), v)
+	}
+	return nil
+}
+
+// projMapper emits each input row's projection (Yi − Ym)·B from its one
+// scratch row, and puts itself back in its pool from Cleanup.
+type projMapper struct {
+	pool  *parallel.Pool[*projMapper]
+	b     *matrix.Dense
+	mb, p []float64
+}
+
+func (m *projMapper) Map(rec IndexedRow, out mapred.Emitter[int, []float64]) {
+	k := len(m.p)
+	clear(m.p)
+	rec.Row.MulAdd(m.b, m.p)
+	matrix.AXPY(-1, m.mb, m.p)
+	out.Emit(rec.Idx, m.p)
+	out.AddOps(int64(rec.Row.NNZ()*k + k))
+}
+
+func (m *projMapper) Cleanup(mapred.Emitter[int, []float64]) {
+	m.b, m.mb = nil, nil
+	m.pool.Put(m)
 }

@@ -15,9 +15,10 @@
 //     accuracy.SketchSeed's "sample" for the error metric), so no two
 //     (stream, round) pairs can collide and the fitted model is
 //     bit-identical across sequential, parallel, and fault-injected runs.
-//   - Zero steady-state allocations in mappers: per-task scratch is sized by
-//     the engine's split/partition count, allocated on the first round, and
-//     recycled through freelists afterwards.
+//   - Pooled mappers: the MapReduce jobs' mappers come from per-fit pools
+//     (a mapper goes back from Cleanup, after the slab store has copied its
+//     emits), so a fit makes only as many as run at once; each Spark
+//     partition's sketch scratch is allocated on the first round and reused.
 //   - Exact tracing: every charged phase flows through the cluster, so leaf
 //     trace spans sum to the run Metrics bit for bit.
 //   - Checkpoint/resume at sketch-round granularity: with a CheckpointSpec

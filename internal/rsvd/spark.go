@@ -71,15 +71,7 @@ func (e *sparkEngine) Round(round, k int) (*matrix.Dense, []float64, error) {
 	if cap(e.mb) < k {
 		e.mb = make([]float64, k)
 	}
-	mb := e.mb[:k]
-	for i := range mb {
-		mb[i] = 0
-	}
-	for j, mj := range e.mean {
-		if mj != 0 {
-			matrix.AXPY(mj, omega.Row(j), mb)
-		}
-	}
+	mb := omega.MulVecTInto(e.mean, e.mb[:k])
 	cl.AddDriverCompute(int64(e.dims) * int64(k))
 
 	acc := rdd.NewAccumulator(e.ctx, "rsvd/sketch",
@@ -155,7 +147,7 @@ func (s *sketchStack) bytes() int64 {
 type localSketch struct {
 	k      int
 	p      *matrix.Dense // n_p x k projection / basis (orthonormalized in place)
-	t      *matrix.Dense // D x k   T = Y_pcᵀ·Q_p for the power iterations
+	t      *matrix.Dense // D x k   T = Y_pcᵀ·Q_p, for the power iterations and B_p
 	b      *matrix.Dense // k x D   the shipped block B_p = Q_pᵀ·Y_pc
 	colSum []float64     // column sums of Q_p (mean propagation)
 	mbt    []float64     // TᵀYm for the local power-iteration projection
@@ -188,45 +180,17 @@ func (ls *localSketch) run(part []matrix.SparseVector, omega *matrix.Dense, mb, 
 	for pi := 0; pi < power; pi++ {
 		ls.transposeMul(part, mean, ops)
 		// mbt = TᵀYm, the mean-propagation vector for the next projection.
-		for i := range ls.mbt {
-			ls.mbt[i] = 0
-		}
-		for j, mj := range mean {
-			if mj != 0 {
-				matrix.AXPY(mj, ls.t.Row(j), ls.mbt)
-			}
-		}
+		ls.t.MulVecTInto(mean, ls.mbt)
 		ops.AddOps(int64(dims) * int64(k))
 		ls.project(part, ls.t, ls.mbt, ops)
 		ops.AddOps(orthoOps(len(part), k))
 		matrix.GramSchmidt(ls.p)
 	}
 
-	// B_p = Q_pᵀ·Y_pc (k x D) with mean propagation via colSum(Q_p).
-	ls.b.Zero()
-	for i := range ls.colSum {
-		ls.colSum[i] = 0
-	}
-	var nnz int64
-	for i, row := range part {
-		qi := ls.p.Row(i)
-		matrix.AXPY(1, qi, ls.colSum)
-		for t, j := range row.Indices {
-			v := row.Values[t]
-			for r := 0; r < k; r++ {
-				ls.b.Row(r)[j] += qi[r] * v
-			}
-		}
-		nnz += int64(row.NNZ())
-	}
-	for j, mj := range mean {
-		if mj != 0 {
-			for r := 0; r < k; r++ {
-				ls.b.Row(r)[j] -= ls.colSum[r] * mj
-			}
-		}
-	}
-	ops.AddOps(nnz*int64(k) + int64(len(part))*int64(k) + int64(dims)*int64(k))
+	// B_p = Q_pᵀ·Y_pc (k x D) with mean propagation via colSum(Q_p): the
+	// transpose of T = Y_pcᵀ·Q_p.
+	ls.transposeMul(part, mean, ops)
+	ls.t.TInto(ls.b)
 }
 
 // project fills P = Y_pc·B for a D x k matrix B, where mb = BᵀYm.
@@ -237,9 +201,7 @@ func (ls *localSketch) project(part []matrix.SparseVector, b *matrix.Dense, mb [
 		for t := range pi {
 			pi[t] = -mb[t]
 		}
-		for t, j := range row.Indices {
-			matrix.AXPY(row.Values[t], b.Row(j), pi)
-		}
+		row.MulAdd(b, pi)
 		ops.AddOps(int64(row.NNZ()*k + k))
 	}
 }
@@ -248,9 +210,7 @@ func (ls *localSketch) project(part []matrix.SparseVector, b *matrix.Dense, mb [
 func (ls *localSketch) transposeMul(part []matrix.SparseVector, mean []float64, ops *rdd.TaskOps) {
 	k := ls.k
 	ls.t.Zero()
-	for i := range ls.colSum {
-		ls.colSum[i] = 0
-	}
+	clear(ls.colSum)
 	var nnz int64
 	for i, row := range part {
 		qi := ls.p.Row(i)
@@ -260,11 +220,7 @@ func (ls *localSketch) transposeMul(part []matrix.SparseVector, mean []float64, 
 		}
 		nnz += int64(row.NNZ())
 	}
-	for j, mj := range mean {
-		if mj != 0 {
-			matrix.AXPY(-mj, ls.colSum, ls.t.Row(j))
-		}
-	}
+	ls.t.SubOuter(mean, ls.colSum)
 	ops.AddOps(nnz*int64(k) + int64(len(part))*int64(k) + int64(ls.t.R)*int64(k))
 }
 

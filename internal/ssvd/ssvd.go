@@ -10,7 +10,8 @@
 //
 // Mahout's re-run-and-keep-the-best refinement is the best-of-rounds loop of
 // the randomized-sketch engines, so a fit is one more round engine on
-// internal/rsvd's shared sketch step, with rsvd's options and result.
+// internal/rsvd's shared sketch step, with rsvd's options and result. Its Q
+// and power jobs are rsvd's projection job (rsvd.Projector).
 package ssvd
 
 import (
@@ -56,20 +57,23 @@ func FitMapReduce(eng *mapred.Engine, rows []matrix.SparseVector, dims int, opt 
 	return rsvd.FitSketch("mahout-pca", opt, rows, dims, cl, eng,
 		func() ([]float64, error) { return colmean.MapReduce(eng, "ssvd-mean", rows, dims) },
 		func(mean []float64) rsvd.RoundEngine {
-			return &engine{eng: eng, opt: opt, dims: dims, indexed: rsvd.IndexRows(rows), mean: mean}
+			indexed := rsvd.IndexRows(rows)
+			return &engine{eng: eng, opt: opt, dims: dims, indexed: indexed, mean: mean,
+				proj: rsvd.NewProjector(eng, indexed, mean)}
 		})
 }
 
 // engine runs one Mahout round as MapReduce jobs. The indexed-row input is
-// built once per fit and reused by every projection and Bt job; the jobs
-// themselves keep Mahout's allocating emission pattern on purpose (that
-// cost model is what the baseline measures).
+// built once per fit and reused by every projection and Bt job. The Bt job
+// emits one fresh k-vector per non-zero: the cost model is the emitted
+// bytes, which mapred charges whatever the store.
 type engine struct {
 	eng     *mapred.Engine
 	opt     rsvd.Options
 	dims    int
 	indexed []rsvd.IndexedRow
 	mean    []float64
+	proj    *rsvd.Projector
 }
 
 func (e *engine) Round(round, k int) (*matrix.Dense, []float64, error) {
@@ -82,11 +86,10 @@ func (e *engine) Round(round, k int) (*matrix.Dense, []float64, error) {
 
 	// Q job: project and orthonormalize. The projected matrix (N x k) is
 	// materialized to HDFS, then QR'd blockwise (one charged phase).
-	proj, err := projectJob(e.eng, "QJob", e.indexed, e.mean, omega)
-	if err != nil {
+	if err := e.proj.Run("QJob", omega); err != nil {
 		return nil, nil, err
 	}
-	q := rsvd.QRPhase(cl, "ssvd/qr", proj)
+	q := rsvd.QRPhase(cl, "ssvd/qr", e.proj.P)
 
 	// Optional power iterations (Mahout -q): Q ← QR(Yc·(YcᵀQ)).
 	for p := 0; p < e.opt.PowerIterations; p++ {
@@ -95,10 +98,10 @@ func (e *engine) Round(round, k int) (*matrix.Dense, []float64, error) {
 			return nil, nil, err
 		}
 		mapred.Broadcast(e.eng, "ssvd/bt", mapred.BytesOfDense(bt))
-		if proj, err = projectJob(e.eng, fmt.Sprintf("PowerJob-%d", p), e.indexed, e.mean, bt); err != nil {
+		if err := e.proj.Run(fmt.Sprintf("PowerJob-%d", p), bt); err != nil {
 			return nil, nil, err
 		}
-		q = rsvd.QRPhase(cl, "ssvd/qr", proj)
+		q = rsvd.QRPhase(cl, "ssvd/qr", e.proj.P)
 	}
 
 	// Bt job: Bt = Ycᵀ·Q (D x k), Mahout-style per-row emission.
@@ -110,53 +113,6 @@ func (e *engine) Round(round, k int) (*matrix.Dense, []float64, error) {
 	w, s, _ := matrix.TopSVD(bt, e.opt.Components)
 	cl.AddDriverCompute(int64(e.dims) * int64(k) * int64(k))
 	return w, s, nil
-}
-
-// projectJob computes P = Yc·B for an in-memory D x k matrix B with mean
-// propagation, materializing the full N x k result as job output — the
-// intermediate-data pattern of Mahout's Q job.
-func projectJob(eng *mapred.Engine, name string, indexed []rsvd.IndexedRow, mean []float64, b *matrix.Dense) (*matrix.Dense, error) {
-	k := b.C
-	// Ym·B, subtracted from every projected row (mean propagation).
-	mb := make([]float64, k)
-	for j, mj := range mean {
-		if mj != 0 {
-			matrix.AXPY(mj, b.Row(j), mb)
-		}
-	}
-	job := mapred.Job[rsvd.IndexedRow, int, []float64, []float64]{
-		Name: name,
-		NewMapper: func(int) mapred.Mapper[rsvd.IndexedRow, int, []float64] {
-			return mapred.MapperFunc[rsvd.IndexedRow, int, []float64](
-				func(rec rsvd.IndexedRow, out mapred.Emitter[int, []float64]) {
-					p := make([]float64, k)
-					for t, j := range rec.Row.Indices {
-						matrix.AXPY(rec.Row.Values[t], b.Row(j), p)
-					}
-					matrix.AXPY(-1, mb, p)
-					out.Emit(rec.Idx, p)
-					out.AddOps(int64(rec.Row.NNZ()*k + k))
-				})
-		},
-		Reduce:      func(_ int, vs [][]float64, _ mapred.Ops) []float64 { return vs[0] },
-		InputBytes:  func(r rsvd.IndexedRow) int64 { return mapred.BytesOfSparseVec(r.Row) },
-		KeyBytes:    mapred.BytesOfInt,
-		ValueBytes:  mapred.BytesOfVec,
-		ResultBytes: mapred.BytesOfVec,
-	}
-	out, err := mapred.Run(eng, job, indexed)
-	if err != nil {
-		return nil, err
-	}
-	p := matrix.NewDense(len(indexed), k)
-	for i := 0; i < len(indexed); i++ {
-		v, ok := out[i]
-		if !ok {
-			return nil, fmt.Errorf("ssvd: %s lost row %d", name, i)
-		}
-		copy(p.Row(i), v)
-	}
-	return p, nil
 }
 
 // btJob computes Bt = Ycᵀ·Q (D x k). Faithful to Mahout's Bt job, each
@@ -207,11 +163,7 @@ func btJob(eng *mapred.Engine, indexed []rsvd.IndexedRow, dims int, mean []float
 	for j, v := range out {
 		copy(bt.Row(j), v)
 	}
-	for j, mj := range mean {
-		if mj != 0 {
-			matrix.AXPY(-mj, colSum, bt.Row(j))
-		}
-	}
+	bt.SubOuter(mean, colSum)
 	eng.Cluster.AddDriverCompute(int64(dims) * int64(k))
 	return bt, nil
 }

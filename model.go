@@ -84,7 +84,7 @@ func (m *Model) projection() (*projection, error) {
 		}
 		p = m.Components.Mul(minv)
 	}
-	pr := &projection{p: p, meanP: matrix.MeanMulInto(m.Mean, p, make([]float64, p.C))}
+	pr := &projection{p: p, meanP: p.MulVecT(m.Mean)}
 	m.proj.CompareAndSwap(nil, pr)
 	return m.proj.Load(), nil
 }

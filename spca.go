@@ -593,22 +593,7 @@ func Fit(y *Sparse, cfg Config) (*Result, error) {
 		if err != nil {
 			return nil, driver.NormalizeInterrupt(err)
 		}
-		return attachTrace(&Result{
-			Model: Model{
-				Algorithm:   cfg.Algorithm,
-				Components:  res.Components,
-				Mean:        y.ColMeans(),
-				Seed:        cfg.Seed,
-				orthonormal: true,
-			},
-			Err:        res.Err,
-			Iterations: 1,
-			History: []IterationStat{{
-				Iter: 1, Err: res.Err, SimSeconds: res.Metrics.SimSeconds,
-			}},
-			Metrics: res.Metrics,
-			phases:  res.Phases,
-		}, col), nil
+		return attachTrace(fromBaseline(cfg, y, res.Components, res.Err, res.Metrics, res.Phases), col), nil
 
 	case SVDBidiag:
 		cl, err := cfg.newCluster(intr)
@@ -622,22 +607,7 @@ func Fit(y *Sparse, cfg Config) (*Result, error) {
 		if err != nil {
 			return nil, driver.NormalizeInterrupt(err)
 		}
-		return attachTrace(&Result{
-			Model: Model{
-				Algorithm:   cfg.Algorithm,
-				Components:  res.Components,
-				Mean:        y.ColMeans(),
-				Seed:        cfg.Seed,
-				orthonormal: true,
-			},
-			Err:        res.Err,
-			Iterations: 1,
-			History: []IterationStat{{
-				Iter: 1, Err: res.Err, SimSeconds: res.Metrics.SimSeconds,
-			}},
-			Metrics: res.Metrics,
-			phases:  res.Phases,
-		}, col), nil
+		return attachTrace(fromBaseline(cfg, y, res.Components, res.Err, res.Metrics, res.Phases), col), nil
 
 	default:
 		return nil, fmt.Errorf("spca: unknown algorithm %q", cfg.Algorithm)
@@ -760,6 +730,26 @@ func fromRSVD(alg Algorithm, seed uint64, res *rsvd.Result) *Result {
 		out.Err = out.History[len(out.History)-1].Err
 	}
 	return out
+}
+
+// fromBaseline builds the Result of a single-pass baseline, MLlib-PCA or
+// SVD-Bidiag, from the fields their results share: an orthonormal model
+// centered on y's column means, and one history entry.
+func fromBaseline(cfg Config, y *Sparse, c *Dense, errv float64, m Metrics, phases []cluster.PhaseSummary) *Result {
+	return &Result{
+		Model: Model{
+			Algorithm:   cfg.Algorithm,
+			Components:  c,
+			Mean:        y.ColMeans(),
+			Seed:        cfg.Seed,
+			orthonormal: true,
+		},
+		Err:        errv,
+		Iterations: 1,
+		History:    []IterationStat{{Iter: 1, Err: errv, SimSeconds: m.SimSeconds}},
+		Metrics:    m,
+		phases:     phases,
+	}
 }
 
 func (c Config) ppcaBaseOptions() ppca.Options {
